@@ -30,8 +30,8 @@ pool = []
 for I in [(0, 1, 0), (0, 0, 1), (1, 0, 0)]:
     e = idem_key(I, (0,))
     pool += basis_enumerate(alg2, e, e, -4, 6)
-x = Element(alg2, {rng.choice(pool): alg2.field.one()})
-y = Element(alg2, {rng.choice(pool): alg2.field.one()})
+x = Element(alg2, {rng.choice(pool): 1})
+y = Element(alg2, {rng.choice(pool): 1})
 print("\na random product, straightened:")
 for key, c in x.multiply(y).terms.items():
     print("  ", c, diagram_text(alg2, key))

@@ -8,6 +8,11 @@ strand left of every red); graded dimensions of the quotient are
 assembled degree by degree against the quantum-side prediction, which
 serves as a certified stopping bound: any excess over the prediction is
 a hard integrity error, never silently accepted.
+
+The engine computes over ℤ.  ``BlockComputer.element_coords`` is the one
+place its integer coefficients are mapped into the scalar field, so
+kernels, quotient bases and structure constants are all field-valued
+from there on.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class BlockComputer:
         self.datum = datum
         self.qmat = q
         self.lambdas = tuple(lambdas)
-        self.alg = DiagramAlgebra(datum, q, lambdas, field)
+        self.alg = DiagramAlgebra(datum, q, lambdas)
         self.space = TensorSpace(datum, lambdas)
         self.field = field
         self.tail = tail
@@ -70,10 +75,9 @@ class BlockComputer:
 
     def idems(self, alpha: RootVector) -> list[IdemKey]:
         """All nonzero idempotents of the α block (κ(1) = 0)."""
-        keys = self.space.spanning_keys(alpha)
         if len(self.content_letters(alpha)) > self.max_strands:
             raise ValueError("block exceeds the configured strand bound")
-        return keys
+        return self.space.spanning_keys(alpha)
 
     def violating_idems(self, alpha: RootVector) -> list[IdemKey]:
         """Idempotents with a black strand left of all reds (κ(1) >= 1)."""
@@ -120,17 +124,17 @@ class BlockComputer:
         return hit
 
     def element_coords(self, el: Element, bottom: IdemKey, top: IdemKey, d: int):
-        """Coordinates of a homogeneous element in the tilde basis."""
+        """Coordinates of a homogeneous element in the tilde basis, mapped
+        from the engine's integers into the scalar field."""
         basis = self.tilde_basis(bottom, top, d)
         index = {k: i for i, k in enumerate(basis)}
         vec = [self.field.zero()] * len(basis)
-        for (idem, w, dots), c in el.terms.items():
-            if idem != bottom:
+        for k, c in el.terms.items():
+            if k[0] != bottom:
                 raise ValueError("element has terms off the requested component")
-            k = (idem, w, dots)
             if k not in index:
                 raise ValueError("element has terms off the requested degree")
-            vec[index[k]] = vec[index[k]] + c
+            vec[index[k]] = self.field.from_int(c)
         return vec
 
     # -- the violating ideal -------------------------------------------------------
@@ -167,12 +171,13 @@ class BlockComputer:
                     right = self.tilde_basis(mid, top, d - d1)
                     if not left or not right:
                         continue
+                    right_els = [Element(self.alg, {br: 1}) for br in right]
                     for bl in left:
                         if inc.rank == full:
                             break
-                        el_l = Element(self.alg, {bl: self.field.one()})
-                        for br in right:
-                            el = el_l.multiply(Element(self.alg, {br: self.field.one()}))
+                        el_l = Element(self.alg, {bl: 1})
+                        for el_r in right_els:
+                            el = el_l.multiply(el_r)
                             if not el.is_zero():
                                 inc.add(self.element_coords(el, bottom, top, d))
                                 if inc.rank == full:
@@ -283,7 +288,7 @@ class BlockComputer:
             if d2min is None or d2 < d2min:
                 continue
             for br in self.tilde_basis(mid, top, d2):
-                prod = el.multiply(Element(self.alg, {br: self.field.one()}))
+                prod = el.multiply(Element(self.alg, {br: 1}))
                 if not prod.is_zero():
                     inc.add(self.element_coords(prod, bottom, top, d))
                     if inc.rank == full:
@@ -389,11 +394,11 @@ class QuotientBlock:
         self.index = {bk: i for i, bk in enumerate(self.basis)}
         self._mult: dict[tuple[int, int], dict[int, object]] = {}
         for i, (a1, b1, d1, k1) in enumerate(self.basis):
-            e1 = Element(comp.alg, {k1: comp.field.one()})
+            e1 = Element(comp.alg, {k1: 1})
             for j, (a2, b2, d2, k2) in enumerate(self.basis):
                 if b1 != a2:
                     continue
-                prod = e1.multiply(Element(comp.alg, {k2: comp.field.one()}))
+                prod = e1.multiply(Element(comp.alg, {k2: 1}))
                 self._mult[(i, j)] = self._reduce(prod, a1, b2, d1 + d2)
 
     def _reduce(self, el: Element, bottom: IdemKey, top: IdemKey, d: int) -> dict[int, object]:
@@ -471,27 +476,6 @@ class QuotientBlock:
                 return False
         return True
 
-    def total_dim_at_1(self) -> int:
-        return self.dim
-
-    def structure_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "basis": [
-                {
-                    "bottom": GradedHomTable.idem_label(a),
-                    "top": GradedHomTable.idem_label(b),
-                    "degree": d,
-                }
-                for (a, b, d, _k) in self.basis
-            ],
-            "products": {
-                f"{i},{j}": {str(k): str(c) for k, c in prod.items()}
-                for (i, j), prod in sorted(self._mult.items())
-                if prod
-            },
-        }
-
 
 # -- single-red comparisons -----------------------------------------------------------------
 
@@ -511,7 +495,7 @@ def cyclotomic_ideal_space(comp: BlockComputer, bottom: IdemKey, top: IdemKey, d
         a1 = lam.coords[I2[0]]
         gen_dots = [0] * len(I2)
         gen_dots[0] = a1
-        gen = Element(comp.alg, {(mid, tuple(range(len(comp.alg.merged(mid)))), tuple(gen_dots)): comp.field.one()})
+        gen = Element(comp.alg, {(mid, tuple(range(len(comp.alg.merged(mid)))), tuple(gen_dots)): 1})
         gdeg = 2 * comp.datum.sym[I2[0]] * a1
         d1min = comp.min_degree(bottom, mid)
         d2min = comp.min_degree(mid, top)
@@ -521,11 +505,11 @@ def cyclotomic_ideal_space(comp: BlockComputer, bottom: IdemKey, top: IdemKey, d
             left = comp.tilde_basis(bottom, mid, d1)
             right = comp.tilde_basis(mid, top, d - gdeg - d1)
             for bl in left:
-                el_l = Element(comp.alg, {bl: comp.field.one()}).multiply(gen)
+                el_l = Element(comp.alg, {bl: 1}).multiply(gen)
                 if el_l.is_zero():
                     continue
                 for br in right:
-                    el = el_l.multiply(Element(comp.alg, {br: comp.field.one()}))
+                    el = el_l.multiply(Element(comp.alg, {br: 1}))
                     if not el.is_zero():
                         rows.append(comp.element_coords(el, bottom, top, d))
     return row_reduce(rows, comp.field)
@@ -644,8 +628,8 @@ def _dot_multiply(single: BlockComputer, dots_vec, rkey) -> Element:
     idem, w, dots = rkey
     m = len(single.alg.merged(idem))
     ydiag = (idem, tuple(range(m)), tuple(dots_vec))
-    left = Element(single.alg, {ydiag: single.field.one()})
-    return left.multiply(Element(single.alg, {rkey: single.field.one()}))
+    left = Element(single.alg, {ydiag: 1})
+    return left.multiply(Element(single.alg, {rkey: 1}))
 
 
 # -- Frobenius feasibility ---------------------------------------------------------------------

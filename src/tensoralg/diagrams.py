@@ -18,7 +18,14 @@ the local relations:
 Every rewrite strictly reduces (number of crossings, dots below
 crossings), so normalization terminates; products of normal forms are
 memoized aggressively since blocks reuse the same small Hom components
-over and over.
+over and over, and so is the strand geometry they consult: the
+canonical word of each permutation, the top idempotent of each
+(idempotent, permutation) pair and the boundary of each idempotent.
+
+Every coefficient these relations produce is an integer, so the engine
+computes over ℤ with plain ``int`` coefficients.  A scalar field enters
+only where coordinates meet linear algebra (``BlockComputer.element_coords``);
+a result over GF(p) is the reduction mod p of the integral one.
 
 Orientation convention, pinned once for the whole package: reading a
 diagram upward, a black strand moving to the *right* through a red strand
@@ -31,11 +38,11 @@ from __future__ import annotations
 
 import re
 from itertools import permutations
+from operator import add
 from typing import Iterable, Sequence
 
 from .cartan import CartanDatum, QMatrix, Weight
 from .qtensor import check_kappa
-from .scalars import QQ
 
 IdemKey = tuple[tuple[int, ...], tuple[int, ...]]  # (I, kappa)
 DiagKey = tuple[IdemKey, tuple[int, ...], tuple[int, ...]]  # (idem, w, dots)
@@ -140,10 +147,14 @@ def tits_moves(V: Sequence[int], target: Sequence[int]) -> list[tuple[str, int]]
 
 
 class DiagramAlgebra:
-    """The strand algebra for a fixed Cartan datum, Q-matrix, red labels
-    and scalar field.  All rewriting state (memo tables) lives here."""
+    """The strand algebra over ℤ for a fixed Cartan datum, Q-matrix and red
+    labels.  All rewriting state (memo tables) lives here.
 
-    def __init__(self, datum: CartanDatum, q: QMatrix, lambdas: Sequence[Weight], field=QQ):
+    Dicts returned by the rewriting core (``eval_word``, ``term_times_s``,
+    ``crossing_on_basis``) may be memo entries: callers must not mutate them.
+    """
+
+    def __init__(self, datum: CartanDatum, q: QMatrix, lambdas: Sequence[Weight]):
         self.datum = datum
         self.q = q
         self.lambdas = tuple(lambdas)
@@ -152,25 +163,48 @@ class DiagramAlgebra:
             if not lam.is_dominant():
                 raise ValueError("red labels must be dominant weights")
         self.ell = len(self.lambdas)
-        self.field = field
-        self._merged: dict[IdemKey, tuple] = {}
+        self._boundary: dict[IdemKey, tuple] = {}  # idem -> see boundary()
+        self._tops: dict[tuple, IdemKey] = {}  # (idem, w) -> top idempotent
+        self._idems: dict[IdemKey, IdemKey] = {}  # one shared object per top idempotent
+        self._words: dict[tuple[int, ...], tuple[int, ...]] = {}  # w -> canonical word
         self._cross_memo: dict[tuple, dict] = {}
         self._word_memo: dict[tuple, dict] = {}
 
     # -- boundary bookkeeping ---------------------------------------------------
 
-    def merged(self, idem: IdemKey):
-        seq = self._merged.get(idem)
-        if seq is None:
+    def boundary(self, idem: IdemKey):
+        """The boundary of e(idem), memoized: ``(strands, labels, black)``
+        with the strand at each slot, its label, and its index among the
+        black strands (None for a red).  The top boundary of e(idem)·ψ_w is
+        the boundary of its top idempotent."""
+        hit = self._boundary.get(idem)
+        if hit is None:
             seq = merged_sequence(idem, self.ell)
-            self._merged[idem] = seq
-        return seq
+            black: list = []
+            k = 0
+            for kind, _ in seq:
+                black.append(k if kind == "b" else None)
+                k += kind == "b"
+            hit = (seq, tuple(self.strand_label(idem, s) for s in seq), tuple(black))
+            self._boundary[idem] = hit
+        return hit
+
+    def merged(self, idem: IdemKey):
+        return self.boundary(idem)[0]
 
     def strand_label(self, idem: IdemKey, strand: tuple[str, int]):
         kind, k = strand
         if kind == "b":
             return ("b", idem[0][k])
         return ("r", k)
+
+    def canonical_word(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        """Memoized ``canonical_word(w)``."""
+        word = self._words.get(w)
+        if word is None:
+            word = canonical_word(w)
+            self._words[w] = word
+        return word
 
     def top_sequence(self, idem: IdemKey, w: Sequence[int]):
         bot = self.merged(idem)
@@ -180,18 +214,28 @@ class DiagramAlgebra:
         return tuple(top)
 
     def top_idem(self, idem: IdemKey, w: Sequence[int]) -> IdemKey:
-        top = self.top_sequence(idem, w)
-        I = tuple(idem[0][k] for kind, k in top if kind == "b")
-        blacks = 0
-        reds = []
-        for kind, k in top:
-            if kind == "b":
-                blacks += 1
-            else:
-                reds.append((k, blacks))
-        if [k for k, _ in reds] != list(range(self.ell)):
-            raise RedCrossingError("permutation inverts a pair of red strands")
-        return I, tuple(b for _, b in reds)
+        """The top idempotent of e(idem)·ψ_w, memoized per (idem, w)."""
+        key = (idem, tuple(w))
+        top = self._tops.get(key)
+        if top is None:
+            labels: list = [None] * len(w)
+            for slot, lab in zip(w, self.boundary(idem)[1]):
+                labels[slot] = lab
+            I: list = []
+            reds = []
+            kappa = []
+            for kind, k in labels:
+                if kind == "r":
+                    reds.append(k)
+                    kappa.append(len(I))
+                else:
+                    I.append(k)
+            if reds != list(range(self.ell)):
+                raise RedCrossingError("permutation inverts a pair of red strands")
+            top = (tuple(I), tuple(kappa))
+            top = self._idems.setdefault(top, top)
+            self._tops[key] = top
+        return top
 
     def check_red_order(self, idem: IdemKey, w: Sequence[int]):
         bot = self.merged(idem)
@@ -199,12 +243,6 @@ class DiagramAlgebra:
         tops = [w[s] for s in red_slots]
         if tops != sorted(tops):
             raise RedCrossingError("permutation inverts a pair of red strands")
-
-    def black_index_at(self, seq, slot: int) -> int:
-        """Position of the black strand at ``slot`` among blacks, or raise."""
-        if seq[slot][0] != "b":
-            raise WordError(f"slot {slot} is not a black strand")
-        return sum(1 for s in range(slot) if seq[s][0] == "b")
 
     # -- degrees -------------------------------------------------------------------
 
@@ -221,14 +259,13 @@ class DiagramAlgebra:
         return d.root_pairing_coeff(i, lam)
 
     def diagram_degree(self, idem: IdemKey, w: Sequence[int], dots: Sequence[int]) -> int:
-        bot = self.merged(idem)
+        labels = self.boundary(idem)[1]
         deg = 0
         for x, y in inversions(w):
-            deg += self.crossing_degree(self.strand_label(idem, bot[x]), self.strand_label(idem, bot[y]))
-        top = self.top_sequence(idem, w)
-        labels = [idem[0][k] for kind, k in top if kind == "b"]
-        for a, i in zip(dots, labels):
-            deg += 2 * self.datum.sym[i] * a
+            deg += self.crossing_degree(labels[x], labels[y])
+        if any(dots):
+            for a, i in zip(dots, self.top_idem(idem, w)[0]):
+                deg += 2 * self.datum.sym[i] * a
         return deg
 
     # -- the rewriting core ------------------------------------------------------------
@@ -243,9 +280,9 @@ class DiagramAlgebra:
         key = (idem, events)
         hit = self._word_memo.get(key)
         if hit is not None:
-            return dict(hit)
+            return hit
         m = len(self.merged(idem))
-        acc = {(tuple(range(m)), (0,) * len(idem[0])): self.field.one()}
+        acc = {(tuple(range(m)), (0,) * len(idem[0])): 1}
         for ev, p in events:
             if ev == "y":
                 acc = self._acc_dot(idem, acc, p)
@@ -253,7 +290,7 @@ class DiagramAlgebra:
                 nxt: dict = {}
                 for (w, dots), c in acc.items():
                     for k2, c2 in self.term_times_s(idem, w, dots, p).items():
-                        v = nxt.get(k2, self.field.zero()) + c * c2
+                        v = nxt.get(k2, 0) + c * c2
                         if v:
                             nxt[k2] = v
                         elif k2 in nxt:
@@ -261,153 +298,116 @@ class DiagramAlgebra:
                 acc = nxt
             else:
                 raise WordError(f"unknown event {ev!r}")
-        self._word_memo[key] = dict(acc)
+        self._word_memo[key] = acc
         return acc
 
-    def _acc_dot(self, idem: IdemKey, acc: dict, p: int):
+    def _acc_dot(self, idem: IdemKey, acc: dict, p: int) -> dict:
+        """``acc`` times a dot at top slot ``p``.  The map is injective on
+        basis diagrams, so terms never cancel."""
         out: dict = {}
         for (w, dots), c in acc.items():
-            top = self.top_sequence(idem, w)
-            if not (0 <= p < len(top)):
+            black = self.boundary(self.top_idem(idem, w))[2]
+            if not (0 <= p < len(black)):
                 raise WordError(f"dot at slot {p} out of range")
-            k = self.black_index_at(top, p)
+            k = black[p]
+            if k is None:
+                raise WordError(f"slot {p} is not a black strand")
             nd = list(dots)
             nd[k] += 1
-            key = (w, tuple(nd))
-            v = out.get(key, self.field.zero()) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            out[(w, tuple(nd))] = c
         return out
 
     def term_times_s(self, idem: IdemKey, w: tuple[int, ...], dots: tuple[int, ...], p: int):
         """(e ψ_w y^dots) · ψ_p in the basis, sliding dots off slots p, p+1
         first (with same-label corrections) and then crossing."""
-        m = len(w)
-        if not (0 <= p < m - 1):
+        if not (0 <= p < len(w) - 1):
             raise WordError(f"crossing at slot {p} out of range")
-        top = self.top_sequence(idem, w)
-        la, lb = (self.strand_label(idem, top[p]), self.strand_label(idem, top[p + 1]))
+        if not any(dots):
+            return self.crossing_on_basis(idem, w, p)
+        _, labels, black = self.boundary(self.top_idem(idem, w))
+        la, lb = labels[p], labels[p + 1]
         if la[0] == "r" and lb[0] == "r":
             raise RedCrossingError("red strands never cross")
-        one = self.field.one()
-        same_black = la[0] == "b" and lb[0] == "b" and la[1] == lb[1]
-
-        if same_black:
-            ka = self.black_index_at(top, p)
-            kb = ka + 1
-            if dots[ka] > 0:
-                nd = list(dots)
-                nd[ka] -= 1
-                sub = self.term_times_s(idem, w, tuple(nd), p)
-                out = self._add_dot_at_slot(idem, sub, p + 1)
-                key = (w, tuple(nd))
-                out[key] = out.get(key, self.field.zero()) + one
-                return _prune(out)
-            if dots[kb] > 0:
-                nd = list(dots)
-                nd[kb] -= 1
-                sub = self.term_times_s(idem, w, tuple(nd), p)
-                out = self._add_dot_at_slot(idem, sub, p)
-                key = (w, tuple(nd))
-                out[key] = out.get(key, self.field.zero()) - one
-                return _prune(out)
-            # fall through with no dots on the crossed pair
-
-        # Remaining dots ride along with their strands (swapping the pair's
-        # entries when both are black; a red passing a black keeps indexing).
-        moved = list(dots)
+        moved = dots
         if la[0] == "b" and lb[0] == "b":
-            ka = self.black_index_at(top, p)
-            moved[ka], moved[ka + 1] = moved[ka + 1], moved[ka]
-        moved = tuple(moved)
-        out: dict = {}
-        for (w2, d2), c in self.crossing_on_basis(idem, w, p).items():
-            key = (w2, tuple(a + b for a, b in zip(d2, moved)))
-            v = out.get(key, self.field.zero()) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return out
-
-    def _add_dot_at_slot(self, idem: IdemKey, terms: dict, slot: int):
-        out: dict = {}
-        for (w, dots), c in terms.items():
-            top = self.top_sequence(idem, w)
-            k = self.black_index_at(top, slot)
-            nd = list(dots)
-            nd[k] += 1
-            key = (w, tuple(nd))
-            out[key] = out.get(key, self.field.zero()) + c
-        return out
+            ka = black[p]
+            if la[1] == lb[1] and (dots[ka] or dots[ka + 1]):
+                # slide one dot off the crossed pair, with a ±1 correction
+                k, slot, sign = (ka, p + 1, 1) if dots[ka] else (ka + 1, p, -1)
+                nd = list(dots)
+                nd[k] -= 1
+                nd = tuple(nd)
+                out = self._acc_dot(idem, self.term_times_s(idem, w, nd, p), slot)
+                key = (w, nd)
+                out[key] = out.get(key, 0) + sign
+                return _prune(out)
+            # Dots ride along with their strands: the pair's entries swap
+            # (a red passing a black keeps the black indexing).
+            if dots[ka] != dots[ka + 1]:
+                nd = list(dots)
+                nd[ka], nd[ka + 1] = nd[ka + 1], nd[ka]
+                moved = tuple(nd)
+        cross = self.crossing_on_basis(idem, w, p)
+        if not any(moved):
+            return cross
+        # Adding a fixed dot vector is injective, so no terms merge.
+        return {(w2, tuple(map(add, d2, moved))): c for (w2, d2), c in cross.items()}
 
     def crossing_on_basis(self, idem: IdemKey, w: tuple[int, ...], p: int):
         """e ψ_w · ψ_p for a dot-free basis element; the memoized core."""
         key = (idem, w, p)
         hit = self._cross_memo.get(key)
         if hit is not None:
-            return dict(hit)
-        m = len(w)
+            return hit
         u = w.index(p)
         v = w.index(p + 1)
-        la = self.strand_label(idem, self.merged(idem)[u])
-        lb = self.strand_label(idem, self.merged(idem)[v])
-        if la[0] == "r" and lb[0] == "r":
+        labels = self.boundary(idem)[1]
+        if labels[u][0] == "r" and labels[v][0] == "r":
             raise RedCrossingError("red strands never cross")
-        one = self.field.one()
         n = len(idem[0])
         zero_dots = (0,) * n
 
         if u < v:
             # First crossing of this pair; normalize the longer reduced word.
             wp = _compose_s(w, p)
-            V = canonical_word(w) + (p,)
-            if canonical_word(wp) == V:
-                out = {(wp, zero_dots): one}
+            V = self.canonical_word(w) + (p,)
+            if self.canonical_word(wp) == V:
+                out = {(wp, zero_dots): 1}
             else:
                 out = self.reduced_to_element(idem, V)
         else:
             # The pair is already inverted: cancel the double crossing.
             wpp = _compose_s(w, p)
             X = dict(self.crossing_on_basis(idem, wpp, p))
-            lead = X.pop((w, zero_dots), None)
-            if lead is None or lead != one:
+            if X.pop((w, zero_dots), None) != 1:
                 raise AssertionError("straightening lost its unitriangular leading term")
             out = {}
             # ψ_w ψ_p = ψ_w'' (ψ_p ψ_p) - (lower terms) ψ_p
-            toppp = self.top_sequence(idem, wpp)
-            lv = self.strand_label(idem, toppp[p])
-            lu = self.strand_label(idem, toppp[p + 1])
+            _, top_labels, black = self.boundary(self.top_idem(idem, wpp))
+            lv, lu = top_labels[p], top_labels[p + 1]
             if lv[0] == "b" and lu[0] == "b":
                 if lv[1] != lu[1]:
-                    kp = self.black_index_at(toppp, p)
+                    kp = black[p]
                     for (a, b), coeff in self.q.entry(lv[1], lu[1]).items():
                         nd = [0] * n
                         nd[kp] += a
                         nd[kp + 1] += b
                         k2 = (wpp, tuple(nd))
-                        out[k2] = out.get(k2, self.field.zero()) + self.field.from_int(coeff)
+                        out[k2] = out.get(k2, 0) + coeff
             else:
                 # red/black bigon: λ^i dots on the black strand
                 slot = p if lv[0] == "b" else p + 1
                 i = (lv if lv[0] == "b" else lu)[1]
                 lam = self.lambdas[(lu if lv[0] == "b" else lv)[1]]
-                kblack = self.black_index_at(toppp, slot)
                 nd = [0] * n
-                nd[kblack] += lam.coords[i]
+                nd[black[slot]] += lam.coords[i]
                 k2 = (wpp, tuple(nd))
-                out[k2] = out.get(k2, self.field.zero()) + one
+                out[k2] = out.get(k2, 0) + 1
             for (wl, dl), c in X.items():
                 for k2, c2 in self.term_times_s(idem, wl, dl, p).items():
-                    val = out.get(k2, self.field.zero()) - c * c2
-                    if val:
-                        out[k2] = val
-                    elif k2 in out:
-                        del out[k2]
+                    out[k2] = out.get(k2, 0) - c * c2
         out = _prune(out)
-        self._cross_memo[key] = dict(out)
+        self._cross_memo[key] = out
         return out
 
     def reduced_to_element(self, idem: IdemKey, V: tuple[int, ...]):
@@ -415,10 +415,10 @@ class DiagramAlgebra:
         Tits path to the canonical word, collecting braid corrections."""
         m = len(self.merged(idem))
         w_target = perm_of_word(V, m)
-        cv = canonical_word(w_target)
+        cv = self.canonical_word(w_target)
         n = len(idem[0])
         if V == cv:
-            return {(w_target, (0,) * n): self.field.one()}
+            return {(w_target, (0,) * n): 1}
         moves = tits_moves(V, cv)
         cur = list(V)
         corr: dict = {}
@@ -434,24 +434,17 @@ class DiagramAlgebra:
                     events = [("s", q) for q in cur[:t]]
                     events += [("y", p)] * e0 + [("y", p + 1)] * e1 + [("y", p + 2)] * e2
                     events += [("s", q) for q in cur[t + 3 :]]
-                    sub = self.eval_word(idem, events)
-                    fc = self.field.from_int(sign * coeff)
-                    for k2, c2 in sub.items():
-                        val = corr.get(k2, self.field.zero()) + fc * c2
-                        if val:
-                            corr[k2] = val
-                        elif k2 in corr:
-                            del corr[k2]
+                    for k2, c2 in self.eval_word(idem, events).items():
+                        corr[k2] = corr.get(k2, 0) + sign * coeff * c2
                 cur[t : t + 3] = [b, a, b]
             else:
                 cur[t], cur[t + 1] = cur[t + 1], cur[t]
-        out = dict(corr)
         key = (w_target, (0,) * n)
-        out[key] = out.get(key, self.field.zero()) + self.field.one()
-        return _prune(out)
+        corr[key] = corr.get(key, 0) + 1
+        return _prune(corr)
 
     def _labels_below(self, idem: IdemKey, word: Sequence[int]):
-        arr = [self.strand_label(idem, s) for s in self.merged(idem)]
+        arr = list(self.boundary(idem)[1])
         for q in word:
             arr[q], arr[q + 1] = arr[q + 1], arr[q]
         return arr
@@ -488,13 +481,14 @@ def _prune(d: dict) -> dict:
 
 
 class Element:
-    """A finite Z-linear (field-linear) combination of basis diagrams."""
+    """A finite ℤ-linear combination of basis diagrams (``int``
+    coefficients, zero terms dropped)."""
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: DiagramAlgebra, terms: dict[DiagKey, object] | None = None):
+    def __init__(self, algebra: DiagramAlgebra, terms: dict[DiagKey, int] | None = None):
         self.algebra = algebra
-        self.terms = _prune(dict(terms or {}))
+        self.terms = _prune(terms or {})
 
     # -- constructors ----------------------------------------------------------------
 
@@ -503,7 +497,7 @@ class Element:
         idem = idem_key(I, kappa)
         m = len(algebra.merged(idem))
         key = (idem, tuple(range(m)), (0,) * len(idem[0]))
-        return Element(algebra, {key: algebra.field.one()})
+        return Element(algebra, {key: 1})
 
     @staticmethod
     def basis_diagram(algebra: DiagramAlgebra, I, kappa, w, dots) -> "Element":
@@ -512,7 +506,7 @@ class Element:
         if sorted(w) != list(range(len(algebra.merged(idem)))):
             raise WordError(f"{w} is not a permutation of the merged strands")
         algebra.check_red_order(idem, w)
-        return Element(algebra, {(idem, w, tuple(dots)): algebra.field.one()})
+        return Element(algebra, {(idem, w, tuple(dots)): 1})
 
     @staticmethod
     def from_word(algebra: DiagramAlgebra, I, kappa, events) -> "Element":
@@ -526,17 +520,13 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, self.algebra.field.zero()) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, 0) + c
         return Element(self.algebra, out)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(self.algebra.field.from_int(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c) -> "Element":
+    def scale(self, c: int) -> "Element":
         return Element(self.algebra, {k: c * v for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -556,44 +546,43 @@ class Element:
     def multiply(self, other: "Element") -> "Element":
         """Stack ``other`` on top of ``self`` and straighten."""
         alg = self.algebra
-        out: dict[DiagKey, object] = {}
+        times_s = alg.term_times_s
+        out: dict[DiagKey, int] = {}
         for (idem1, w1, d1), c1 in self.terms.items():
             top1 = alg.top_idem(idem1, w1)
             for (idem2, w2, d2), c2 in other.terms.items():
                 if idem2 != top1:
                     continue
-                acc = {(w1, d1): alg.field.one()}
-                for ev in _diagram_events(alg, idem2, w2, d2):
-                    nxt: dict = {}
-                    for (w, d), c in acc.items():
-                        step = (
-                            alg.term_times_s(idem1, w, d, ev[1])
-                            if ev[0] == "s"
-                            else alg._acc_dot(idem1, {(w, d): c}, ev[1])
-                        )
-                        if ev[0] == "s":
-                            for k2, c2b in step.items():
-                                v = nxt.get(k2, alg.field.zero()) + c * c2b
+                # the crossings of ``other`` bottom to top, then its dots;
+                # most products die at a crossing, so stop as soon as they do
+                acc = {(w1, d1): 1}
+                for p in alg.canonical_word(w2):
+                    if len(acc) == 1:
+                        # one term: nothing can merge or cancel
+                        ((w, d), c), = acc.items()
+                        step = times_s(idem1, w, d, p)
+                        acc = step if c == 1 else {k: c * v for k, v in step.items()}
+                    else:
+                        nxt: dict = {}
+                        for (w, d), c in acc.items():
+                            for k2, c2b in times_s(idem1, w, d, p).items():
+                                v = nxt.get(k2, 0) + c * c2b
                                 if v:
                                     nxt[k2] = v
                                 elif k2 in nxt:
                                     del nxt[k2]
-                        else:
-                            for k2, c2b in step.items():
-                                v = nxt.get(k2, alg.field.zero()) + c2b
-                                if v:
-                                    nxt[k2] = v
-                                elif k2 in nxt:
-                                    del nxt[k2]
-                    acc = nxt
+                        acc = nxt
+                    if not acc:
+                        break
+                if not acc:
+                    continue
+                if any(d2):
+                    for p in _dot_slots(alg, idem2, w2, d2):
+                        acc = alg._acc_dot(idem1, acc, p)
                 cc = c1 * c2
                 for (w, d), c in acc.items():
                     k = (idem1, w, d)
-                    v = out.get(k, alg.field.zero()) + cc * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
+                    out[k] = out.get(k, 0) + cc * c
         return Element(alg, out)
 
     def __mul__(self, other):
@@ -604,33 +593,15 @@ class Element:
     def flip(self) -> "Element":
         """The anti-automorphism reflecting diagrams top to bottom."""
         alg = self.algebra
-        out: dict[DiagKey, object] = {}
+        out: dict[DiagKey, int] = {}
         for (idem, w, dots), c in self.terms.items():
             new_bottom = alg.top_idem(idem, w)
-            top = alg.top_sequence(idem, w)
-            events: list[tuple[str, int]] = []
-            k = 0
-            for slot, strand in enumerate(top):
-                if strand[0] == "b":
-                    events += [("y", slot)] * dots[k]
-                    k += 1
-            events += [("s", p) for p in reversed(canonical_word(w))]
-            nf = alg.eval_word(new_bottom, tuple(events))
-            for (w2, d2), c2 in nf.items():
+            events = [("y", slot) for slot in _dot_slots(alg, idem, w, dots)]
+            events += [("s", p) for p in reversed(alg.canonical_word(w))]
+            for (w2, d2), c2 in alg.eval_word(new_bottom, tuple(events)).items():
                 k2 = (new_bottom, w2, d2)
-                v = out.get(k2, alg.field.zero()) + c * c2
-                if v:
-                    out[k2] = v
-                elif k2 in out:
-                    del out[k2]
+                out[k2] = out.get(k2, 0) + c * c2
         return Element(alg, out)
-
-    def degree_decomposition(self) -> dict[int, "Element"]:
-        out: dict[int, dict] = {}
-        for k, c in self.terms.items():
-            d = self.algebra.diagram_degree(*k)
-            out.setdefault(d, {})[k] = c
-        return {d: Element(self.algebra, t) for d, t in sorted(out.items())}
 
     def degree(self) -> int | None:
         """The common degree of all terms; raises if mixed, None if zero."""
@@ -659,32 +630,20 @@ class Element:
 
     @staticmethod
     def from_json(algebra: DiagramAlgebra, data) -> "Element":
-        from fractions import Fraction
-
-        terms: dict[DiagKey, object] = {}
+        terms: dict[DiagKey, int] = {}
         for t in data:
             idem = idem_key(t["I"], t["kappa"])
             w = tuple(int(x) for x in t["w"])
             algebra.check_red_order(idem, w)
             key = (idem, w, tuple(int(x) for x in t["dots"]))
-            raw = t["coeff"]
-            if algebra.field.characteristic == 0:
-                c = Fraction(raw)
-            else:
-                c = algebra.field.from_int(int(str(raw).split(" ")[0]))
-            terms[key] = terms.get(key, algebra.field.zero()) + c
+            terms[key] = terms.get(key, 0) + int(t["coeff"])
         return Element(algebra, terms)
 
 
-def _diagram_events(alg: DiagramAlgebra, idem: IdemKey, w, dots):
-    events = [("s", p) for p in canonical_word(w)]
-    top = alg.top_sequence(idem, w)
-    k = 0
-    for slot, strand in enumerate(top):
-        if strand[0] == "b":
-            events += [("y", slot)] * dots[k]
-            k += 1
-    return events
+def _dot_slots(alg: DiagramAlgebra, idem: IdemKey, w, dots) -> list[int]:
+    """The top slots of a basis diagram's dots, one entry per dot."""
+    black = alg.boundary(alg.top_idem(idem, w))[2]
+    return [slot for slot, k in enumerate(black) if k is not None for _ in range(dots[k])]
 
 
 # -- text notation -----------------------------------------------------------------------
@@ -749,19 +708,19 @@ def connecting_perms(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey):
     tp = alg.merged(top)
     if len(bot) != len(tp):
         return
-    bot_blacks = [s for s, st in enumerate(bot) if st[0] == "b"]
-    top_blacks = [s for s, st in enumerate(tp) if st[0] == "b"]
     bot_reds = {st[1]: s for s, st in enumerate(bot) if st[0] == "r"}
     top_reds = {st[1]: s for s, st in enumerate(tp) if st[0] == "r"}
     if set(bot_reds) != set(top_reds):
         return
     by_label: dict[int, list[int]] = {}
-    for s in top_blacks:
-        by_label.setdefault(top[0][alg.black_index_at(tp, s)], []).append(s)
+    for s, (kind, i) in enumerate(alg.boundary(top)[1]):
+        if kind == "b":
+            by_label.setdefault(i, []).append(s)
     # group bottom blacks by label, in order
     groups: dict[int, list[int]] = {}
-    for s in bot_blacks:
-        groups.setdefault(bottom[0][alg.black_index_at(bot, s)], []).append(s)
+    for s, (kind, i) in enumerate(alg.boundary(bottom)[1]):
+        if kind == "b":
+            groups.setdefault(i, []).append(s)
     if {k: len(v) for k, v in groups.items()} != {k: len(v) for k, v in by_label.items()}:
         return
     labels = sorted(groups)

@@ -222,11 +222,3 @@ def qint_signed(n: int, d: int = 1) -> LaurentPoly:
     if n >= 0:
         return qint(n, d)
     return -qint(-n, d)
-
-
-def qfact(n: int, d: int = 1) -> LaurentPoly:
-    """Quantum factorial [n]!."""
-    out = LaurentPoly.one()
-    for k in range(2, n + 1):
-        out = out * qint(k, d)
-    return out

@@ -2,9 +2,11 @@
 Z[q,q^-1].
 
 Everything here works on lists of lists of field elements (Fraction or
-GFElement).  Matrices at desk scale are small, so plain Gaussian
-elimination with exact arithmetic is the right tool; the Laurent-entry
-rank uses Bareiss elimination, whose intermediate divisions are exact.
+GFElement): the rows are coordinates that the integer straightening
+engine produced and ``BlockComputer.element_coords`` mapped into the
+field.  Matrices at desk scale are small, so plain Gaussian elimination
+with exact arithmetic is the right tool; the Laurent-entry rank uses
+Bareiss elimination, whose intermediate divisions are exact.
 """
 
 from __future__ import annotations

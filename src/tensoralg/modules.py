@@ -470,7 +470,7 @@ def nu_map(src: BlockComputer, dst: BlockComputer, i: int, block_src: QuotientBl
         nw = tuple(w) + (m,)
         ndots = tuple(dots) + (0,)
         nbottom = idem_key(nI, kappa)
-        el = Element(dst.alg, {(nbottom, nw, ndots): dst.field.one()})
+        el = Element(dst.alg, {(nbottom, nw, ndots): 1})
         ntop = dst.alg.top_idem(nbottom, nw)
         nd = dst.alg.diagram_degree(nbottom, nw, ndots)
         return block_dst._reduce(el, nbottom, ntop, nd)

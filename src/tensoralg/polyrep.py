@@ -1,8 +1,9 @@
 """The polynomial representation of the strand algebra.
 
-Each idempotent carries a copy of K[y_1..y_n] (one variable per black
-strand, numbered left to right); a diagram acts from its top label space
-to its bottom label space by composing the local operators
+Each idempotent carries a copy of ℤ[y_1..y_n] (one variable per black
+strand, numbered left to right, ``int`` coefficients); a diagram acts
+from its top label space to its bottom label space by composing the
+local operators
 
 * dot on the k-th black strand: multiply by y_k,
 * black/black crossing, bottom labels (i left, j right):
@@ -18,9 +19,9 @@ correctness test for products.  It never calls the rewriting code.
 
 from __future__ import annotations
 
-from .diagrams import DiagramAlgebra, Element, IdemKey, canonical_word
+from .diagrams import DiagramAlgebra, Element, IdemKey
 
-Poly = dict[tuple[int, ...], object]  # exponent vector -> field scalar
+Poly = dict[tuple[int, ...], int]  # exponent vector -> coefficient
 
 
 class LabeledPoly:
@@ -42,12 +43,12 @@ class LabeledPoly:
         return f"LabeledPoly({self.idem}, {self.poly})"
 
 
-def poly_mul(a: Poly, b: Poly, zero) -> Poly:
+def poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e, zero) + c1 * c2
+            v = out.get(e, 0) + c1 * c2
             if v:
                 out[e] = v
             elif e in out:
@@ -55,10 +56,10 @@ def poly_mul(a: Poly, b: Poly, zero) -> Poly:
     return out
 
 
-def poly_add(a: Poly, b: Poly, zero) -> Poly:
+def poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for e, c in b.items():
-        v = out.get(e, zero) + c
+        v = out.get(e, 0) + c
         if v:
             out[e] = v
         elif e in out:
@@ -72,11 +73,11 @@ def _swap_vars(f: Poly, k: int) -> Poly:
         ne = list(e)
         ne[k], ne[k + 1] = ne[k + 1], ne[k]
         ne = tuple(ne)
-        out[ne] = out.get(ne, c - c) + c
+        out[ne] = out.get(ne, 0) + c
     return out
 
 
-def _demazure(f: Poly, k: int, zero) -> Poly:
+def _demazure(f: Poly, k: int) -> Poly:
     """(f - s_k f)/(y_k - y_{k+1}), monomial by monomial."""
     out: Poly = {}
     for e, c in f.items():
@@ -88,7 +89,7 @@ def _demazure(f: Poly, k: int, zero) -> Poly:
             ne = list(e)
             ne[k], ne[k + 1] = s, a + b - 1 - s
             ne = tuple(ne)
-            v = out.get(ne, zero) + (c if sgn > 0 else -c)
+            v = out.get(ne, 0) + (c if sgn > 0 else -c)
             if v:
                 out[ne] = v
             elif ne in out:
@@ -110,7 +111,6 @@ def _scale_mono(f: Poly, k: int, power: int) -> Poly:
 def apply_element(alg: DiagramAlgebra, a: Element, f: LabeledPoly) -> LabeledPoly:
     """Act by ``a`` on a labeled polynomial; the result sits at the common
     bottom idempotent of the terms whose top matches f's label."""
-    field = alg.field
     bottoms = set()
     acc: Poly = {}
     out_idem = None
@@ -123,7 +123,7 @@ def apply_element(alg: DiagramAlgebra, a: Element, f: LabeledPoly) -> LabeledPol
         out_idem = idem
         g = _apply_term(alg, idem, w, dots, f.poly)
         for e, v in g.items():
-            nv = acc.get(e, field.zero()) + c * v
+            nv = acc.get(e, 0) + c * v
             if nv:
                 acc[e] = nv
             elif e in acc:
@@ -137,13 +137,12 @@ def apply_element(alg: DiagramAlgebra, a: Element, f: LabeledPoly) -> LabeledPol
 def _apply_term(alg: DiagramAlgebra, idem: IdemKey, w, dots, f: Poly) -> Poly:
     """One basis diagram read top to bottom: dots first, then each crossing
     keyed by its bottom labels."""
-    field = alg.field
     g = dict(f)
     # dots sit at the top boundary
     for k, amount in enumerate(dots):
         if amount:
             g = _scale_mono(g, k, amount)
-    word = canonical_word(w)
+    word = alg.canonical_word(w)
     # walk down through the crossings; arr tracks the strand sequence at
     # the current height (starting from the top of the diagram)
     arr = list(alg.top_sequence(idem, w))
@@ -156,7 +155,7 @@ def _apply_term(alg: DiagramAlgebra, idem: IdemKey, w, dots, f: Poly) -> Poly:
             k = sum(1 for s in range(p) if below[s][0] == "b")
             i, j = la[1], lb[1]
             if i == j:
-                g = _demazure(g, k, field.zero())
+                g = _demazure(g, k)
             elif i < j:
                 g = _swap_vars(g, k)
             else:
@@ -166,8 +165,8 @@ def _apply_term(alg: DiagramAlgebra, idem: IdemKey, w, dots, f: Poly) -> Poly:
                     e = [0] * n
                     e[k] += ua
                     e[k + 1] += vb
-                    qpoly[tuple(e)] = field.from_int(cc)
-                g = poly_mul(qpoly, _swap_vars(g, k), field.zero())
+                    qpoly[tuple(e)] = cc
+                g = poly_mul(qpoly, _swap_vars(g, k))
         elif la[0] == "r" and lb[0] == "r":
             raise AssertionError("red strands never cross")
         else:
@@ -183,7 +182,7 @@ def _apply_term(alg: DiagramAlgebra, idem: IdemKey, w, dots, f: Poly) -> Poly:
 
 
 def one_poly(alg: DiagramAlgebra, idem: IdemKey) -> LabeledPoly:
-    return LabeledPoly(idem, {(0,) * len(idem[0]): alg.field.one()})
+    return LabeledPoly(idem, {(0,) * len(idem[0]): 1})
 
 
 def random_poly(alg: DiagramAlgebra, idem: IdemKey, rng, max_degree: int = 6, terms: int = 3) -> LabeledPoly:
@@ -196,9 +195,9 @@ def random_poly(alg: DiagramAlgebra, idem: IdemKey, rng, max_degree: int = 6, te
             if n == 0:
                 break
             e[rng.randrange(n)] += 1
-        c = alg.field.from_int(rng.randrange(-3, 4) or 1)
+        c = rng.randrange(-3, 4) or 1
         key = tuple(e)
-        v = poly.get(key, alg.field.zero()) + c
+        v = poly.get(key, 0) + c
         if v:
             poly[key] = v
         elif key in poly:

@@ -1,8 +1,12 @@
-"""Scalar fields for the diagram engine: exact rationals or a prime field.
+"""Scalar fields for the linear algebra: exact rationals or a prime field.
 
-The engine is generic over a small field protocol (``zero``, ``one``,
-``from_int`` plus arithmetic on the elements themselves).  Rationals are
-``fractions.Fraction``; prime fields get a tiny wrapper class.
+The straightening engine computes over ℤ and never sees these; integer
+coordinates enter a field once, through ``from_int`` in
+``BlockComputer.element_coords``.  Everything downstream (row reduction,
+quotient bases, structure constants) uses the small field protocol
+``zero``, ``one``, ``from_int`` plus arithmetic on the elements
+themselves.  Rationals are ``fractions.Fraction``; prime fields get a tiny
+wrapper class.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 
 from .cartan import PRESETS, CartanDatum, default_q_matrix, load_datum_file
@@ -91,11 +90,6 @@ def block_contents(datum: CartanDatum, max_strands: int):
             yield datum.root(counts)
 
 
-def worker_pool():
-    threads = int(os.environ.get("WORKBENCH_THREADS", "1") or "1")
-    return ThreadPoolExecutor(max_workers=max(1, threads))
-
-
 def emit(args, payload):
     if args.format == "csv" and isinstance(payload, str):
         text = payload
@@ -116,12 +110,10 @@ def task_dims(args, datum, q, lambdas, field) -> int:
         keys = comp.idems(alpha)
         if not keys:
             continue
-        jobs = [(a, b) for a in keys for b in keys]
-        with worker_pool() as pool:
-            entries = list(pool.map(lambda ab: (ab, comp.graded_hom(*ab)), jobs))
         table = GradedHomTable()
-        for (a, b), v in entries:
-            table.set(a, b, v)
+        for a in keys:
+            for b in keys:
+                table.set(a, b, comp.graded_hom(a, b))
         label = ",".join(str(c) for c in alpha.coords)
         result[f"content [{label}]"] = {
             "table": table.to_json(),
@@ -210,8 +202,8 @@ def task_multiply(args, datum, q, lambdas, field) -> int:
         for _ in range(args.samples):
             k1 = rng.choice(pool)
             k2 = rng.choice(pool)
-            a = Element(comp.alg, {k1: field.one()})
-            b = Element(comp.alg, {k2: field.one()})
+            a = Element(comp.alg, {k1: 1})
+            b = Element(comp.alg, {k2: 1})
             top = comp.alg.top_idem(k2[0], k2[1])
             f = random_poly(comp.alg, top, rng, max_degree=6)
             if not module_axiom_holds(comp.alg, a, b, f):

@@ -168,13 +168,13 @@ def test_criterion_5_rewriting_soundness(computers):
         assert pool
         for _ in range(500):
             k1, k2, k3 = (rng.choice(pool) for _ in range(3))
-            x, y, z = (Element(alg, {k: alg.field.one()}) for k in (k1, k2, k3))
+            x, y, z = (Element(alg, {k: 1}) for k in (k1, k2, k3))
             assert x.multiply(y).multiply(z) == x.multiply(y.multiply(z))
             total_assoc += 1
         for _ in range(200):
             k1, k2 = rng.choice(pool), rng.choice(pool)
-            x = Element(alg, {k1: alg.field.one()})
-            y = Element(alg, {k2: alg.field.one()})
+            x = Element(alg, {k1: 1})
+            y = Element(alg, {k2: 1})
             top = alg.top_idem(k2[0], k2[1])
             for _f in range(5):
                 f = random_poly(alg, top, rng)

@@ -190,3 +190,15 @@ def test_a2_single_red_euler():
         for a in keys:
             for b in keys:
                 assert comp.graded_hom(a, b) == comp.space.form_vv(a, b)
+
+
+def test_idems_checks_strand_bound_before_enumerating(monkeypatch):
+    d = sl2()
+    comp = BlockComputer(d, default_q_matrix(d), (d.weight((1,)),), max_strands=2)
+
+    def refuse(alpha):
+        raise AssertionError("spanning_keys enumerated a block over the strand bound")
+
+    monkeypatch.setattr(comp.space, "spanning_keys", refuse)
+    with pytest.raises(ValueError, match="strand bound"):
+        comp.idems(d.root((3,)))

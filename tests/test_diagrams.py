@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensoralg.cartan import b2, default_q_matrix, sl2, type_a
+from tensoralg.cyclotomic import BlockComputer
 from tensoralg.diagrams import (
     DiagramAlgebra,
     Element,
@@ -24,7 +26,7 @@ from tensoralg.polyrep import (
     one_poly,
     random_poly,
 )
-from tensoralg.scalars import PrimeField
+from tensoralg.scalars import QQ, GFElement, PrimeField
 
 
 def sl2_algebra(*weights):
@@ -126,7 +128,7 @@ def test_distinct_label_double_crossing_is_q():
     z = Element.from_word(alg, (0, 1), (0,), [("s", 1), ("s", 1)])
     # Q_01(y_1, y_2) = y_1 + y_2 on straight strands
     keys = {(k[1], k[2]): c for k, c in z.terms.items()}
-    assert keys == {((0, 1, 2), (1, 0)): alg.field.one(), ((0, 1, 2), (0, 1)): alg.field.one()}
+    assert keys == {((0, 1, 2), (1, 0)): 1, ((0, 1, 2), (0, 1)): 1}
 
 
 def test_red_black_bigon_costs_dots():
@@ -173,7 +175,7 @@ def test_black_crossing_past_red_correction():
     rhs = Element.from_word(alg, (0, 0), (1,), [("s", 1), ("s", 0), ("s", 1)])
     diff = lhs - rhs
     got = {k[2]: c for k, c in diff.terms.items()}
-    assert got == {(1, 0): alg.field.one(), (0, 1): alg.field.one()}
+    assert got == {(1, 0): 1, (0, 1): 1}
 
 
 def test_red_red_crossing_rejected():
@@ -234,7 +236,7 @@ def test_associativity_random(datum_f, lams, content):
     pool = random_pool(alg, idems)
     for _ in range(40):
         k1, k2, k3 = (rng.choice(pool) for _ in range(3))
-        a, b, c = (Element(alg, {k: alg.field.one()}) for k in (k1, k2, k3))
+        a, b, c = (Element(alg, {k: 1}) for k in (k1, k2, k3))
         assert a.multiply(b).multiply(c) == a.multiply(b.multiply(c))
 
 
@@ -245,8 +247,8 @@ def test_degree_additivity_random():
     pool = random_pool(alg, idems)
     for _ in range(50):
         k1, k2 = rng.choice(pool), rng.choice(pool)
-        a = Element(alg, {k1: alg.field.one()})
-        b = Element(alg, {k2: alg.field.one()})
+        a = Element(alg, {k1: 1})
+        b = Element(alg, {k2: 1})
         ab = a.multiply(b)
         if not ab.is_zero():
             assert ab.degree() == alg.diagram_degree(*k1) + alg.diagram_degree(*k2)
@@ -313,8 +315,8 @@ def test_bruhat_leading_term_bound():
         k1, k2 = rng.choice(pool), rng.choice(pool)
         if alg.top_idem(k1[0], k1[1]) != k2[0]:
             continue
-        a = Element(alg, {k1: alg.field.one()})
-        b = Element(alg, {k2: alg.field.one()})
+        a = Element(alg, {k1: 1})
+        b = Element(alg, {k2: 1})
         bound = umax_length(alg, k1[0], canonical_word(k1[1]) + canonical_word(k2[1]))
         ab = a.multiply(b)
         checked += 1
@@ -340,8 +342,8 @@ def test_flip_properties():
     assert e.flip() == e
     for _ in range(25):
         k1, k2 = rng.choice(pool), rng.choice(pool)
-        a = Element(alg, {k1: alg.field.one()})
-        b = Element(alg, {k2: alg.field.one()})
+        a = Element(alg, {k1: 1})
+        b = Element(alg, {k2: 1})
         assert a.flip().flip() == a
         assert a.multiply(b).flip() == b.flip().multiply(a.flip())
 
@@ -360,10 +362,10 @@ def test_polyrep_dot_and_demazure():
     e = idem_key((0, 0), (0,))
     dot = Element.from_word(alg, (0, 0), (0,), [("y", 1)])
     g = apply_element(alg, dot, one_poly(alg, e))
-    assert g.poly == {(1, 0): alg.field.one()}
+    assert g.poly == {(1, 0): 1}
     cross = Element.from_word(alg, (0, 0), (0,), [("s", 1)])
-    fy = LabeledPoly(e, {(1, 0): alg.field.one()})
-    assert apply_element(alg, cross, fy).poly == {(0, 0): alg.field.one()}
+    fy = LabeledPoly(e, {(1, 0): 1})
+    assert apply_element(alg, cross, fy).poly == {(0, 0): 1}
 
 
 def test_polyrep_right_red_crossing_multiplies():
@@ -373,7 +375,7 @@ def test_polyrep_right_red_crossing_multiplies():
     cross = Element.from_word(alg, (0,), (1,), [("s", 0)])
     f = one_poly(alg, alg.top_idem(idem_key((0,), (1,)), (1, 0)))
     g = apply_element(alg, cross, f)
-    assert g.poly == {(2,): alg.field.one()}
+    assert g.poly == {(2,): 1}
 
 
 def test_polyrep_oracle_random_products():
@@ -387,16 +389,74 @@ def test_polyrep_oracle_random_products():
     pool = random_pool(alg, idems, -6, 8)
     for _ in range(60):
         k1, k2 = rng.choice(pool), rng.choice(pool)
-        a = Element(alg, {k1: alg.field.one()})
-        b = Element(alg, {k2: alg.field.one()})
+        a = Element(alg, {k1: 1})
+        b = Element(alg, {k2: 1})
         f = random_poly(alg, alg.top_idem(k2[0], k2[1]), rng)
         assert module_axiom_holds(alg, a, b, f)
 
 
+@st.composite
+def generic_words(draw):
+    """An algebra, an idempotent and a random generic word over it that
+    never crosses two reds or dots a red."""
+    datum, lams = draw(st.sampled_from([(sl2(), ((1,), (2,))), (type_a(2), ((1, 0), (0, 1)))]))
+    alg = DiagramAlgebra(datum, default_q_matrix(datum), tuple(datum.weight(l) for l in lams))
+    n = draw(st.integers(1, 3))
+    I = tuple(draw(st.lists(st.integers(0, datum.rank - 1), min_size=n, max_size=n)))
+    kappa = tuple(sorted(draw(st.lists(st.integers(0, n), min_size=len(lams), max_size=len(lams)))))
+    kinds = [kind for kind, _ in alg.merged(idem_key(I, kappa))]
+    events = []
+    for _ in range(draw(st.integers(0, 6))):
+        crossable = [p for p in range(len(kinds) - 1) if "b" in kinds[p : p + 2]]
+        if crossable and draw(st.booleans()):
+            p = draw(st.sampled_from(crossable))
+            kinds[p], kinds[p + 1] = kinds[p + 1], kinds[p]
+            events.append(("s", p))
+        else:
+            events.append(("y", draw(st.sampled_from([p for p, k in enumerate(kinds) if k == "b"]))))
+    return alg, I, kappa, events
+
+
+@settings(max_examples=80, deadline=None)
+@given(generic_words(), st.randoms(use_true_random=False))
+def test_word_normal_form_acts_like_the_word(word, rng):
+    # The straightened word acts on polynomials as the composite of its
+    # generators, each a single crossing or dot, topmost acting first.
+    alg, I, kappa, events = word
+    el = Element.from_word(alg, I, kappa, events)
+    assert all(type(c) is int for c in el.terms.values())
+    idem = idem_key(I, kappa)
+    gens = []
+    for ev, p in events:
+        m = len(alg.merged(idem))
+        dots = [0] * len(I)
+        if ev == "s":
+            w = perm_of_word([p], m)
+        else:
+            w = tuple(range(m))
+            dots[sum(1 for kind, _ in alg.merged(idem)[:p] if kind == "b")] = 1
+        gens.append(Element.basis_diagram(alg, idem[0], idem[1], w, dots))
+        idem = alg.top_idem(idem, w)
+    f = random_poly(alg, idem, rng)
+    assert all(type(c) is int for c in f.poly.values())
+    g = f
+    for gen in reversed(gens):
+        g = apply_element(alg, gen, g)
+    got = apply_element(alg, el, f)
+    assert got.poly == g.poly
+    assert all(type(c) is int for c in got.poly.values())
+
+
 def test_prime_field_engine():
+    # The engine is integral; over GF(7) the field enters only through
+    # BlockComputer.element_coords, so coordinates and kernel rows on each
+    # component are the Q ones reduced mod 7.
     d = sl2()
-    gf = PrimeField(7)
-    alg = DiagramAlgebra(d, default_q_matrix(d), (d.weight((1,)), d.weight((1,))), field=gf)
+    q = default_q_matrix(d)
+    lams = (d.weight((1,)), d.weight((1,)))
+    comp_q = BlockComputer(d, q, lams, QQ)
+    comp_7 = BlockComputer(d, q, lams, PrimeField(7))
+    alg = comp_7.alg
     e = Element.idempotent(alg, (0,), (0, 0))
     assert e.multiply(e) == e
     c1 = Element.from_word(alg, (0,), (0, 0), [("s", 1)])
@@ -404,6 +464,37 @@ def test_prime_field_engine():
     big = c1.multiply(c2)
     ((idem, w, dots),) = big.terms
     assert dots == (1,)
+
+    def mod7(x):
+        return GFElement(x.numerator * pow(x.denominator, -1, 7), 7)
+
+    coords = kernels = 0
+    for alpha in (d.root((2,)), d.root((3,))):
+        keys = comp_q.idems(alpha)
+        for bottom, top in itertools.product(keys, keys):
+            dmin = comp_q.min_degree(bottom, top)
+            if dmin is None:
+                continue
+            for deg in range(dmin, dmin + 5):
+                if not comp_q.tilde_basis(bottom, top, deg):
+                    continue
+                rows_q, piv_q = comp_q.kernel_space(bottom, top, deg)
+                rows_7, piv_7 = comp_7.kernel_space(bottom, top, deg)
+                assert piv_7 == piv_q
+                assert rows_7 == [[mod7(x) for x in row] for row in rows_q]
+                kernels += 1
+        mid = keys[-1]
+        left = basis_enumerate(alg, keys[0], mid, -4, 4)
+        for k1, k2 in itertools.product(left, basis_enumerate(alg, mid, keys[0], -4, 4)):
+            el = Element(alg, {k1: 1}).multiply(Element(alg, {k2: 1}))
+            if el.is_zero():
+                continue
+            deg = alg.diagram_degree(*k1) + alg.diagram_degree(*k2)
+            vq = comp_q.element_coords(el, keys[0], keys[0], deg)
+            assert all(x.denominator == 1 for x in vq)
+            assert comp_7.element_coords(el, keys[0], keys[0], deg) == [mod7(x) for x in vq]
+            coords += 1
+    assert kernels >= 20 and coords >= 20
 
 
 # -- enumeration / serialization ----------------------------------------------------
@@ -472,8 +563,8 @@ def test_split_strands_preserves_products():
     rng = random.Random(3)
     for _ in range(30):
         k1, k2 = rng.choice(pool), rng.choice(pool)
-        a2_el = Element(alg2, {k1: alg2.field.one()})
-        b2_el = Element(alg2, {k2: alg2.field.one()})
-        a1_el = Element(alg1, {merge_key(k1): alg1.field.one()})
-        b1_el = Element(alg1, {merge_key(k2): alg1.field.one()})
+        a2_el = Element(alg2, {k1: 1})
+        b2_el = Element(alg2, {k2: 1})
+        a1_el = Element(alg1, {merge_key(k1): 1})
+        b1_el = Element(alg1, {merge_key(k2): 1})
         assert merge_el(a2_el.multiply(b2_el)) == a1_el.multiply(b1_el)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -111,13 +110,19 @@ def test_datum_file_and_field_flag(tmp_path, capsys):
     assert code == 0
 
 
+def test_dims_output_is_field_independent(capsys):
+    args = ["--datum", "a2", "--lambda", "1,0;0,1", "--task", "dims", "--max-strands", "3"]
+    code_q, out_q = run_main(args + ["--field", "q"], capsys)
+    code_p, out_p = run_main(args + ["--field", "p:2147483647"], capsys)
+    assert code_q == code_p == 0
+    assert out_p == out_q
+
+
 def test_console_script_entrypoint():
-    env = dict(os.environ, WORKBENCH_THREADS="2")
     proc = subprocess.run(
         [sys.executable, "-m", "tensoralg.workbench"] + BASE + ["--task", "dims", "--max-strands", "1"],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)
