@@ -6,11 +6,14 @@ symmetric group, N = Σ λ^i the level; the defining relations are
 
     s_i x_j = x_{s_i(j)} s_i - δ_{j,i} + δ_{j,i+1},    Π_i (x_1 - i)^{λ^i} = 0.
 
-Everything is exact over Q.  Weight idempotents come from simultaneous
-generalized eigenprojections of the commuting left multiplications by the
-x_k (their spectra are integers), and the bridge certificate checks the
-images of the dot relations plus ungraded block-dimension equality
-against the diagram side.
+Everything is exact over Q.  ``multiply_raw`` is the one place that moves
+a permutation past a monomial; ``reduce`` then applies the cyclotomic
+relation.  Weight idempotents come from simultaneous generalized
+eigenprojections of the commuting x_k; each spectrum (integers, with
+multiplicities) comes from the minimal polynomial of x_k itself, found by
+``linalg.min_poly`` in H and split by ``linalg.rational_roots``.  The bridge
+certificate checks the images of the dot relations plus ungraded
+block-dimension equality against the diagram side.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .cartan import CartanDatum, Weight
-from .linalg import rank, solve
+from .linalg import min_poly, rank, rational_roots
 from .scalars import QQ
 
 Perm = tuple[int, ...]  # one-line: w[i] = image of i (0-based)
@@ -86,14 +89,7 @@ class HeckeAlgebra:
 
     @staticmethod
     def add(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for k, c in b.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return out
+        return _add_into(dict(a), b)
 
     @staticmethod
     def scale(a: dict, c: Fraction) -> dict:
@@ -105,123 +101,70 @@ class HeckeAlgebra:
 
     def multiply(self, a: dict, b: dict) -> dict:
         out: dict[HKey, Fraction] = {}
-        for (ea, wa), ca in a.items():
-            for (eb, wb), cb in b.items():
-                for k, c in self._mul_basis((ea, wa), (eb, wb)).items():
-                    v = out.get(k, Fraction(0)) + ca * cb * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
+        for A, ca in a.items():
+            for B, cb in b.items():
+                _add_into(out, self._mul_basis(A, B), ca * cb)
         return out
 
     def _mul_basis(self, A: HKey, B: HKey) -> dict[HKey, Fraction]:
         key = (A, B)
         hit = self._nf_cache.get(key)
-        if hit is not None:
-            return hit
-        (ea, wa), (eb, wb) = A, B
-        # x^{ea} wa x^{eb} wb: move wa past x^{eb} one letter at a time.
-        word = _reduced_word(wa)
-        terms = {(eb, wb): Fraction(1)}
-        for i in reversed(word):
-            nxt: dict[HKey, Fraction] = {}
-            for (e, w), c in terms.items():
-                for k2, c2 in self._s_times(e, w, i).items():
-                    v = nxt.get(k2, Fraction(0)) + c * c2
-                    if v:
-                        nxt[k2] = v
-                    elif k2 in nxt:
-                        del nxt[k2]
-            terms = nxt
+        if hit is None:
+            hit = self._nf_cache[key] = self.reduce(self.multiply_raw({A: Fraction(1)}, {B: Fraction(1)}))
+        return hit
+
+    def multiply_raw(self, a: dict, b: dict) -> dict:
+        """Multiplication without cyclotomic reduction (exponents free):
+        x^{ea} wa · x^{eb} wb moves wa past x^{eb} one letter at a time."""
         out: dict[HKey, Fraction] = {}
-        for (e, w), c in terms.items():
-            ne = tuple(x + y for x, y in zip(ea, e))
-            for k2, c2 in self.reduce({(ne, w): Fraction(1)}).items():
-                v = out.get(k2, Fraction(0)) + c * c2
-                if v:
-                    out[k2] = v
-                elif k2 in out:
-                    del out[k2]
-        self._nf_cache[key] = out
+        for (ea, wa), ca in a.items():
+            word = _reduced_word(wa)
+            for B, cb in b.items():
+                terms = {B: cb}
+                for i in reversed(word):
+                    nxt: dict[HKey, Fraction] = {}
+                    for (e, w), c in terms.items():
+                        _add_into(nxt, self._s_times(e, w, i), c)
+                    terms = nxt
+                # monomials commute, so x^{ea} shifts exponents injectively
+                shifted = {(tuple(x + y for x, y in zip(ea, e)), w): c for (e, w), c in terms.items()}
+                _add_into(out, shifted, ca)
         return out
 
     def _s_times(self, e: tuple[int, ...], w: Perm, i: int) -> dict[HKey, Fraction]:
         """s_i · (x^e w) in normal form x^* ( s_i-shuffled perm )."""
-        # s_i x^e = x^{s_i e} s_i + correction(e_i, e_{i+1}) · x^{rest}
+        # Iterating s x_i = x_{i+1} s - 1 gives the divided-difference sum
+        #   s x_i^a x_{i+1}^b = x_i^b x_{i+1}^a s - Σ_{t=b}^{a-1} x_i^t x_{i+1}^{a+b-1-t}  (a > b)
+        #                                        + Σ_{t=a}^{b-1} x_i^t x_{i+1}^{a+b-1-t}  (a < b);
+        # exponents at the untouched positions ride along on the corrections.
         a, b = e[i], e[i + 1]
         se = list(e)
-        se[i], se[i + 1] = se[i + 1], se[i]
+        se[i], se[i + 1] = b, a
         out = {(tuple(se), _perm_mul(_s(self.d, i), w)): Fraction(1)}
-        # s x_i = x_{i+1} s - 1; iterating gives the divided-difference sum:
-        # s x_i^a x_{i+1}^b = x_i^b x_{i+1}^a s - Σ ... ; exponents at the
-        # untouched positions ride along on the correction terms.
-        corr = _daha_correction(a, b, i, self.d)
-        for ce, cc in corr.items():
-            full = list(e)
-            full[i], full[i + 1] = ce[i], ce[i + 1]
-            k = (tuple(full), w)
-            v = out.get(k, Fraction(0)) + cc
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+        lo, hi, sgn = (b, a, -1) if a > b else (a, b, 1)
+        for t in range(lo, hi):
+            se[i], se[i + 1] = t, a + b - 1 - t
+            out[(tuple(se), w)] = Fraction(sgn)
         return out
 
     def reduce(self, terms: dict[HKey, Fraction]) -> dict[HKey, Fraction]:
         """Rewrite so every exponent is < N, using the cyclotomic relation
-        on x_1 and x_k^N = s x_{k-1}^N s + lower."""
+        on x_1 and x_k^N = s x_{k-1}^N s + lower (recursion on total
+        degree)."""
         out: dict[HKey, Fraction] = {}
         work = dict(terms)
         while work:
             (e, w), c = work.popitem()
             k = next((j for j in range(self.d) if e[j] >= self.level), None)
             if k is None:
-                v = out.get((e, w), Fraction(0)) + c
-                if v:
-                    out[(e, w)] = v
-                elif (e, w) in out:
-                    del out[(e, w)]
+                _add_into(out, {(e, w): c})
                 continue
-            red = self._xk_power_reduction(k)
             ne = list(e)
             ne[k] -= self.level
             rest = {(tuple(ne), _perm_id(self.d)): Fraction(1)}
-            prod = self.multiply_raw(rest, red)
+            prod = self.multiply_raw(rest, self._xk_power_reduction(k))
             prod = self.multiply_raw(prod, {((0,) * self.d, w): Fraction(1)})
-            for k2, c2 in prod.items():
-                v = work.get(k2, Fraction(0)) + c * c2
-                if v:
-                    work[k2] = v
-                elif k2 in work:
-                    del work[k2]
-        return out
-
-    def multiply_raw(self, a: dict, b: dict) -> dict:
-        """Multiplication without cyclotomic reduction (exponents free)."""
-        out: dict[HKey, Fraction] = {}
-        for (ea, wa), ca in a.items():
-            word = _reduced_word(wa)
-            for (eb, wb), cb in b.items():
-                terms = {(eb, wb): Fraction(1)}
-                for i in reversed(word):
-                    nxt: dict[HKey, Fraction] = {}
-                    for (e, w), c in terms.items():
-                        for k2, c2 in self._s_times(e, w, i).items():
-                            v = nxt.get(k2, Fraction(0)) + c * c2
-                            if v:
-                                nxt[k2] = v
-                            elif k2 in nxt:
-                                del nxt[k2]
-                    terms = nxt
-                for (e, w), c in terms.items():
-                    ne = tuple(x + y for x, y in zip(ea, e))
-                    key = (ne, w)
-                    v = out.get(key, Fraction(0)) + ca * cb * c
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+            _add_into(work, prod, c)
         return out
 
     def _xk_power_reduction(self, k: int) -> dict[HKey, Fraction]:
@@ -240,82 +183,35 @@ class HeckeAlgebra:
                 out[(tuple(e), _perm_id(self.d))] = -self.cyc[j]
         else:
             prev = self._xk_power_reduction(k - 1)
-            s = {((0,) * self.d, _s(self.d, k - 1)): Fraction(1)}
+            s = self.gen_s(k - 1)
             conj = self.multiply_raw(self.multiply_raw(s, prev), s)
-            # x_k^N = s x_{k-1}^N s + [x_k^N - s x_{k-1}^N s], the bracket
-            # having total degree < N; compute it by expanding
-            # (s x_{k-1} s + s·s...) — equivalently x_k = s x_{k-1} s + s:
-            # x_k^N - s x_{k-1}^N s = Σ over words mixing the two summands.
-            mix = self._mixed_power(k, N)
-            out = self.add(conj, mix)
-            out = self._resolve(out)
+            # x_k = s x_{k-1} s + s, so x_k^N - s x_{k-1}^N s is the bracket
+            # of _mixed_power, of total degree < N.
+            out = self.reduce(self.add(conj, self._mixed_power(k, N)))
         self._xk_reduction[k] = out
         return out
 
     def _mixed_power(self, k: int, N: int) -> dict[HKey, Fraction]:
         """(u+v)^N − u^N for u = s x_{k-1} s, v = s (so x_k = u+v)."""
-        u = self.multiply_raw(
-            self.multiply_raw({((0,) * self.d, _s(self.d, k - 1)): Fraction(1)}, self.gen_x_raw(k - 1)),
-            {((0,) * self.d, _s(self.d, k - 1)): Fraction(1)},
-        )
-        v = {((0,) * self.d, _s(self.d, k - 1)): Fraction(1)}
+        v = self.gen_s(k - 1)
+        e = [0] * self.d
+        e[k - 1] = 1
+        u = self.multiply_raw(self.multiply_raw(v, {(tuple(e), _perm_id(self.d)): Fraction(1)}), v)
         total = self.add(u, v)
         acc = self.one()
-        for _ in range(N):
-            acc = self.multiply_raw(acc, total)
         upow = self.one()
         for _ in range(N):
+            acc = self.multiply_raw(acc, total)
             upow = self.multiply_raw(upow, u)
         return self.add(acc, self.scale(upow, Fraction(-1)))
 
-    def gen_x_raw(self, k: int) -> dict[HKey, Fraction]:
-        e = [0] * self.d
-        e[k] = 1
-        return {(tuple(e), _perm_id(self.d)): Fraction(1)}
-
-    def _resolve(self, terms: dict[HKey, Fraction]) -> dict[HKey, Fraction]:
-        """Reduce any residual exponent >= N (recursion on total degree)."""
-        out: dict[HKey, Fraction] = {}
-        work = dict(terms)
-        while work:
-            (e, w), c = work.popitem()
-            k = next((j for j in range(self.d) if e[j] >= self.level), None)
-            if k is None:
-                v = out.get((e, w), Fraction(0)) + c
-                if v:
-                    out[(e, w)] = v
-                elif (e, w) in out:
-                    del out[(e, w)]
-                continue
-            red = self._xk_power_reduction(k)
-            ne = list(e)
-            ne[k] -= self.level
-            prod = self.multiply_raw({(tuple(ne), _perm_id(self.d)): Fraction(1)}, red)
-            prod = self.multiply_raw(prod, {((0,) * self.d, w): Fraction(1)})
-            for k2, c2 in prod.items():
-                v = work.get(k2, Fraction(0)) + c * c2
-                if v:
-                    work[k2] = v
-                elif k2 in work:
-                    del work[k2]
-        return out
-
-    # -- vectors and operators ----------------------------------------------------------
+    # -- vectors ------------------------------------------------------------------------
 
     def to_vector(self, a: dict) -> list[Fraction]:
         v = [Fraction(0)] * len(self.basis)
         for k, c in a.items():
             v[self.index[k]] = c
         return v
-
-    def left_mult_matrix(self, a: dict) -> list[list[Fraction]]:
-        n = len(self.basis)
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for j, bk in enumerate(self.basis):
-            img = self.multiply(a, {bk: Fraction(1)})
-            for k, c in img.items():
-                mat[self.index[k]][j] = c
-        return mat
 
     def dim(self) -> int:
         return len(self.basis)
@@ -328,6 +224,17 @@ class HeckeAlgebra:
             for b2 in self.basis:
                 rows.append(self.to_vector(self._mul_basis(b1, b2)))
         return rank(rows, QQ)
+
+
+def _add_into(out: dict, terms: dict, c=1) -> dict:
+    """out += c · terms, dropping coefficients that cancel; returns out."""
+    for k, v in terms.items():
+        v = out.get(k, 0) + c * v
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _poly_shift_mul(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
@@ -355,102 +262,25 @@ def _reduced_word(w: Perm) -> list[int]:
     return word
 
 
-def _daha_correction(a: int, b: int, i: int, d: int) -> dict[tuple[int, ...], Fraction]:
-    """s x_i^a x_{i+1}^b = x_i^b x_{i+1}^a s + Σ corr: the correction
-    monomials (no permutation part) from iterating s x_i = x_{i+1} s - 1."""
-    # Known closed form: for a > b: -Σ_{t=b}^{a-1} x_i^t x_{i+1}^{a+b-1-t}
-    #                    for a < b: +Σ_{t=a}^{b-1} x_i^t x_{i+1}^{a+b-1-t}
-    out: dict[tuple[int, ...], Fraction] = {}
-    if a == b:
-        return out
-    lo, hi, sgn = (b, a, -1) if a > b else (a, b, 1)
-    for t in range(lo, hi):
-        e = [0] * d
-        e[i] = t
-        e[i + 1] = a + b - 1 - t
-        out[tuple(e)] = Fraction(sgn)
-    return out
-
-
 # -- weight idempotents -------------------------------------------------------------------
 
 
 def x_spectra(H: HeckeAlgebra) -> list[list[tuple[Fraction, int]]]:
-    """Integer spectra (with min-poly multiplicities) of the commuting
-    left multiplications L_{x_k}."""
+    """Integer spectra, with minimal-polynomial multiplicities, of the x_k.
+
+    H is unital and acts faithfully on itself, so x_k and its left
+    multiplication have the same minimal polynomial; it is read off the
+    Krylov sequence 1, x_k, x_k², ... in H itself.
+    """
     out = []
     for k in range(H.d):
-        mat = H.left_mult_matrix(H.gen_x(k))
-        mp = _matrix_min_poly(mat)
-        roots = _int_roots(mp)
-        out.append(roots)
-    return out
-
-
-def _matrix_min_poly(mat) -> list[Fraction]:
-    n = len(mat)
-    vecs = [_flatten_identity(n)]
-    cur = _flatten_identity(n)
-    while True:
-        cur = _mat_mul_flat(mat, cur)
-        vecs.append(cur)
-        sol = solve(vecs[:-1], vecs[-1], QQ)
-        if sol is not None:
-            return [-c for c in sol] + [Fraction(1)]
-        if len(vecs) > n * n + 1:
-            raise RuntimeError("minimal polynomial not found")
-
-
-def _flatten_identity(n):
-    return [Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
-
-
-def _mat_mul_flat(mat, flat):
-    n = len(mat)
-    m = [[flat[i * n + j] for j in range(n)] for i in range(n)]
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if mat[i][k]:
-                mik = mat[i][k]
-                for j in range(n):
-                    if m[k][j]:
-                        out[i][j] += mik * m[k][j]
-    return [out[i][j] for i in range(n) for j in range(n)]
-
-
-def _int_roots(coeffs: list[Fraction]) -> list[tuple[Fraction, int]]:
-    """Roots of a monic integer-rooted polynomial with multiplicities;
-    raises if a non-integer root is detected."""
-    work = list(coeffs)
-    roots: dict[Fraction, int] = {}
-    while len(work) > 1:
-        found = None
-        bound = 1 + max(abs(c) for c in work)
-        cand = [Fraction(0)]
-        for v in range(1, int(bound) + 2):
-            cand += [Fraction(v), Fraction(-v)]
-        for r in cand:
-            if _poly_eval(work, r) == 0:
-                found = r
-                break
-        if found is None:
+        x = H.gen_x(k)
+        mp = min_poly(H.one(), lambda p: H.multiply(p, x), H.to_vector)
+        roots = rational_roots(mp)
+        if roots is None or any(r.denominator != 1 for r, _m in roots):
             raise RuntimeError("non-integer eigenvalue in cyclotomic dAHA spectrum")
-        roots[found] = roots.get(found, 0) + 1
-        out = [Fraction(0)] * (len(work) - 1)
-        acc = Fraction(0)
-        for k in range(len(work) - 1, 0, -1):
-            acc = work[k] + acc * found
-            out[k - 1] = acc
-        work = out
-    return sorted(roots.items())
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        out.append(sorted(roots))
+    return out
 
 
 def weight_idempotents(H: HeckeAlgebra) -> dict[tuple[int, ...], dict]:

@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over a field, plus fraction-free rank over
+"""Exact dense linear algebra over a field, the minimal polynomial and
+rational roots that split idempotents, plus fraction-free rank over
 Z[q,q^-1].
 
 Everything here works on lists of lists of field elements (Fraction or
@@ -7,13 +8,20 @@ engine produced and ``BlockComputer.element_coords`` mapped into the
 field.  Matrices at desk scale are small, so plain Gaussian elimination
 with exact arithmetic is the right tool; the Laurent-entry rank uses
 Bareiss elimination, whose intermediate divisions are exact.
+
+``min_poly`` finds the first linear dependency of a Krylov sequence
+start, start·x, start·x², ... over Q, and ``rational_roots`` splits the
+result by the rational root theorem; the Hecke referee and the module
+theory both find their spectra this way.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .laurent import LaurentPoly
+from .scalars import QQ
 
 
 def row_reduce(rows, field):
@@ -32,7 +40,7 @@ def row_reduce(rows, field):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.one() / m[r][c] if isinstance(m[r][c], Fraction) else _inv(m[r][c], field)
+        inv = field.one() / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
@@ -43,10 +51,6 @@ def row_reduce(rows, field):
         if r == len(m):
             break
     return [row for row in m[:r]], pivots
-
-
-def _inv(x, field):
-    return field.one() / x if isinstance(x, Fraction) else x.inv()
 
 
 class IncrementalRREF:
@@ -70,7 +74,7 @@ class IncrementalRREF:
         pc = next((c for c, x in enumerate(v) if x), None)
         if pc is None:
             return False
-        inv = _inv(v[pc], self.field)
+        inv = self.field.one() / v[pc]
         v = [x * inv for x in v]
         for i, (r, c) in enumerate(zip(self.rows, self.pivots)):
             if r[pc]:
@@ -94,12 +98,7 @@ def rank(rows, field) -> int:
 
 def in_row_space(vec, rref_rows, pivots, field) -> bool:
     """Membership test against an already-reduced row space."""
-    v = list(vec)
-    for row, c in zip(rref_rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(not x for x in v)
+    return not any(reduce_against(vec, rref_rows, pivots))
 
 
 def reduce_against(vec, rref_rows, pivots):
@@ -153,6 +152,66 @@ def solve(rows, rhs, field):
         if acc != rhs[c]:
             return None
     return x
+
+
+def min_poly(start, times_x, coords=list) -> list[Fraction]:
+    """Monic minimal polynomial (coefficients low to high, over Q) of x
+    acting on the cyclic space of ``start``.
+
+    ``times_x`` maps p to p·x and ``coords`` maps an element to its
+    coordinate list.  Each power start·x^k is solved against the earlier
+    ones; the first dependency is the polynomial.  It appears by degree
+    ``len(coords(start))`` because the stored powers stay independent.
+    """
+    vecs = [coords(start)]
+    cur = start
+    while True:
+        cur = times_x(cur)
+        vec = coords(cur)
+        sol = solve(vecs, vec, QQ)
+        if sol is not None:
+            return [-c for c in sol] + [Fraction(1)]
+        vecs.append(vec)
+
+
+def rational_roots(coeffs) -> list[tuple[Fraction, int]] | None:
+    """Roots with multiplicity of a polynomial over Q (coefficients low to
+    high), in the order the rational root theorem finds them; None when
+    the polynomial does not split into linear factors over Q.
+    """
+    work = [Fraction(c) for c in coeffs]
+    roots: dict[Fraction, int] = {}
+    while len(work) > 1:
+        if not work[0]:
+            r, work = Fraction(0), work[1:]
+        else:
+            scale = math.lcm(*(c.denominator for c in work))
+            const, lead = abs(int(work[0] * scale)), abs(int(work[-1] * scale))
+            for r in (
+                s * Fraction(p, q) for p in _divisors(const) for q in _divisors(lead) for s in (1, -1)
+            ):
+                quot, rem = _divide_linear(work, r)
+                if not rem:
+                    work = quot
+                    break
+            else:
+                return None
+        roots[r] = roots.get(r, 0) + 1
+    return list(roots.items())
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _divide_linear(coeffs, r):
+    """Synthetic division by (t - r): (quotient, remainder = value at r)."""
+    quot = [Fraction(0)] * (len(coeffs) - 1)
+    acc = Fraction(0)
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[k] + acc * r
+        quot[k - 1] = acc
+    return quot, coeffs[0] + acc * r
 
 
 def laurent_rank(rows: list[list[LaurentPoly]]) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cyclotomic import BlockComputer, IntegrityError, QuotientBlock
 from .diagrams import Element, idem_key
 from .laurent import LaurentPoly
-from .linalg import nullspace, rank, row_reduce, solve
+from .linalg import min_poly, nullspace, rank, rational_roots, reduce_against, row_reduce, solve
 from .scalars import QQ
 
 
@@ -48,17 +48,22 @@ class FinDimModule:
 
     ``action(i)`` returns the dim x dim matrix (list of row lists) of the
     right action of the i-th block basis element; rows are module basis
-    vectors.  Degrees, when known, grade the module basis.
+    vectors.  ``act(i)`` builds that matrix once; it is cached here.
+    Degrees, when known, grade the module basis.
     """
 
     def __init__(self, block: QuotientBlock, dim: int, act, degrees=None):
         self.block = block
         self.dim = dim
         self._act = act
+        self._mats: dict[int, list] = {}
         self.degrees = degrees
 
     def action(self, i: int):
-        return self._act(i)
+        mat = self._mats.get(i)
+        if mat is None:
+            mat = self._mats[i] = self._act(i)
+        return mat
 
     def act_vec(self, v: list[Fraction], x: Vec) -> list[Fraction]:
         out = [Fraction(0)] * self.dim
@@ -94,20 +99,24 @@ def _unit(n: int, r: int) -> list[Fraction]:
     return v
 
 
+def _quotient(rows, n: int):
+    """Representative columns of K^n / span(rows), and the projection of
+    a vector onto them."""
+    rref, pivots = row_reduce(rows, QQ)
+    rep_cols = [c for c in range(n) if c not in pivots]
+
+    def project(v: list[Fraction]) -> list[Fraction]:
+        red = reduce_against(v, rref, pivots)
+        return [red[c] for c in rep_cols]
+
+    return rep_cols, project
+
+
 def regular_module(block: QuotientBlock) -> FinDimModule:
     n = block.dim
-    cache: dict[int, list] = {}
 
     def act(i: int):
-        mat = cache.get(i)
-        if mat is None:
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            for r in range(n):
-                prod = block._mult.get((r, i), {})
-                for k, c in prod.items():
-                    mat[r][k] = c
-            cache[i] = mat
-        return mat
+        return [_vec_to_list(block._mult.get((r, i), {}), n) for r in range(n)]
 
     return FinDimModule(block, n, act, degrees=block.degrees())
 
@@ -140,20 +149,12 @@ class SemisimpleQuotient:
     def __init__(self, block: QuotientBlock):
         _require_char0(block)
         self.block = block
-        rad = radical(block)
         n = block.dim
-        rows = [_vec_to_list(v, n) for v in rad]
-        self.rad_rref, self.rad_pivots = row_reduce(rows, QQ)
-        self.rep_cols = [c for c in range(n) if c not in self.rad_pivots]
+        self.rep_cols, self._project = _quotient([_vec_to_list(v, n) for v in radical(block)], n)
         self.dim = len(self.rep_cols)
-        self.col_index = {c: i for i, c in enumerate(self.rep_cols)}
 
     def project(self, x: Vec) -> list[Fraction]:
-        from .linalg import reduce_against
-
-        full = _vec_to_list(x, self.block.dim)
-        red = reduce_against(full, self.rad_rref, self.rad_pivots)
-        return [red[c] for c in self.rep_cols]
+        return self._project(_vec_to_list(x, self.block.dim))
 
     def lift(self, v: list[Fraction]) -> Vec:
         out: Vec = {}
@@ -182,96 +183,6 @@ class SemisimpleQuotient:
         return degs.pop()
 
 
-def _min_poly(S: SemisimpleQuotient, x: list[Fraction]) -> list[Fraction]:
-    """Monic minimal polynomial (coefficient list, low to high)."""
-    powers = [S.one()]
-    while True:
-        powers.append(S.multiply(powers[-1], x))
-        rows = powers
-        sol = solve(rows[:-1], rows[-1], QQ)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            return coeffs
-        if len(powers) > S.dim + 1:
-            raise IntegrityError("minimal polynomial exceeded algebra dimension")
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[tuple[Fraction, int]]:
-    """Roots with multiplicity; raises if the polynomial does not split."""
-    work = list(coeffs)
-    roots: list[tuple[Fraction, int]] = []
-
-    def divide_out(r: Fraction, c: list[Fraction]):
-        # synthetic division by (t - r); returns (quotient, remainder)
-        out = [Fraction(0)] * (len(c) - 1)
-        acc = Fraction(0)
-        for k in range(len(c) - 1, 0, -1):
-            acc = c[k] + acc * r if k == len(c) - 1 else c[k] + acc * r
-            out[k - 1] = acc
-        rem = c[0] + acc * r
-        return out, rem
-
-    while len(work) > 1:
-        if len(work) == 2:
-            r = -work[0] / work[1]
-            _register(roots, r)
-            work = [Fraction(1)]
-            continue
-        scale = 1
-        for c in work:
-            scale = scale * c.denominator // _gcd(scale, c.denominator) if c else scale
-        ints = [int(c * scale) for c in work]
-        lead = ints[-1]
-        const = ints[0]
-        found = None
-        if const == 0:
-            found = Fraction(0)
-        else:
-            for p in _divisors(abs(const)):
-                for qd in _divisors(abs(lead)):
-                    for cand in (Fraction(p, qd), Fraction(-p, qd)):
-                        if _poly_eval(work, cand) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            raise IntegrityError("minimal polynomial does not split over Q")
-        _register(roots, found)
-        work, rem = divide_out(found, work)
-        if rem != 0:
-            raise IntegrityError("exact synthetic division failed")
-    return roots
-
-
-def _register(roots, r):
-    for i, (r0, m) in enumerate(roots):
-        if r0 == r:
-            roots[i] = (r0, m + 1)
-            return
-    roots.append((r, 1))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def central_primitive_idempotents(S: SemisimpleQuotient) -> list[list[Fraction]]:
     """Split the (degree-0) center of the semisimple quotient into its
     primitive idempotents by repeated spectral projection."""
@@ -294,8 +205,7 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[list[Fraction]]
         nxt = []
         for e in idems:
             ze = S.multiply(z, e)
-            mp = _min_poly_on_idem(S, ze, e)
-            roots = _rational_roots(mp)
+            roots = _corner_spectrum(S, ze, e)
             if len(roots) == 1:
                 nxt.append(e)
                 continue
@@ -307,16 +217,13 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[list[Fraction]]
     return idems
 
 
-def _min_poly_on_idem(S, x, e):
-    """Minimal polynomial of x acting on the corner eAe (unit e)."""
-    powers = [list(e)]
-    while True:
-        powers.append(S.multiply(powers[-1], x))
-        sol = solve(powers[:-1], powers[-1], QQ)
-        if sol is not None:
-            return [-c for c in sol] + [Fraction(1)]
-        if len(powers) > S.dim + 1:
-            raise IntegrityError("corner minimal polynomial exceeded dimension")
+def _corner_spectrum(S, x, e):
+    """Roots, with multiplicity, of the minimal polynomial of x acting on
+    the corner eAe (unit e)."""
+    roots = rational_roots(min_poly(list(e), lambda p: S.multiply(p, x)))
+    if roots is None:
+        raise IntegrityError("minimal polynomial does not split over Q")
+    return roots
 
 
 def _crt_projector(S, x, e, roots, target):
@@ -352,8 +259,7 @@ def _split_primitive(S: SemisimpleQuotient, e: list[Fraction]) -> list[Fraction]
                 continue
             if d not in (None, 0):
                 continue
-            mp = _min_poly_on_idem(S, v, cur)
-            roots = _rational_roots(mp)
+            roots = _corner_spectrum(S, v, cur)
             if len(roots) > 1:
                 split = (v, roots)
                 break
@@ -369,8 +275,7 @@ def _corner_basis(S: SemisimpleQuotient, e: list[Fraction]) -> list[list[Fractio
     for i in range(S.dim):
         x = S.multiply(S.multiply(e, _unit(S.dim, i)), e)
         rows.append(x)
-    rref, piv = row_reduce(rows, QQ)
-    return [list(r) for r in rref]
+    return row_reduce(rows, QQ)[0]
 
 
 class SimpleModule(FinDimModule):
@@ -389,12 +294,7 @@ def simples(block: QuotientBlock) -> list[SimpleModule]:
     for ci, c in enumerate(central_primitive_idempotents(S)):
         f = _split_primitive(S, c)
         # L = f S as a right block-module
-        rows = []
-        for i in range(S.dim):
-            rows.append(S.multiply(f, _unit(S.dim, i)))
-        rref, piv = row_reduce(rows, QQ)
-        basis = [list(r) for r in rref]
-        dim = len(basis)
+        basis = row_reduce([S.multiply(f, _unit(S.dim, i)) for i in range(S.dim)], QQ)[0]
         degrees = []
         for v in basis:
             degs = {S.degree_of_col(S.rep_cols[i]) for i, x in enumerate(v) if x}
@@ -405,28 +305,15 @@ def simples(block: QuotientBlock) -> list[SimpleModule]:
             degrees.append(degs.pop())
         if degrees is None:
             basis, degrees = _homogeneous_basis(S, basis)
-            dim = len(basis)
 
-        def act_factory(basis, piv_cols):
-            cache: dict[int, list] = {}
+        def act(i: int, basis=basis):
+            bi = S.project({i: Fraction(1)})
+            mat = [solve(basis, S.multiply(v, bi), QQ) for v in basis]
+            if None in mat:
+                raise IntegrityError("simple module is not stable")
+            return mat
 
-            def act(i: int):
-                mat = cache.get(i)
-                if mat is None:
-                    bi = S.project({i: Fraction(1)})
-                    mat = []
-                    for v in basis:
-                        img = S.multiply(v, bi)
-                        coords = solve(basis, img, QQ)
-                        if coords is None:
-                            raise IntegrityError("simple module is not stable")
-                        mat.append(coords)
-                    cache[i] = mat
-                return mat
-
-            return act
-
-        out.append(SimpleModule(block, dim, act_factory(basis, piv), degrees, tag=ci))
+        out.append(SimpleModule(block, len(basis), act, degrees, tag=ci))
     return out
 
 
@@ -443,10 +330,9 @@ def _homogeneous_basis(S, basis):
     out = []
     degrees = []
     for d in sorted(by_deg):
-        rref, piv = row_reduce(by_deg[d], QQ)
-        for r in rref:
-            out.append(list(r))
-            degrees.append(d)
+        rref = row_reduce(by_deg[d], QQ)[0]
+        out.extend(rref)
+        degrees.extend([d] * len(rref))
     # ensure global independence
     rref, piv = row_reduce(out, QQ)
     if len(piv) != len(out):
@@ -511,32 +397,19 @@ def induce(
                     row[r * dn + k] -= v
                 if any(row):
                     rel_rows.append(row)
-    rref, pivots = row_reduce(rel_rows, QQ)
-    rep_cols = [c for c in range(N) if c not in pivots]
-    dim = len(rep_cols)
-    from .linalg import reduce_against
-
-    def project(full: list[Fraction]) -> list[Fraction]:
-        red = reduce_against(full, rref, pivots)
-        return [red[c] for c in rep_cols]
-
-    cache: dict[int, list] = {}
+    rep_cols, project = _quotient(rel_rows, N)
 
     def act(j: int):
-        mat = cache.get(j)
-        if mat is None:
-            mat = []
-            for c in rep_cols:
-                r, b = divmod(c, dn)
-                prod = block_dst.multiply_vectors({b: Fraction(1)}, {j: Fraction(1)})
-                full = [Fraction(0)] * N
-                for k, v in prod.items():
-                    full[r * dn + k] = v
-                mat.append(project(full))
-            cache[j] = mat
+        mat = []
+        for c in rep_cols:
+            r, b = divmod(c, dn)
+            full = [Fraction(0)] * N
+            for k, v in block_dst.multiply_vectors({b: Fraction(1)}, {j: Fraction(1)}).items():
+                full[r * dn + k] = v
+            mat.append(project(full))
         return mat
 
-    return FinDimModule(block_dst, dim, act, degrees=None)
+    return FinDimModule(block_dst, len(rep_cols), act, degrees=None)
 
 
 def restrict(N: FinDimModule, i: int, src: BlockComputer, dst: BlockComputer, block_src: QuotientBlock) -> FinDimModule:
@@ -547,19 +420,10 @@ def restrict(N: FinDimModule, i: int, src: BlockComputer, dst: BlockComputer, bl
     verifies, so the shift is recorded in docs rather than re-graded here.
     """
     nu = nu_map(src, dst, i, block_src, N.block)
-    nu_cache: dict[int, dict] = {}
 
     def act(j: int):
-        img = nu_cache.get(j)
-        if img is None:
-            img = nu(j)
-            nu_cache[j] = img
-        mat = [[Fraction(0)] * N.dim for _ in range(N.dim)]
-        for r in range(N.dim):
-            v = _unit(N.dim, r)
-            out = N.act_vec(v, img)
-            mat[r] = out
-        return mat
+        img = nu(j)
+        return [N.act_vec(_unit(N.dim, r), img) for r in range(N.dim)]
 
     return FinDimModule(block_src, N.dim, act, degrees=N.degrees)
 
@@ -592,38 +456,13 @@ def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
 # -- socle / cosocle and crystal operators -----------------------------------------------
 
 
-def module_radical_sub(M: FinDimModule, rad: list[Vec]) -> list[list[Fraction]]:
-    rows = []
-    for r in range(M.dim):
-        v = _unit(M.dim, r)
-        for x in rad:
-            rows.append(M.act_vec(v, x))
-    rref, piv = row_reduce(rows, QQ)
-    return [list(r) for r in rref]
-
-
 def cosocle(M: FinDimModule) -> FinDimModule:
     """M / M·rad(A) as a module."""
     rad = radical(M.block)
-    sub = module_radical_sub(M, rad)
-    rref, pivots = row_reduce(sub, QQ)
-    rep = [c for c in range(M.dim) if c not in pivots]
-    from .linalg import reduce_against
-
-    def project(v):
-        red = reduce_against(v, rref, pivots)
-        return [red[c] for c in rep]
-
-    cache: dict[int, list] = {}
+    rep, project = _quotient([M.act_vec(_unit(M.dim, r), x) for r in range(M.dim) for x in rad], M.dim)
 
     def act(i: int):
-        mat = cache.get(i)
-        if mat is None:
-            mat = []
-            for c in rep:
-                mat.append(project(M.act_vec(_unit(M.dim, c), {i: Fraction(1)})))
-            cache[i] = mat
-        return mat
+        return [project(M.act_vec(_unit(M.dim, c), {i: Fraction(1)})) for c in rep]
 
     return FinDimModule(M.block, len(rep), act, degrees=None)
 
@@ -639,32 +478,16 @@ def socle(M: FinDimModule) -> FinDimModule:
             row = [mats[r][c] for r in range(M.dim)]
             if any(row):
                 cons.append(row)
-    if not cons:
-        basis = [_unit(M.dim, r) for r in range(M.dim)]
-    else:
-        basis = [list(v) for v in nullspace(cons, QQ)]
-    rref, piv = row_reduce(basis, QQ)
-    basis = [list(r) for r in rref]
+    basis = nullspace(cons, QQ) if cons else [_unit(M.dim, r) for r in range(M.dim)]
+    basis = row_reduce(basis, QQ)[0]
 
-    def act_factory(basis):
-        cache: dict[int, list] = {}
+    def act(i: int):
+        mat = [solve(basis, M.act_vec(v, {i: Fraction(1)}), QQ) for v in basis]
+        if None in mat:
+            raise IntegrityError("socle is not a submodule")
+        return mat
 
-        def act(i: int):
-            mat = cache.get(i)
-            if mat is None:
-                mat = []
-                for v in basis:
-                    img = M.act_vec(v, {i: Fraction(1)})
-                    coords = solve(basis, img, QQ) if basis else []
-                    if coords is None:
-                        raise IntegrityError("socle is not a submodule")
-                    mat.append(coords)
-                cache[i] = mat
-            return mat
-
-        return act
-
-    return FinDimModule(M.block, len(basis), act_factory(basis), degrees=None)
+    return FinDimModule(M.block, len(basis), act, degrees=None)
 
 
 def decompose_semisimple(M: FinDimModule, simples_list) -> dict[int, int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -77,6 +78,10 @@ def load_configuration(args):
         if not lam.is_dominant():
             raise ValueError(f"red label {lam.coords} is not dominant")
     field = parse_field(args.field)
+    if args.task == "hecke-check" and len(lambdas) != 1:
+        raise ValueError("hecke-check needs a single red label")
+    if args.task == "crystal" and field.characteristic != 0:
+        raise ValueError("crystal needs characteristic 0: the radical uses the Dickson criterion")
     return datum, q, lambdas, field
 
 
@@ -102,11 +107,10 @@ def emit(args, payload):
         sys.stdout.write(text)
 
 
-def task_dims(args, datum, q, lambdas, field) -> int:
-    comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+def task_dims(args, comp: BlockComputer) -> int:
     result = {}
     csv_lines = ["row_idem,col_idem,laurent"]
-    for alpha in block_contents(datum, args.max_strands):
+    for alpha in block_contents(comp.datum, args.max_strands):
         keys = comp.idems(alpha)
         if not keys:
             continue
@@ -130,12 +134,11 @@ def task_dims(args, datum, q, lambdas, field) -> int:
     return EXIT_OK
 
 
-def task_verify_euler(args, datum, q, lambdas, field) -> int:
-    comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+def task_verify_euler(args, comp: BlockComputer) -> int:
     space = comp.space
     report = {}
     ok = True
-    for alpha in block_contents(datum, args.max_strands):
+    for alpha in block_contents(comp.datum, args.max_strands):
         keys = comp.idems(alpha)
         for a in keys:
             for b in keys:
@@ -153,11 +156,10 @@ def task_verify_euler(args, datum, q, lambdas, field) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def task_verify_filtration(args, datum, q, lambdas, field) -> int:
-    comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+def task_verify_filtration(args, comp: BlockComputer) -> int:
     ok = True
     certs = {}
-    for alpha in block_contents(datum, args.max_strands):
+    for alpha in block_contents(comp.datum, args.max_strands):
         for key in comp.idems(alpha):
             good, cert = comp.standard_filtration_check(key)
             ok = ok and good
@@ -166,10 +168,9 @@ def task_verify_filtration(args, datum, q, lambdas, field) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def task_standard(args, datum, q, lambdas, field) -> int:
-    comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+def task_standard(args, comp: BlockComputer) -> int:
     result = {}
-    for alpha in block_contents(datum, args.max_strands):
+    for alpha in block_contents(comp.datum, args.max_strands):
         keys = comp.idems(alpha)
         for key in keys:
             col = {}
@@ -180,12 +181,11 @@ def task_standard(args, datum, q, lambdas, field) -> int:
     return EXIT_OK
 
 
-def task_multiply(args, datum, q, lambdas, field) -> int:
-    comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+def task_multiply(args, comp: BlockComputer) -> int:
     rng = random.Random(args.seed)
     checked = 0
     failed = 0
-    for alpha in block_contents(datum, args.max_strands):
+    for alpha in block_contents(comp.datum, args.max_strands):
         keys = comp.idems(alpha)
         if not keys:
             continue
@@ -213,12 +213,11 @@ def task_multiply(args, datum, q, lambdas, field) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def task_crystal(args, datum, q, lambdas, field) -> int:
-    comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+def task_crystal(args, comp: BlockComputer) -> int:
     blocks = {}
     simples_by_alpha = {}
     edges = []
-    contents = [a for a in block_contents(datum, args.max_strands)]
+    contents = list(block_contents(comp.datum, args.max_strands))
     for alpha in contents:
         keys = comp.idems(alpha)
         if not keys:
@@ -229,7 +228,7 @@ def task_crystal(args, datum, q, lambdas, field) -> int:
         blocks[alpha.coords] = blk
         simples_by_alpha[alpha.coords] = simples(blk)
     for coords, blk in blocks.items():
-        for i in range(datum.rank):
+        for i in range(comp.datum.rank):
             target = tuple(c + (1 if j == i else 0) for j, c in enumerate(coords))
             if target not in blocks:
                 continue
@@ -241,7 +240,7 @@ def task_crystal(args, datum, q, lambdas, field) -> int:
                         {
                             "from": {"content": list(coords), "simple": L.tag},
                             "to": {"content": list(target), "simple": img.tag},
-                            "node": datum.nodes[i],
+                            "node": comp.datum.nodes[i],
                         }
                     )
     payload = {
@@ -259,11 +258,9 @@ def task_crystal(args, datum, q, lambdas, field) -> int:
     return EXIT_OK
 
 
-def task_hecke_check(args, datum, q, lambdas, field) -> int:
-    if len(lambdas) != 1:
-        raise ValueError("hecke-check needs a single red label")
-    lam = lambdas[0]
-    comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+def task_hecke_check(args, comp: BlockComputer) -> int:
+    datum = comp.datum
+    (lam,) = comp.lambdas
     reports = {}
     ok = True
     for d in range(0, min(args.max_strands, 3) + 1):
@@ -281,19 +278,12 @@ def task_hecke_check(args, datum, q, lambdas, field) -> int:
                     dims[(a[0], b[0])] = comp.graded_hom(a, b).eval_at_1()
         rep = bk_check(H, datum, lam, dims)
         rep["dim"] = H.dim()
-        rep["dim_expected"] = H.level**d * _fact(d)
+        rep["dim_expected"] = H.level**d * math.factorial(d)
         rep["dim_ok"] = rep["dim"] == rep["dim_expected"]
         ok = ok and rep["ok"] and rep["dim_ok"]
         reports[f"d={d}"] = rep
     emit(args, {"task": "hecke-check", "ok": ok, "reports": reports})
     return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 TASKS = {
@@ -315,7 +305,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return TASKS[args.task](args, datum, q, lambdas, field)
+        comp = BlockComputer(datum, q, lambdas, field, tail=args.tail, max_strands=args.max_strands)
+        return TASKS[args.task](args, comp)
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

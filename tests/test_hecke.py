@@ -4,7 +4,7 @@ import pytest
 
 from tensoralg.cartan import default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import BlockComputer
-from tensoralg.hecke import HeckeAlgebra, bk_check, weight_idempotents
+from tensoralg.hecke import HeckeAlgebra, bk_check, weight_idempotents, x_spectra
 
 
 def fact(n):
@@ -148,3 +148,31 @@ def test_bk_certificate_sl3_fundamental():
                     dims[(a[0], b[0])] = comp.graded_hom(a, b).eval_at_1()
         rep = bk_check(H, d, lam, dims)
         assert rep["ok"], rep
+
+
+def _apply_poly(mat, roots):
+    """Π (mat - r)^m for the (root, multiplicity) pairs, as a matrix."""
+    n = len(mat)
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for r, m in roots:
+        shifted = [[mat[i][j] - (r if i == j else 0) for j in range(n)] for i in range(n)]
+        for _ in range(m):
+            out = [[sum(out[i][k] * shifted[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return out
+
+
+def test_x_spectra_is_the_minimal_polynomial_of_left_multiplication():
+    d = sl2()
+    H = HeckeAlgebra(d, d.weight((2,)), 2)
+    spectra = x_spectra(H)
+    for k, roots in enumerate(spectra):
+        assert roots == sorted(roots)
+        # reference L_{x_k}: column j is x_k · b_j
+        x = H.gen_x(k)
+        cols = [H.to_vector(H.multiply(x, {b: Fraction(1)})) for b in H.basis]
+        mat = [[cols[j][i] for j in range(H.dim())] for i in range(H.dim())]
+        assert not any(any(row) for row in _apply_poly(mat, roots))
+        # no proper monic divisor annihilates: drop one factor of each root
+        for t, (r, m) in enumerate(roots):
+            smaller = roots[:t] + [(r, m - 1)] + roots[t + 1:]
+            assert any(any(row) for row in _apply_poly(mat, smaller))

@@ -1,13 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from tensoralg.laurent import LaurentPoly
 from tensoralg.linalg import (
     IncrementalRREF,
     in_row_space,
     laurent_rank,
+    min_poly,
     nullspace,
     rank,
+    rational_roots,
     reduce_against,
     row_reduce,
     solve,
@@ -86,3 +91,47 @@ def test_laurent_rank_exact_cases():
     assert laurent_rank([[one, q], [q, q * q]]) == 1
     assert laurent_rank([[one, q], [q, one]]) == 2
     assert laurent_rank([]) == 0
+
+
+def _times_linear(coeffs, r):
+    """coeffs(t) * (t - r), coefficients low to high."""
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i + 1] += c
+        out[i] -= c * r
+    return out
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(small_rationals, st.integers(1, 3)), max_size=4),
+    small_rationals.filter(bool),
+)
+def test_rational_roots_recovers_the_multiset(factors, lead):
+    coeffs = [lead]
+    want = Counter()
+    for r, m in factors:
+        want[r] += m
+        for _ in range(m):
+            coeffs = _times_linear(coeffs, r)
+    got = rational_roots(coeffs)
+    assert got is not None
+    assert len({r for r, _m in got}) == len(got)
+    assert Counter(dict(got)) == want
+
+
+def test_rational_roots_rejects_a_polynomial_that_does_not_split():
+    assert rational_roots([F(-2), F(0), F(1)]) is None
+    # (t^2 - 2)(t - 1): one rational root, then an irreducible quadratic
+    assert rational_roots(_times_linear([F(-2), F(0), F(1)], F(1))) is None
+
+
+def test_min_poly_of_a_diagonal_action():
+    diag = [F(1), F(1), F(2)]
+    mp = min_poly([F(1)] * 3, lambda v: [d * x for d, x in zip(diag, v)])
+    assert mp == _times_linear(_times_linear([F(1)], F(1)), F(2))
+    # the cyclic space of (1, 1, 0) only sees the eigenvalue 1
+    assert min_poly([F(1), F(1), F(0)], lambda v: [d * x for d, x in zip(diag, v)]) == [F(-1), F(1)]

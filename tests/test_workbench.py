@@ -94,6 +94,18 @@ def test_config_errors(capsys):
     assert main(["--datum", "sl2", "--lambda", "-1", "--task", "dims"]) == 2
 
 
+def test_hecke_check_with_two_reds_is_a_configuration_error(capsys):
+    code = main(["--datum", "sl2", "--lambda", "1;1", "--task", "hecke-check", "--max-strands", "2"])
+    assert code == 2
+    assert "configuration error: hecke-check needs a single red label" in capsys.readouterr().err
+
+
+def test_crystal_over_a_prime_field_is_a_configuration_error(capsys):
+    code = main(["--datum", "sl2", "--lambda", "1;1", "--task", "crystal", "--field", "p:7", "--max-strands", "2"])
+    assert code == 2
+    assert "configuration error: crystal needs characteristic 0" in capsys.readouterr().err
+
+
 def test_datum_file_and_field_flag(tmp_path, capsys):
     from tensoralg.cartan import default_q_matrix, type_a
 
