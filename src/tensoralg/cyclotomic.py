@@ -17,7 +17,6 @@ from there on.
 
 from __future__ import annotations
 
-from itertools import permutations as _perms
 from typing import Sequence
 
 from .cartan import CartanDatum, QMatrix, RootVector, Weight
@@ -31,7 +30,7 @@ from .diagrams import (
 )
 from .laurent import ZERO, LaurentPoly
 from .linalg import IncrementalRREF, rank, reduce_against, row_reduce
-from .qtensor import GradedHomTable, TensorSpace, VKey
+from .qtensor import GradedHomTable, TensorSpace, VKey, arrangements
 from .scalars import QQ
 
 
@@ -83,8 +82,6 @@ class BlockComputer:
         """Idempotents with a black strand left of all reds (κ(1) >= 1)."""
         letters = self.content_letters(alpha)
         n = len(letters)
-        seqs = sorted(set(_perms(letters)))
-        out = []
 
         def rec(j, last, cur):
             if j == self.space.ell:
@@ -99,7 +96,7 @@ class BlockComputer:
         kappas: list[tuple[int, ...]] = []
         if self.space.ell:
             rec(0, 0, [])
-        return [(I, k) for I in seqs for k in kappas]
+        return [(I, k) for I in arrangements(letters) for k in kappas]
 
     # -- tilde components ---------------------------------------------------------
 
@@ -370,6 +367,7 @@ class QuotientBlock:
         self.alpha = alpha
         self.idems = comp.idems(alpha)
         self.basis: list = []  # (bottom, top, degree, DiagKey)
+        self.radical = None  # basis of rad(A), filled once by modules.radical
         self._build()
 
     def _build(self):
@@ -489,8 +487,7 @@ def cyclotomic_ideal_space(comp: BlockComputer, bottom: IdemKey, top: IdemKey, d
     letters = list(bottom[0])
     alpha = comp.datum.root(tuple(letters.count(i) for i in range(comp.datum.rank)))
     rows = []
-    seqs = sorted(set(_perms(tuple(letters))))
-    for I2 in seqs:
+    for I2 in arrangements(letters):
         mid = idem_key(I2, (0,))
         a1 = lam.coords[I2[0]]
         gen_dots = [0] * len(I2)

@@ -6,18 +6,30 @@ symmetric group, N = Σ λ^i the level; the defining relations are
 
     s_i x_j = x_{s_i(j)} s_i - δ_{j,i} + δ_{j,i+1},    Π_i (x_1 - i)^{λ^i} = 0.
 
-Everything is exact over Q.  ``multiply_raw`` is the one place that moves
-a permutation past a monomial; ``reduce`` then applies the cyclotomic
-relation.  Weight idempotents come from simultaneous generalized
-eigenprojections of the commuting x_k; each spectrum (integers, with
-multiplicities) comes from the minimal polynomial of x_k itself, found by
-``linalg.min_poly`` in H and split by ``linalg.rational_roots``.  The bridge
-certificate checks the images of the dot relations plus ungraded
-block-dimension equality against the diagram side.
+Every relation has integer coefficients (the roots of the cyclotomic
+polynomial are the integers i), so the rewriting runs over ℤ: the
+cyclotomic polynomial, ``multiply_raw``, ``reduce`` and the table of
+basis products carry plain ``int``.  ``multiply_raw`` is the one place
+that moves a permutation past a monomial; ``reduce`` then applies the
+cyclotomic relation.  Right multiplication by a permutation never moves
+past a monomial, so reduce(x^e w) = reduce(x^e)·w, and the normal form
+of each monomial x^e is memoized.  Elements handed out (``one``,
+``gen_x``, ``gen_s``, ``add``, ``scale``, ``multiply``, ``to_vector``)
+are exact over Q, and ``multiply`` is the one field boundary: it clears
+the denominators of each factor, sums over ℤ against the table, and
+divides once per output key.
+
+Weight idempotents come from simultaneous generalized eigenprojections of
+the commuting x_k; each spectrum (integers, with multiplicities) comes
+from the minimal polynomial of x_k itself, found by ``linalg.min_poly`` in
+H and split by ``linalg.rational_roots``.  The bridge certificate checks
+the images of the dot relations plus ungraded block-dimension equality
+against the diagram side.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -45,7 +57,8 @@ def _s(d: int, i: int) -> Perm:
 
 
 class HeckeAlgebra:
-    """H^λ_d for a dominant sl_n-type weight λ, over Q."""
+    """H^λ_d for a dominant sl_n-type weight λ: an integer rewriting table,
+    elements over Q."""
 
     def __init__(self, datum: CartanDatum, lam: Weight, d: int):
         datum.require_same(lam.datum)
@@ -56,13 +69,14 @@ class HeckeAlgebra:
         if self.level <= 0:
             raise ValueError("the cyclotomic level must be positive")
         # cyclotomic polynomial Π_i (t - i)^{λ^i}; node i is the integer i+1
-        coeffs = [Fraction(1)]
+        coeffs = [1]
         for i, m in enumerate(lam.coords):
             for _ in range(m):
-                coeffs = _poly_shift_mul(coeffs, Fraction(i + 1))
+                coeffs = _poly_shift_mul(coeffs, i + 1)
         self.cyc = coeffs  # monic, degree = level
-        self._nf_cache: dict = {}
-        self._xk_reduction: dict[int, dict[HKey, Fraction]] = {}
+        self._nf_cache: dict[tuple[HKey, HKey], dict[HKey, int]] = {}
+        self._monomial_nf: dict[tuple[int, ...], dict[HKey, int]] = {}
+        self._xk_reduction: dict[int, dict[HKey, int]] = {}
         self.basis = self._make_basis()
         self.index = {k: i for i, k in enumerate(self.basis)}
 
@@ -82,7 +96,7 @@ class HeckeAlgebra:
     def gen_x(self, k: int) -> dict[HKey, Fraction]:
         e = [0] * self.d
         e[k] = 1
-        return self.reduce({(tuple(e), _perm_id(self.d)): Fraction(1)})
+        return {key: Fraction(c) for key, c in self.reduce({(tuple(e), _perm_id(self.d)): 1}).items()}
 
     def gen_s(self, i: int) -> dict[HKey, Fraction]:
         return {((0,) * self.d, _s(self.d, i)): Fraction(1)}
@@ -99,30 +113,43 @@ class HeckeAlgebra:
 
     # -- multiplication ----------------------------------------------------------------
 
-    def multiply(self, a: dict, b: dict) -> dict:
-        out: dict[HKey, Fraction] = {}
-        for A, ca in a.items():
-            for B, cb in b.items():
-                _add_into(out, self._mul_basis(A, B), ca * cb)
-        return out
+    def multiply(self, a: dict, b: dict) -> dict[HKey, Fraction]:
+        """a·b over Q: each factor is scaled to integers by the lcm of its
+        denominators, the product is summed over ℤ against the table, and
+        each output coefficient is divided by the two scales once."""
+        ia, da = _clear_denominators(a)
+        ib, db = _clear_denominators(b)
+        table = self._nf_cache
+        out: dict[HKey, int] = {}
+        get = out.get
+        for A, ca in ia.items():
+            for B, cb in ib.items():
+                terms = table.get((A, B))
+                if terms is None:
+                    terms = self._mul_basis(A, B)
+                c = ca * cb
+                for k, v in terms.items():
+                    out[k] = get(k, 0) + c * v
+        den = da * db
+        return {k: Fraction(v, den) for k, v in out.items() if v}
 
-    def _mul_basis(self, A: HKey, B: HKey) -> dict[HKey, Fraction]:
+    def _mul_basis(self, A: HKey, B: HKey) -> dict[HKey, int]:
         key = (A, B)
         hit = self._nf_cache.get(key)
         if hit is None:
-            hit = self._nf_cache[key] = self.reduce(self.multiply_raw({A: Fraction(1)}, {B: Fraction(1)}))
+            hit = self._nf_cache[key] = self.reduce(self.multiply_raw({A: 1}, {B: 1}))
         return hit
 
     def multiply_raw(self, a: dict, b: dict) -> dict:
         """Multiplication without cyclotomic reduction (exponents free):
         x^{ea} wa · x^{eb} wb moves wa past x^{eb} one letter at a time."""
-        out: dict[HKey, Fraction] = {}
+        out: dict[HKey, int] = {}
         for (ea, wa), ca in a.items():
             word = _reduced_word(wa)
             for B, cb in b.items():
                 terms = {B: cb}
                 for i in reversed(word):
-                    nxt: dict[HKey, Fraction] = {}
+                    nxt: dict[HKey, int] = {}
                     for (e, w), c in terms.items():
                         _add_into(nxt, self._s_times(e, w, i), c)
                     terms = nxt
@@ -131,7 +158,7 @@ class HeckeAlgebra:
                 _add_into(out, shifted, ca)
         return out
 
-    def _s_times(self, e: tuple[int, ...], w: Perm, i: int) -> dict[HKey, Fraction]:
+    def _s_times(self, e: tuple[int, ...], w: Perm, i: int) -> dict[HKey, int]:
         """s_i · (x^e w) in normal form x^* ( s_i-shuffled perm )."""
         # Iterating s x_i = x_{i+1} s - 1 gives the divided-difference sum
         #   s x_i^a x_{i+1}^b = x_i^b x_{i+1}^a s - Σ_{t=b}^{a-1} x_i^t x_{i+1}^{a+b-1-t}  (a > b)
@@ -140,34 +167,39 @@ class HeckeAlgebra:
         a, b = e[i], e[i + 1]
         se = list(e)
         se[i], se[i + 1] = b, a
-        out = {(tuple(se), _perm_mul(_s(self.d, i), w)): Fraction(1)}
+        out = {(tuple(se), _perm_mul(_s(self.d, i), w)): 1}
         lo, hi, sgn = (b, a, -1) if a > b else (a, b, 1)
         for t in range(lo, hi):
             se[i], se[i + 1] = t, a + b - 1 - t
-            out[(tuple(se), w)] = Fraction(sgn)
+            out[(tuple(se), w)] = sgn
         return out
 
-    def reduce(self, terms: dict[HKey, Fraction]) -> dict[HKey, Fraction]:
-        """Rewrite so every exponent is < N, using the cyclotomic relation
-        on x_1 and x_k^N = s x_{k-1}^N s + lower (recursion on total
-        degree)."""
-        out: dict[HKey, Fraction] = {}
-        work = dict(terms)
-        while work:
-            (e, w), c = work.popitem()
-            k = next((j for j in range(self.d) if e[j] >= self.level), None)
-            if k is None:
-                _add_into(out, {(e, w): c})
-                continue
+    def reduce(self, terms: dict) -> dict:
+        """Rewrite so every exponent is < N.  Right multiplication by a
+        permutation never moves past a monomial, so x^e w reduces to
+        (normal form of x^e)·w."""
+        out: dict = {}
+        for (e, w), c in terms.items():
+            _add_into(out, {(f, _perm_mul(u, w)): v for (f, u), v in self._reduce_monomial(e).items()}, c)
+        return out
+
+    def _reduce_monomial(self, e: tuple[int, ...]) -> dict[HKey, int]:
+        """Normal form of x^e, memoized: x^e = x^{e - N ε_k} · x_k^N for the
+        first k with e_k >= N, which lowers the total degree."""
+        hit = self._monomial_nf.get(e)
+        if hit is not None:
+            return hit
+        k = next((j for j in range(self.d) if e[j] >= self.level), None)
+        if k is None:
+            out = {(e, _perm_id(self.d)): 1}
+        else:
             ne = list(e)
             ne[k] -= self.level
-            rest = {(tuple(ne), _perm_id(self.d)): Fraction(1)}
-            prod = self.multiply_raw(rest, self._xk_power_reduction(k))
-            prod = self.multiply_raw(prod, {((0,) * self.d, w): Fraction(1)})
-            _add_into(work, prod, c)
+            out = self.reduce(self.multiply_raw({(tuple(ne), _perm_id(self.d)): 1}, self._xk_power_reduction(k)))
+        self._monomial_nf[e] = out
         return out
 
-    def _xk_power_reduction(self, k: int) -> dict[HKey, Fraction]:
+    def _xk_power_reduction(self, k: int) -> dict[HKey, int]:
         """Normal form of x_k^N (total degree < N), built inductively:
         x_1^N from the cyclotomic polynomial, and
         x_{k}^N = s_{k-1} x_{k-1}^N s_{k-1} + (lower degree)."""
@@ -183,27 +215,27 @@ class HeckeAlgebra:
                 out[(tuple(e), _perm_id(self.d))] = -self.cyc[j]
         else:
             prev = self._xk_power_reduction(k - 1)
-            s = self.gen_s(k - 1)
+            s = {((0,) * self.d, _s(self.d, k - 1)): 1}
             conj = self.multiply_raw(self.multiply_raw(s, prev), s)
             # x_k = s x_{k-1} s + s, so x_k^N - s x_{k-1}^N s is the bracket
             # of _mixed_power, of total degree < N.
-            out = self.reduce(self.add(conj, self._mixed_power(k, N)))
+            out = self.reduce(_add_into(conj, self._mixed_power(k, N)))
         self._xk_reduction[k] = out
         return out
 
-    def _mixed_power(self, k: int, N: int) -> dict[HKey, Fraction]:
+    def _mixed_power(self, k: int, N: int) -> dict[HKey, int]:
         """(u+v)^N − u^N for u = s x_{k-1} s, v = s (so x_k = u+v)."""
-        v = self.gen_s(k - 1)
+        one = {((0,) * self.d, _perm_id(self.d)): 1}
+        v = {((0,) * self.d, _s(self.d, k - 1)): 1}
         e = [0] * self.d
         e[k - 1] = 1
-        u = self.multiply_raw(self.multiply_raw(v, {(tuple(e), _perm_id(self.d)): Fraction(1)}), v)
-        total = self.add(u, v)
-        acc = self.one()
-        upow = self.one()
+        u = self.multiply_raw(self.multiply_raw(v, {(tuple(e), _perm_id(self.d)): 1}), v)
+        total = _add_into(dict(u), v)
+        acc = upow = one
         for _ in range(N):
             acc = self.multiply_raw(acc, total)
             upow = self.multiply_raw(upow, u)
-        return self.add(acc, self.scale(upow, Fraction(-1)))
+        return _add_into(acc, upow, -1)
 
     # -- vectors ------------------------------------------------------------------------
 
@@ -222,8 +254,14 @@ class HeckeAlgebra:
         rows = []
         for b1 in self.basis:
             for b2 in self.basis:
-                rows.append(self.to_vector(self._mul_basis(b1, b2)))
+                rows.append([Fraction(c) for c in self.to_vector(self._mul_basis(b1, b2))])
         return rank(rows, QQ)
+
+
+def _clear_denominators(a: dict) -> tuple[dict, int]:
+    """(a·m over ℤ, m) for m the lcm of the denominators of a's coefficients."""
+    m = math.lcm(*(c.denominator for c in a.values()))
+    return {k: c.numerator * (m // c.denominator) for k, c in a.items()}, m
 
 
 def _add_into(out: dict, terms: dict, c=1) -> dict:
@@ -237,9 +275,9 @@ def _add_into(out: dict, terms: dict, c=1) -> dict:
     return out
 
 
-def _poly_shift_mul(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
+def _poly_shift_mul(coeffs: list[int], root: int) -> list[int]:
     """coeffs(t) * (t - root), low-to-high coefficient lists."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
+    out = [0] * (len(coeffs) + 1)
     for i, c in enumerate(coeffs):
         out[i + 1] += c
         out[i] -= c * root
@@ -351,6 +389,7 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
     # Γ-valued sequences correspond to diagram idempotents; the integer
     # label of node index i is i+1.
     gamma_seqs = [seq for seq in idems if all(1 <= v <= n for v in seq)]
+    xs = [H.gen_x(j) for j in range(H.d)]
     # orthogonal idempotents summing to the component identity
     total = H.zero()
     for seq, e in idems.items():
@@ -366,7 +405,7 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         e = idems[seq]
         # cyclotomic relation: (x_1 - i_1)^{λ^{i_1}} e(I) = 0
         i1 = seq[0] - 1
-        f = H.add(H.gen_x(0), H.scale(H.one(), Fraction(-seq[0])))
+        f = H.add(xs[0], H.scale(H.one(), Fraction(-seq[0])))
         p = e
         for _ in range(lam.coords[i1]):
             p = H.multiply(p, f)
@@ -374,11 +413,12 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         report["relations"][key] = not p
         if p:
             report["ok"] = False
+        # e(I)·x_j, shared by the nilpotency and commutation checks
+        ex = [H.multiply(e, x) for x in xs]
         # nilpotency of every dot image
         for j in range(H.d):
-            g = H.add(H.gen_x(j), H.scale(H.one(), Fraction(-seq[j])))
-            p = H.multiply(e, g)
-            nil = dict(p)
+            g = H.add(xs[j], H.scale(H.one(), Fraction(-seq[j])))
+            nil = H.add(ex[j], H.scale(e, Fraction(-seq[j])))  # e(I)·g
             steps = 0
             while nil and steps <= H.dim():
                 nil = H.multiply(nil, g)
@@ -389,8 +429,7 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         # dot images commute
         for j in range(H.d):
             for k in range(j + 1, H.d):
-                gj = H.multiply(idems[seq], H.gen_x(j))
-                gk = H.multiply(idems[seq], H.gen_x(k))
+                gj, gk = ex[j], ex[k]
                 comm = H.add(H.multiply(gj, gk), H.scale(H.multiply(gk, gj), Fraction(-1)))
                 if comm:
                     report["relations"][f"dots commute on e{seq}"] = False

@@ -121,26 +121,47 @@ def regular_module(block: QuotientBlock) -> FinDimModule:
     return FinDimModule(block, n, act, degrees=block.degrees())
 
 
-def radical(block: QuotientBlock) -> list[Vec]:
-    """Basis of rad(A) via the trace form of the regular representation."""
-    _require_char0(block)
+def trace_form(block: QuotientBlock) -> list[list[Fraction]]:
+    """The trace form tr(L_{b_i} L_{b_j}) of the regular representation.
+
+    Only the entries with deg b_i + deg b_j = 0 and i <= j are summed.
+    The structure constants are graded, so L_{b_i} L_{b_j} raises degree
+    by deg b_i + deg b_j and its diagonal in the homogeneous basis, hence
+    its trace, vanishes unless that sum is 0; and tr(L_i L_j) = tr(L_j L_i),
+    so the form is symmetric.
+    """
     n = block.dim
-    # structure tensor c[j][k] -> dict over l
+    mult = block._mult
+    deg = block.degrees()
     tr = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
+            if deg[i] + deg[j]:
+                continue
             # trace(L_{b_i} L_{b_j}) = sum_k (b_i (b_j b_k))_k
             acc = Fraction(0)
             for k in range(n):
-                inner = block._mult.get((j, k), {})
-                for l, c in inner.items():
-                    outer = block._mult.get((i, l), {})
-                    v = outer.get(k)
+                for l, c in mult.get((j, k), {}).items():
+                    v = mult.get((i, l), {}).get(k)
                     if v:
                         acc += c * v
-            tr[i][j] = acc
-    null = nullspace(tr, QQ)
-    return [_list_to_vec(v) for v in null]
+            tr[i][j] = tr[j][i] = acc
+    return tr
+
+
+def radical(block: QuotientBlock) -> list[Vec]:
+    """Basis of rad(A), the radical of the trace form (Dickson criterion),
+    computed once per block; the returned list is shared and must not be
+    mutated.
+
+    The form is summed only where deg b_i + deg b_j = 0, for i <= j: the
+    trace of the graded map L_{b_i} L_{b_j} is zero off degree 0, and the
+    form is symmetric (see ``trace_form``).
+    """
+    _require_char0(block)
+    if block.radical is None:
+        block.radical = [_list_to_vec(v) for v in nullspace(trace_form(block), QQ)]
+    return block.radical
 
 
 class SemisimpleQuotient:

@@ -19,8 +19,7 @@ family.
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cartan import CartanDatum, RootVector, Weight
 from .laurent import ONE, ZERO, LaurentPoly, qint_signed
@@ -41,6 +40,26 @@ def check_kappa(kappa: Sequence[int], n: int):
     if k and (k[0] < 0 or k[-1] > n):
         raise MalformedKappaError(f"kappa {k} out of range [0, {n}]")
     return k
+
+
+def arrangements(letters: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of a multiset of letters in lexicographic
+    order, i.e. ``sorted(set(permutations(letters)))`` without forming the
+    n! permutations: each is the next permutation of the one before."""
+    a = sorted(letters)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 class TensorVector:
@@ -418,7 +437,6 @@ class TensorSpace:
         for i, m in enumerate(alpha.coords):
             letters.extend([i] * m)
         n = len(letters)
-        seqs = sorted(set(permutations(letters)))
         kappas: list[tuple[int, ...]] = []
 
         def rec(j, last, cur):
@@ -435,7 +453,7 @@ class TensorSpace:
             kappas = [()] if n == 0 else []
         else:
             rec(0, 0, [])
-        return [(I, k) for I in seqs for k in kappas]
+        return [(I, k) for I in arrangements(letters) for k in kappas]
 
     def weight_dim(self, mu: Weight) -> int:
         """dim of the μ weight space of the tensor product, via Gram rank."""

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensoralg.cartan import default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import BlockComputer
@@ -176,3 +177,84 @@ def test_x_spectra_is_the_minimal_polynomial_of_left_multiplication():
         for t, (r, m) in enumerate(roots):
             smaller = roots[:t] + [(r, m - 1)] + roots[t + 1:]
             assert any(any(row) for row in _apply_poly(mat, smaller))
+
+
+# -- the integer table against the plain rewriting loop ---------------------------------
+
+TABLE_CASES = {
+    "sl2 (2), d=3": (sl2, (2,), 3),
+    "A2 (1,1), d=2": (lambda: type_a(2), (1, 1), 2),
+}
+_TABLE_ALGEBRAS: dict = {}
+
+
+def _table_algebra(name):
+    """One algebra per case, so its memo tables fill across examples."""
+    if name not in _TABLE_ALGEBRAS:
+        datum_f, coords, dd = TABLE_CASES[name]
+        d = datum_f()
+        _TABLE_ALGEBRAS[name] = HeckeAlgebra(d, d.weight(coords), dd)
+    return _TABLE_ALGEBRAS[name]
+
+
+def _reference_reduce(H, terms, xk_power):
+    """The rewriting loop without memo tables: rewrite one out-of-range
+    term x^e w as x^{e - N ε_k} · (x_k^N rewritten) · w until none is left."""
+    ident = tuple(range(H.d))
+    out = {}
+    work = dict(terms)
+    while work:
+        (e, w), c = work.popitem()
+        k = next((j for j in range(H.d) if e[j] >= H.level), None)
+        if k is None:
+            out = H.add(out, {(e, w): c})
+            continue
+        ne = list(e)
+        ne[k] -= H.level
+        prod = H.multiply_raw({(tuple(ne), ident): Fraction(1)}, xk_power(k))
+        prod = H.multiply_raw(prod, {((0,) * H.d, w): Fraction(1)})
+        work = H.add(work, H.scale(prod, c))
+    return out
+
+
+def _reference_xk_power(H):
+    """x_k^N rewritten by the reference loop, from the cyclotomic polynomial
+    and x_k^N = s x_{k-1}^N s + ((u+v)^N - u^N)."""
+    memo = {}
+
+    def xk_power(k):
+        if k not in memo:
+            ident = tuple(range(H.d))
+            if k == 0:
+                memo[k] = {
+                    (tuple(j if i == 0 else 0 for i in range(H.d)), ident): Fraction(-H.cyc[j])
+                    for j in range(H.level)
+                    if H.cyc[j]
+                }
+            else:
+                s = H.gen_s(k - 1)
+                conj = H.multiply_raw(H.multiply_raw(s, xk_power(k - 1)), s)
+                memo[k] = _reference_reduce(H, H.add(conj, H._mixed_power(k, H.level)), xk_power)
+        return memo[k]
+
+    return xk_power
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _draw_element(data, H):
+    keys = data.draw(st.lists(st.sampled_from(H.basis), max_size=4, unique=True))
+    return {k: c for k in keys if (c := data.draw(small_rationals))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TABLE_CASES)), st.data())
+def test_multiply_matches_the_reference_rewriting(name, data):
+    H = _table_algebra(name)
+    a, b, c = (_draw_element(data, H) for _ in range(3))
+    ab = H.multiply(a, b)
+    assert all(type(v) is Fraction and v for v in ab.values())
+    assert ab == _reference_reduce(H, H.multiply_raw(a, b), _reference_xk_power(H))
+    assert H.multiply(ab, c) == H.multiply(a, H.multiply(b, c))
+    assert all(type(v) is int for terms in H._nf_cache.values() for v in terms.values())

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from tensoralg import modules
 from tensoralg.cartan import default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, QuotientBlock
 from tensoralg.modules import (
@@ -14,6 +17,7 @@ from tensoralg.modules import (
     restrict,
     simples,
     socle,
+    trace_form,
 )
 from tensoralg.scalars import PrimeField
 
@@ -141,3 +145,49 @@ def test_socle_cosocle_of_projective(sl2_setup):
     assert top.dim == 2  # two simples, one copy each in A/rad of the regular
     soc = socle(reg)
     assert 1 <= soc.dim <= blk.dim
+
+
+def _full_trace_form(blk):
+    """tr(L_{b_i} L_{b_j}) summed over every pair, with no degree or
+    symmetry shortcut."""
+    n = blk.dim
+    tr = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l, c in blk._mult.get((j, k), {}).items():
+                    tr[i][j] += c * blk._mult.get((i, l), {}).get(k, 0)
+    return tr
+
+
+def test_pruned_trace_form_equals_the_full_form(sl2_setup):
+    d, _, comp2 = sl2_setup
+    comp111 = BlockComputer(d, default_q_matrix(d), (d.weight((1,)),) * 3)
+    checked = 0
+    for comp in (comp111, comp2):
+        for n in range(3):
+            blk = QuotientBlock(comp, d.root((n,)))
+            full = _full_trace_form(blk)
+            assert trace_form(blk) == full
+            deg = blk.degrees()
+            for i in range(blk.dim):
+                for j in range(blk.dim):
+                    if deg[i] + deg[j]:
+                        assert full[i][j] == 0
+            checked += any(any(row) for row in full)
+    assert checked  # the comparison saw nonzero forms
+
+
+def test_radical_is_computed_once_per_block(sl2_setup, monkeypatch):
+    d, comp11, _ = sl2_setup
+    calls = []
+    original = modules.trace_form
+    monkeypatch.setattr(modules, "trace_form", lambda blk: calls.append(blk) or original(blk))
+    blk = QuotientBlock(comp11, d.root((1,)))
+    rad = radical(blk)
+    top = cosocle(regular_module(blk))
+    socle(regular_module(blk))
+    simples(blk)
+    assert radical(blk) is rad
+    assert calls == [blk]
+    assert top.dim == 2

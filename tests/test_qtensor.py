@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tensoralg.cartan import b2, sl2, type_a
 from tensoralg.laurent import ONE, ZERO, LaurentPoly, qint
-from tensoralg.qtensor import MalformedKappaError, TensorSpace
+from tensoralg.qtensor import MalformedKappaError, TensorSpace, arrangements
 
 
 def sl2_space(*weights):
@@ -269,3 +271,8 @@ def test_s_in_v_unitriangular():
     exp = sp.s_in_v((0,), (0, 0))
     assert exp[((0,), (0, 0))] == ONE
     assert exp[((0,), (0, 1))] == -LaurentPoly.q_power(-1)
+
+
+@given(st.lists(st.integers(0, 2), max_size=6))
+def test_arrangements_are_the_sorted_distinct_permutations(letters):
+    assert list(arrangements(letters)) == sorted(set(permutations(letters)))
