@@ -65,6 +65,10 @@ class RootVector:
     def height(self) -> int:
         return sum(self.coords)
 
+    def letters(self) -> list[int]:
+        """The black-strand labels of the content, in weakly increasing order."""
+        return [i for i, m in enumerate(self.coords) for _ in range(m)]
+
     def __add__(self, other: "RootVector") -> "RootVector":
         self.datum.require_same(other.datum)
         return RootVector(self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -143,6 +147,10 @@ class CartanDatum:
 
     def root(self, coords: Sequence[int]) -> RootVector:
         return RootVector(self, tuple(int(x) for x in coords))
+
+    def content(self, letters: Sequence[int]) -> RootVector:
+        """The content Σ α_i of a sequence of black-strand labels."""
+        return self.root([list(letters).count(i) for i in range(self.rank)])
 
     def simple_root(self, i: int) -> RootVector:
         return RootVector(self, tuple(1 if j == i else 0 for j in range(self.rank)))

@@ -9,6 +9,17 @@ assembled degree by degree against the quantum-side prediction, which
 serves as a certified stopping bound: any excess over the prediction is
 a hard integrity error, never silently accepted.
 
+Every such row space is spanned by products l·r with r running over a
+tilde basis, and one routine builds them all: ``BlockComputer.saturate``
+right-multiplies a stream of left factors by the basis of each
+(mid T~ top)_{d'}, adds the nonzero products' coordinates to an
+``IncrementalRREF`` and stops once the rank fills the component.  The
+kernel (basis diagrams into violating idempotents), the standard-module
+space (kernel rows plus the x_φ) and the classical cyclotomic ideal
+(basis diagrams times y_1^{λ^{i_1}} e(I)) differ only in the left
+factors they stream, which ``lefts_through`` generates for the first and
+the last.
+
 The engine computes over ℤ.  ``BlockComputer.element_coords`` is the one
 place its integer coefficients are mapped into the scalar field, so
 kernels, quotient bases and structure constants are all field-valued
@@ -27,9 +38,10 @@ from .diagrams import (
     basis_enumerate,
     connecting_perms,
     idem_key,
+    slot_perm,
 )
 from .laurent import ZERO, LaurentPoly
-from .linalg import IncrementalRREF, rank, reduce_against, row_reduce
+from .linalg import IncrementalRREF, nullspace, rank, reduce_against
 from .qtensor import GradedHomTable, TensorSpace, VKey, arrangements
 from .scalars import QQ
 
@@ -66,37 +78,11 @@ class BlockComputer:
 
     # -- idempotent universes -------------------------------------------------
 
-    def content_letters(self, alpha: RootVector) -> list[int]:
-        letters = []
-        for i, m in enumerate(alpha.coords):
-            letters.extend([i] * m)
-        return letters
-
     def idems(self, alpha: RootVector) -> list[IdemKey]:
         """All nonzero idempotents of the α block (κ(1) = 0)."""
-        if len(self.content_letters(alpha)) > self.max_strands:
+        if len(alpha.letters()) > self.max_strands:
             raise ValueError("block exceeds the configured strand bound")
         return self.space.spanning_keys(alpha)
-
-    def violating_idems(self, alpha: RootVector) -> list[IdemKey]:
-        """Idempotents with a black strand left of all reds (κ(1) >= 1)."""
-        letters = self.content_letters(alpha)
-        n = len(letters)
-
-        def rec(j, last, cur):
-            if j == self.space.ell:
-                if cur and cur[0] >= 1:
-                    kappas.append(tuple(cur))
-                return
-            for v in range(last, n + 1):
-                cur.append(v)
-                rec(j + 1, v, cur)
-                cur.pop()
-
-        kappas: list[tuple[int, ...]] = []
-        if self.space.ell:
-            rec(0, 0, [])
-        return [(I, k) for I in arrangements(letters) for k in kappas]
 
     # -- tilde components ---------------------------------------------------------
 
@@ -146,42 +132,58 @@ class BlockComputer:
         hit = self._kernel_cache.get(key)
         if hit is not None:
             return hit
-        basis = self.tilde_basis(bottom, top, d)
         inc = IncrementalRREF(self.field)
-        if basis:
-            full = len(basis)
-            alpha_letters = list(bottom[0])
-            alpha = self.datum.root(
-                tuple(alpha_letters.count(i) for i in range(self.datum.rank))
-            )
-            for mid in self.violating_idems(alpha):
-                if inc.rank == full:
-                    break
-                d1min = self.min_degree(bottom, mid)
-                d2min = self.min_degree(mid, top)
-                if d1min is None or d2min is None:
-                    continue
-                for d1 in range(d1min, d - d2min + 1):
-                    if inc.rank == full:
-                        break
-                    left = self.tilde_basis(bottom, mid, d1)
-                    right = self.tilde_basis(mid, top, d - d1)
-                    if not left or not right:
-                        continue
-                    right_els = [Element(self.alg, {br: 1}) for br in right]
-                    for bl in left:
-                        if inc.rank == full:
-                            break
-                        el_l = Element(self.alg, {bl: 1})
-                        for el_r in right_els:
-                            el = el_l.multiply(el_r)
-                            if not el.is_zero():
-                                inc.add(self.element_coords(el, bottom, top, d))
-                                if inc.rank == full:
-                                    break
+        if self.tilde_basis(bottom, top, d):
+            mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
+            self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
         hit = (inc.rows, inc.pivots)
         self._kernel_cache[key] = hit
         return hit
+
+    def lefts_through(self, bottom: IdemKey, top: IdemKey, d: int, mids):
+        """Left factors for ``saturate``: for each ``(mid, g, deg g)`` in
+        ``mids`` and each degree split d1 + deg g + d2 = d, every basis
+        diagram b of (bottom T~ mid)_{d1} times g, with the right degree
+        d2; products b·g = 0 are skipped, and g = None stands for e(mid),
+        which is not multiplied out."""
+        for mid, gen, gdeg in mids:
+            d1min = self.min_degree(bottom, mid)
+            d2min = self.min_degree(mid, top)
+            if d1min is None or d2min is None:
+                continue
+            for d1 in range(d1min, d - gdeg - d2min + 1):
+                for bl in self.tilde_basis(bottom, mid, d1):
+                    el = Element(self.alg, {bl: 1})
+                    if gen is not None:
+                        el = el.multiply(gen)
+                        if el.is_zero():
+                            continue
+                    yield el, mid, d - gdeg - d1
+
+    def saturate(self, inc: IncrementalRREF, bottom: IdemKey, top: IdemKey, d: int, lefts) -> IncrementalRREF:
+        """Add to ``inc`` the coordinates of every nonzero product l·r, for
+        each ``(l, mid, d2)`` in ``lefts`` (l from bottom to mid) and each
+        basis diagram r of (mid T~ top)_{d2}, in that order; stop as soon
+        as the rank fills (bottom T~ top)_d.  Returns ``inc``."""
+        full = len(self.tilde_basis(bottom, top, d))
+        if inc.rank == full:
+            return inc
+        last = rights = None
+        for el_l, mid, d2 in lefts:
+            if (mid, d2) != last:
+                last = (mid, d2)
+                d2min = self.min_degree(mid, top)
+                if d2min is None or d2 < d2min:
+                    rights = []
+                else:
+                    rights = [Element(self.alg, {br: 1}) for br in self.tilde_basis(mid, top, d2)]
+            for el_r in rights:
+                el = el_l.multiply(el_r)
+                if not el.is_zero():
+                    inc.add(self.element_coords(el, bottom, top, d))
+                    if inc.rank == full:
+                        return inc
+        return inc
 
     def quotient_dim(self, bottom: IdemKey, top: IdemKey, d: int) -> int:
         nb = len(self.tilde_basis(bottom, top, d))
@@ -245,51 +247,32 @@ class BlockComputer:
         """The left-moving coset elements x_φ (φ ≠ id) generating L^κ_I,
         each with its top idempotent and degree."""
         I, kappa = idem_key(*key)
+        bottom = (I, kappa)
         blocks = self.space.letter_blocks(kappa, len(I))
+        zero_dots = (0,) * len(I)
         out = []
-        for assign, (I_phi, k_phi), _deg in self.space.phi_set(I, kappa):
+        for assign, top, _deg in self.space.phi_set(I, kappa):
             if list(assign) == blocks:
                 continue
-            bottom = (I, kappa)
-            # build w: black t goes to its slot in the top idempotent
+            # black t goes to its place, by (block, t), among the top blacks
             order = sorted(range(len(I)), key=lambda t: (assign[t], t))
-            top = (I_phi, k_phi)
-            bot_seq = self.alg.merged(bottom)
-            top_seq = self.alg.merged(top)
-            bot_black_slots = [s for s, st in enumerate(bot_seq) if st[0] == "b"]
-            top_black_slots = [s for s, st in enumerate(top_seq) if st[0] == "b"]
-            bot_red_slots = {st[1]: s for s, st in enumerate(bot_seq) if st[0] == "r"}
-            top_red_slots = {st[1]: s for s, st in enumerate(top_seq) if st[0] == "r"}
-            w = [0] * len(bot_seq)
-            for j, s in bot_red_slots.items():
-                w[s] = top_red_slots[j]
+            black_to = [0] * len(I)
             for pos, t in enumerate(order):
-                w[bot_black_slots[t]] = top_black_slots[pos]
-            el = Element.basis_diagram(self.alg, I, kappa, w, (0,) * len(I))
-            out.append((el, top, self.alg.diagram_degree(bottom, tuple(w), (0,) * len(I))))
+                black_to[t] = pos
+            w = slot_perm(self.alg, bottom, top, black_to)
+            el = Element.basis_diagram(self.alg, I, kappa, w, zero_dots)
+            out.append((el, top, self.alg.diagram_degree(bottom, w, zero_dots)))
         return out
 
     def standard_space(self, key: VKey, col: VKey, d: int):
         """Row space of (K + L^κ_I) in (e(I,κ) T~ e_col)_d."""
         bottom = idem_key(*key)
         top = idem_key(*col)
-        full = len(self.tilde_basis(bottom, top, d))
         inc = IncrementalRREF(self.field)
         for r in self.kernel_space(bottom, top, d)[0]:
             inc.add(r)
-        for el, mid, degx in self.x_phi_elements(key):
-            if inc.rank == full:
-                break
-            d2 = d - degx
-            d2min = self.min_degree(mid, top)
-            if d2min is None or d2 < d2min:
-                continue
-            for br in self.tilde_basis(mid, top, d2):
-                prod = el.multiply(Element(self.alg, {br: 1}))
-                if not prod.is_zero():
-                    inc.add(self.element_coords(prod, bottom, top, d))
-                    if inc.rank == full:
-                        break
+        lefts = ((el, mid, d - degx) for el, mid, degx in self.x_phi_elements(key))
+        self.saturate(inc, bottom, top, d, lefts)
         return inc.rows, inc.pivots
 
     def standard_dims(self, key: VKey, col: VKey) -> LaurentPoly:
@@ -338,9 +321,7 @@ class BlockComputer:
         """
         I, kappa = idem_key(*key)
         ok_vec, layers = self.space.filtration_identity(I, kappa)
-        alpha_letters = list(I)
-        alpha = self.datum.root(tuple(alpha_letters.count(i) for i in range(self.datum.rank)))
-        cols = self.idems(alpha)
+        cols = self.idems(self.datum.content(I))
         ok_dim = True
         for col in cols:
             lhs = self.graded_hom(key, col)
@@ -480,40 +461,28 @@ class QuotientBlock:
 
 def cyclotomic_ideal_space(comp: BlockComputer, bottom: IdemKey, top: IdemKey, d: int):
     """Row space of the classical cyclotomic ideal <y_1^{λ^{i_1}} e(I)> in
-    the single-red component (bottom T~ top)_d, for λ̲ = (λ)."""
+    the single-red component (bottom T~ top)_d, for λ̲ = (λ), as
+    (rows, pivots): the products b · y_1^{λ^{i_1}} e(I) · b'."""
     if comp.space.ell != 1:
         raise ValueError("cyclotomic comparison needs a single red strand")
     lam = comp.lambdas[0]
-    letters = list(bottom[0])
-    alpha = comp.datum.root(tuple(letters.count(i) for i in range(comp.datum.rank)))
-    rows = []
-    for I2 in arrangements(letters):
-        mid = idem_key(I2, (0,))
-        a1 = lam.coords[I2[0]]
-        gen_dots = [0] * len(I2)
-        gen_dots[0] = a1
-        gen = Element(comp.alg, {(mid, tuple(range(len(comp.alg.merged(mid)))), tuple(gen_dots)): 1})
-        gdeg = 2 * comp.datum.sym[I2[0]] * a1
-        d1min = comp.min_degree(bottom, mid)
-        d2min = comp.min_degree(mid, top)
-        if d1min is None or d2min is None:
-            continue
-        for d1 in range(d1min, d - gdeg - d2min + 1):
-            left = comp.tilde_basis(bottom, mid, d1)
-            right = comp.tilde_basis(mid, top, d - gdeg - d1)
-            for bl in left:
-                el_l = Element(comp.alg, {bl: 1}).multiply(gen)
-                if el_l.is_zero():
-                    continue
-                for br in right:
-                    el = el_l.multiply(Element(comp.alg, {br: 1}))
-                    if not el.is_zero():
-                        rows.append(comp.element_coords(el, bottom, top, d))
-    return row_reduce(rows, comp.field)
+
+    def generators():
+        for I2 in arrangements(bottom[0]):
+            mid = idem_key(I2, (0,))
+            a1 = lam.coords[I2[0]]
+            dots = (a1,) + (0,) * (len(I2) - 1)
+            gen = Element(comp.alg, {(mid, tuple(range(len(comp.alg.merged(mid)))), dots): 1})
+            yield mid, gen, 2 * comp.datum.sym[I2[0]] * a1
+
+    lefts = comp.lefts_through(bottom, top, d, generators())
+    inc = comp.saturate(IncrementalRREF(comp.field), bottom, top, d, lefts)
+    return inc.rows, inc.pivots
 
 
 def kernel_equals_cyclotomic(comp: BlockComputer, bottom: IdemKey, top: IdemKey, dmax: int) -> bool:
-    """K ∩ R = cyclotomic ideal, checked per degree up to dmax."""
+    """K ∩ R = cyclotomic ideal, checked per degree up to dmax: equal
+    dimensions, and every cyclotomic row reduces to zero against K."""
     dmin = comp.min_degree(bottom, top)
     if dmin is None:
         return True
@@ -522,8 +491,7 @@ def kernel_equals_cyclotomic(comp: BlockComputer, bottom: IdemKey, top: IdemKey,
         c_rows, c_piv = cyclotomic_ideal_space(comp, bottom, top, d)
         if len(k_piv) != len(c_piv):
             return False
-        union = [list(r) for r in k_rows] + [list(r) for r in c_rows]
-        if rank(union, comp.field) != len(k_piv):
+        if any(any(reduce_against(r, k_rows, k_piv)) for r in c_rows):
             return False
     return True
 
@@ -535,18 +503,7 @@ def theta_kappa(comp: BlockComputer, key: VKey) -> Element:
     """The crossingless element from e(I,0) to e(I,κ)."""
     I, kappa = idem_key(*key)
     bottom = idem_key(I, (0,) * comp.space.ell)
-    top = (I, kappa)
-    bot_seq = comp.alg.merged(bottom)
-    top_seq = comp.alg.merged(top)
-    w = [0] * len(bot_seq)
-    bot_blacks = [s for s, st in enumerate(bot_seq) if st[0] == "b"]
-    top_blacks = [s for s, st in enumerate(top_seq) if st[0] == "b"]
-    for a, b in zip(bot_blacks, top_blacks):
-        w[a] = b
-    bot_reds = {st[1]: s for s, st in enumerate(bot_seq) if st[0] == "r"}
-    top_reds = {st[1]: s for s, st in enumerate(top_seq) if st[0] == "r"}
-    for j, s in bot_reds.items():
-        w[s] = top_reds[j]
+    w = slot_perm(comp.alg, bottom, (I, kappa), range(len(I)))
     return Element.basis_diagram(comp.alg, I, bottom[1], w, (0,) * len(I))
 
 
@@ -575,10 +532,8 @@ def double_centralizer_data(comp: BlockComputer, key: VKey, single: "BlockComput
     ydeg = next(iter(y.terms))
     deg_y = comp.alg.diagram_degree(*ydeg)
     deg_theta = deg_y // 2
-    letters = list(I)
-    alpha = comp.datum.root(tuple(letters.count(i) for i in range(comp.datum.rank)))
     # columns: single-red idempotents e(J)
-    cols = single.idems(alpha)
+    cols = single.idems(comp.datum.content(I))
     ok = True
     detail = {}
     zero_kappa = (0,) * comp.space.ell
@@ -596,17 +551,16 @@ def double_centralizer_data(comp: BlockComputer, key: VKey, single: "BlockComput
                 tb = single.tilde_basis(ybottom, (J, (0,)), d)
                 rrefk, pivk = single.kernel_space(ybottom, (J, (0,)), d)
                 reps = [tb[i] for i in range(len(tb)) if i not in pivk]
-                rows = []
+                rref2, piv2 = single.kernel_space(ybottom, (J, (0,)), d + deg_y)
+                img = IncrementalRREF(single.field)
                 for rkey in reps:
                     el = _dot_multiply(single, dots_vec, rkey)
                     if el.is_zero():
                         continue
                     vec = single.element_coords(el, ybottom, (J, (0,)), d + deg_y)
-                    rref2, piv2 = single.kernel_space(ybottom, (J, (0,)), d + deg_y)
-                    rows.append(reduce_against(vec, rref2, piv2))
-                r = rank(rows, single.field)
-                if r:
-                    coeffs[d + deg_y] = coeffs.get(d + deg_y, 0) + r
+                    img.add(reduce_against(vec, rref2, piv2))
+                if img.rank:
+                    coeffs[d + deg_y] = coeffs.get(d + deg_y, 0) + img.rank
         image_dims = LaurentPoly(coeffs)
         want = LaurentPoly.q_power(deg_theta) * hom
         match = image_dims == want
@@ -662,8 +616,6 @@ def frobenius_certificate(block: QuotientBlock) -> dict:
                         nontrivial = True
                 if nontrivial:
                     cons.append(row)
-        from .linalg import nullspace
-
         tspace = nullspace(cons, field) if cons else [
             [field.one() if k == col else field.zero() for k in range(len(support))]
             for col in range(len(support))

@@ -701,6 +701,33 @@ def diagram_from_text(alg: DiagramAlgebra, text: str) -> Element:
 # -- basis enumeration ---------------------------------------------------------------------
 
 
+def strand_slots(alg: DiagramAlgebra, idem: IdemKey) -> tuple[list[int], dict[int, int]]:
+    """The slots of the black strands of e(idem), left to right, and the
+    slot of each red strand by its index."""
+    blacks: list[int] = []
+    reds: dict[int, int] = {}
+    for s, (kind, k) in enumerate(alg.merged(idem)):
+        if kind == "b":
+            blacks.append(s)
+        else:
+            reds[k] = s
+    return blacks, reds
+
+
+def slot_perm(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, black_to: Sequence[int]) -> tuple[int, ...]:
+    """The merged-strand permutation from ``bottom`` to ``top`` that keeps
+    every red strand and takes the t-th black strand of the bottom to the
+    ``black_to[t]``-th black strand of the top."""
+    bot_blacks, bot_reds = strand_slots(alg, bottom)
+    top_blacks, top_reds = strand_slots(alg, top)
+    w = [0] * len(alg.merged(bottom))
+    for j, s in bot_reds.items():
+        w[s] = top_reds[j]
+    for s, t in zip(bot_blacks, black_to):
+        w[s] = top_blacks[t]
+    return tuple(w)
+
+
 def connecting_perms(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey):
     """All merged-strand permutations from ``bottom`` to ``top`` preserving
     red order and black labels."""
@@ -708,8 +735,8 @@ def connecting_perms(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey):
     tp = alg.merged(top)
     if len(bot) != len(tp):
         return
-    bot_reds = {st[1]: s for s, st in enumerate(bot) if st[0] == "r"}
-    top_reds = {st[1]: s for s, st in enumerate(tp) if st[0] == "r"}
+    bot_reds = strand_slots(alg, bottom)[1]
+    top_reds = strand_slots(alg, top)[1]
     if set(bot_reds) != set(top_reds):
         return
     by_label: dict[int, list[int]] = {}

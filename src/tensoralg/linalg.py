@@ -5,9 +5,15 @@ Z[q,q^-1].
 Everything here works on lists of lists of field elements (Fraction or
 GFElement): the rows are coordinates that the integer straightening
 engine produced and ``BlockComputer.element_coords`` mapped into the
-field.  Matrices at desk scale are small, so plain Gaussian elimination
-with exact arithmetic is the right tool; the Laurent-entry rank uses
-Bareiss elimination, whose intermediate divisions are exact.
+field.  Matrices at desk scale are small, so plain Gauss–Jordan
+elimination with exact arithmetic is the right tool.  It lives in one
+place, ``IncrementalRREF.add``: a new row is reduced by
+``reduce_against`` and then eliminated from the rows already held, so
+the space stays in reduced row echelon form after every row and callers
+can stop as soon as the rank saturates.  ``row_reduce`` feeds a whole
+matrix through it, and ``rank``, ``nullspace`` and ``solve`` read the
+(unique) reduced form.  The Laurent-entry rank uses Bareiss elimination,
+whose intermediate divisions are exact.
 
 ``min_poly`` finds the first linear dependency of a Krylov sequence
 start, start·x, start·x², ... over Q, and ``rational_roots`` splits the
@@ -18,6 +24,7 @@ theory both find their spectra this way.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from fractions import Fraction
 
 from .laurent import LaurentPoly
@@ -25,36 +32,18 @@ from .scalars import QQ
 
 
 def row_reduce(rows, field):
-    """Reduced row echelon form.
-
-    Returns ``(rref_rows, pivot_cols)``; the input is not modified.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.one() / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
+    """Reduced row echelon form, as ``(rref_rows, pivot_cols)``, built by
+    feeding the rows to an ``IncrementalRREF``; the input is not modified."""
+    inc = IncrementalRREF(field)
+    for r in rows:
+        inc.add(r)
+    return inc.rows, inc.pivots
 
 
 class IncrementalRREF:
-    """Row space built one row at a time, for early rank saturation."""
+    """Reduced row echelon form of a row space built one row at a time, so
+    that callers can stop once the rank saturates; rows stay sorted by
+    pivot column."""
 
     def __init__(self, field):
         self.field = field
@@ -66,25 +55,19 @@ class IncrementalRREF:
 
         Returns True when the rank grew.
         """
-        v = list(row)
-        for r, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, r)]
+        v = reduce_against(row, self.rows, self.pivots)
         pc = next((c for c, x in enumerate(v) if x), None)
         if pc is None:
             return False
         inv = self.field.one() / v[pc]
         v = [x * inv for x in v]
-        for i, (r, c) in enumerate(zip(self.rows, self.pivots)):
+        for i, r in enumerate(self.rows):
             if r[pc]:
                 f = r[pc]
                 self.rows[i] = [a - f * b for a, b in zip(r, v)]
-        self.rows.append(v)
-        self.pivots.append(pc)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+        at = bisect(self.pivots, pc)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pc)
         return True
 
     @property
@@ -94,11 +77,6 @@ class IncrementalRREF:
 
 def rank(rows, field) -> int:
     return len(row_reduce(rows, field)[1])
-
-
-def in_row_space(vec, rref_rows, pivots, field) -> bool:
-    """Membership test against an already-reduced row space."""
-    return not any(reduce_against(vec, rref_rows, pivots))
 
 
 def reduce_against(vec, rref_rows, pivots):
@@ -129,9 +107,8 @@ def nullspace(rows, field):
 
 
 def solve(rows, rhs, field):
-    """One solution x of rows^T... solves sum_j x_j rows[j] = rhs.
-
-    Returns None when rhs is outside the row span.
+    """Coefficients x with sum_j x_j rows[j] = rhs, or None when rhs is
+    outside the row span.
     """
     if not rows:
         return None if any(rhs) else []

@@ -56,17 +56,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
 def _swap_vars(f: Poly, k: int) -> Poly:
     out: Poly = {}
     for e, c in f.items():

@@ -19,6 +19,7 @@ family.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .cartan import CartanDatum, RootVector, Weight
@@ -431,28 +432,26 @@ class TensorSpace:
 
     def spanning_keys(self, alpha: RootVector) -> list[VKey]:
         """All (I, κ) with content α and κ(1) = 0 (nonzero idempotents)."""
+        return self._keys(alpha, violating=False)
+
+    def violating_keys(self, alpha: RootVector) -> list[VKey]:
+        """All (I, κ) with content α and κ(1) >= 1 (a black strand left of
+        every red)."""
+        return self._keys(alpha, violating=True)
+
+    def _keys(self, alpha: RootVector, violating: bool) -> list[VKey]:
+        """Idempotents of content α with κ(1) >= 1 or κ(1) = 0, ordered
+        lexicographically by I and then by κ."""
         if not alpha.is_positive():
             return []
-        letters = []
-        for i, m in enumerate(alpha.coords):
-            letters.extend([i] * m)
+        letters = alpha.letters()
         n = len(letters)
-        kappas: list[tuple[int, ...]] = []
-
-        def rec(j, last, cur):
-            if j == self.ell:
-                kappas.append(tuple(cur))
-                return
-            hi = 0 if j == 0 else n
-            for v in range(last, hi + 1):
-                cur.append(v)
-                rec(j + 1, v, cur)
-                cur.pop()
-
         if self.ell == 0:
-            kappas = [()] if n == 0 else []
+            kappas = [()] if n == 0 and not violating else []
         else:
-            rec(0, 0, [])
+            kappas = [
+                k for k in combinations_with_replacement(range(n + 1), self.ell) if (k[0] >= 1) == violating
+            ]
         return [(I, k) for I in arrangements(letters) for k in kappas]
 
     def weight_dim(self, mu: Weight) -> int:
@@ -511,11 +510,14 @@ class GradedHomTable:
         I, kappa = key
         return "e[" + ",".join(str(i + 1) for i in I) + "|R@" + ",".join(str(k) for k in kappa) + "]"
 
-    def to_csv(self) -> str:
-        lines = ["row_idem,col_idem,laurent"]
-        for (a, b), v in sorted(self.entries.items()):
-            lines.append(f'{self.idem_label(a)},{self.idem_label(b)},"{v.text()}"')
-        return "\n".join(lines) + "\n"
+    CSV_HEADER = "row_idem,col_idem,laurent"
+
+    def csv_rows(self) -> list[str]:
+        """One CSV line per entry, under ``CSV_HEADER``."""
+        return [
+            f'{self.idem_label(a)},{self.idem_label(b)},"{v.text()}"'
+            for (a, b), v in sorted(self.entries.items())
+        ]
 
     def to_json(self) -> dict:
         return {

@@ -109,24 +109,17 @@ def emit(args, payload):
 
 def task_dims(args, comp: BlockComputer) -> int:
     result = {}
-    csv_lines = ["row_idem,col_idem,laurent"]
+    csv_lines = [GradedHomTable.CSV_HEADER]
     for alpha in block_contents(comp.datum, args.max_strands):
-        keys = comp.idems(alpha)
-        if not keys:
+        table = comp.graded_hom_table(alpha)
+        if not table.entries:
             continue
-        table = GradedHomTable()
-        for a in keys:
-            for b in keys:
-                table.set(a, b, comp.graded_hom(a, b))
         label = ",".join(str(c) for c in alpha.coords)
         result[f"content [{label}]"] = {
             "table": table.to_json(),
             "total_at_q=1": table.total_at_1(),
         }
-        for (a, b), v in sorted(table.entries.items()):
-            csv_lines.append(
-                f'{GradedHomTable.idem_label(a)},{GradedHomTable.idem_label(b)},"{v.text()}"'
-            )
+        csv_lines.extend(table.csv_rows())
     if args.format == "csv":
         emit(args, "\n".join(csv_lines) + "\n")
     else:

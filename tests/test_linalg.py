@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from tensoralg.laurent import LaurentPoly
 from tensoralg.linalg import (
     IncrementalRREF,
-    in_row_space,
     laurent_rank,
     min_poly,
     nullspace,
@@ -29,8 +28,8 @@ def test_row_reduce_and_rank():
     rref, piv = row_reduce(rows, QQ)
     assert piv == [0, 1]
     assert rank(rows, QQ) == 2
-    assert in_row_space([F(1), F(3), F(4)], rref, piv, QQ)
-    assert not in_row_space([F(0), F(0), F(1)], rref, piv, QQ)
+    assert not any(reduce_against([F(1), F(3), F(4)], rref, piv))
+    assert any(reduce_against([F(0), F(0), F(1)], rref, piv))
 
 
 def test_nullspace_and_solve():
@@ -52,18 +51,93 @@ def test_prime_field_reduction():
     assert rank(rows, gf) == 1
 
 
+def _reference_rref(rows, field):
+    """Column-by-column Gauss–Jordan elimination of the whole matrix."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.one() / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _reference_nullspace(rows, field):
+    ncols = len(rows[0])
+    rref, pivots = _reference_rref(rows, field)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for row, pc in zip(rref, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+FIELDS = [QQ, PrimeField(7)]
+
+
+@st.composite
+def int_matrices(draw, max_rows=7):
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=max_rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.sampled_from(FIELDS), st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+def test_elimination_matches_reference_gauss_jordan(ints, field, rhs_ints):
+    rows = [[field.from_int(x) for x in r] for r in ints]
+    want = _reference_rref(rows, field)
+    assert row_reduce(rows, field) == want
+    assert rank(rows, field) == len(want[1])
+    if not rows:
+        return
+    ncols = len(rows[0])
+    assert nullspace(rows, field) == _reference_nullspace(rows, field)
+    # solve reads the RREF of the augmented transpose [rows^T | rhs]
+    for rhs in ([field.from_int(x) for x in rhs_ints[:ncols]], [sum(col) for col in zip(*rows)]):
+        aug = [[rows[j][c] for j in range(len(rows))] + [rhs[c]] for c in range(ncols)]
+        rref, pivots = _reference_rref(aug, field)
+        x = solve(rows, rhs, field)
+        if len(rows) in pivots:
+            assert x is None
+        else:
+            assert x is not None
+            want_x = [field.zero()] * len(rows)
+            for row, pc in zip(rref, pivots):
+                want_x[pc] = row[-1]
+            assert x == want_x
+            assert [sum((xj * r[c] for xj, r in zip(x, rows)), field.zero()) for c in range(ncols)] == rhs
+
+
 def test_incremental_matches_batch():
     rng = random.Random(0)
-    for _ in range(20):
-        rows = [[F(rng.randrange(-3, 4)) for _ in range(5)] for _ in range(7)]
-        inc = IncrementalRREF(QQ)
-        for r in rows:
-            inc.add(r)
-        assert inc.rank == rank(rows, QQ)
-        rref, piv = row_reduce(rows, QQ)
-        for r in rows:
-            assert not any(reduce_against(r, inc.rows, inc.pivots))
-            assert not any(reduce_against(r, rref, piv))
+    for field in FIELDS:
+        for _ in range(20):
+            rows = [[field.from_int(rng.randrange(-3, 4)) for _ in range(5)] for _ in range(7)]
+            inc = IncrementalRREF(field)
+            for k, r in enumerate(rows):
+                before = inc.rank
+                grew = inc.add(r)
+                # after every row the space is the reduced echelon form of the prefix
+                assert (inc.rows, inc.pivots) == _reference_rref(rows[: k + 1], field)
+                assert grew == (inc.rank == before + 1)
+            assert (inc.rows, inc.pivots) == row_reduce(rows, field)
+            for r in rows:
+                assert not any(reduce_against(r, inc.rows, inc.pivots))
 
 
 def test_laurent_rank_vs_rational_specialization():

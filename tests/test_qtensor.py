@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -276,3 +276,27 @@ def test_s_in_v_unitriangular():
 @given(st.lists(st.integers(0, 2), max_size=6))
 def test_arrangements_are_the_sorted_distinct_permutations(letters):
     assert list(arrangements(letters)) == sorted(set(permutations(letters)))
+
+
+@given(st.lists(st.integers(0, 2), max_size=4), st.integers(0, 3))
+def test_spanning_and_violating_keys_split_every_idempotent(coords_list, ell):
+    """Every (I, κ) with κ weakly increasing in [0, n] is either nonzero
+    (κ(1) = 0, or no reds and no blacks) or violating (κ(1) >= 1), and
+    each list is in lexicographic order."""
+    d = type_a(3)
+    coords = (coords_list + [0, 0, 0])[:3]
+    sp = TensorSpace(d, tuple(d.fundamental_weight(0) for _ in range(ell)))
+    alpha = d.root(coords)
+    letters = alpha.letters()
+    assert d.content(letters) == alpha
+    n = len(letters)
+    every = sorted(
+        (I, k)
+        for I in set(permutations(letters))
+        for k in product(range(n + 1), repeat=ell)
+        if list(k) == sorted(k)
+    )
+    nonzero = [(I, k) for I, k in every if (k[0] == 0 if k else n == 0)]
+    violating = [(I, k) for I, k in every if k and k[0] >= 1]
+    assert sp.spanning_keys(alpha) == nonzero
+    assert sp.violating_keys(alpha) == violating

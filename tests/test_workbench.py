@@ -123,11 +123,14 @@ def test_datum_file_and_field_flag(tmp_path, capsys):
 
 
 def test_dims_output_is_field_independent(capsys):
-    args = ["--datum", "a2", "--lambda", "1,0;0,1", "--task", "dims", "--max-strands", "3"]
-    code_q, out_q = run_main(args + ["--field", "q"], capsys)
-    code_p, out_p = run_main(args + ["--field", "p:2147483647"], capsys)
-    assert code_q == code_p == 0
-    assert out_p == out_q
+    for args in (
+        ["--datum", "a2", "--lambda", "1,0;0,1", "--task", "dims", "--max-strands", "3"],
+        BASE + ["--task", "standard", "--max-strands", "3"],
+    ):
+        code_q, out_q = run_main(args + ["--field", "q"], capsys)
+        code_p, out_p = run_main(args + ["--field", "p:2147483647"], capsys)
+        assert code_q == code_p == 0
+        assert out_p == out_q
 
 
 def test_console_script_entrypoint():
