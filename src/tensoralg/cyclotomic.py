@@ -5,9 +5,12 @@ Everything is per-degree exact linear algebra over the straightening
 engine.  The kernel of T~ -> T in a Hom component at one degree is the
 span of all products through a "violating" idempotent (one with a black
 strand left of every red); graded dimensions of the quotient are
-assembled degree by degree against the quantum-side prediction, which
-serves as a certified stopping bound: any excess over the prediction is
-a hard integrity error, never silently accepted.
+assembled degree by degree against the quantum-side prediction.  The
+check is two-sided on the window [dmin, top + ``tail``], where dmin is
+the lowest degree of the component and top the highest degree the
+prediction reaches: a dimension above or below the prediction there is a
+hard integrity error, never silently accepted.  The degrees above the
+window are not computed, so they are not yet certified.
 
 Every such row space is spanned by products l·r with r running over a
 tilde basis, and one routine builds them all: ``BlockComputer.saturate``
@@ -21,9 +24,10 @@ factors they stream, which ``lefts_through`` generates for the first and
 the last.
 
 The engine computes over ℤ.  ``BlockComputer.element_coords`` is the one
-place its integer coefficients are mapped into the scalar field, so
-kernels, quotient bases and structure constants are all field-valued
-from there on.
+place its integer coefficients are mapped into the scalar field, as a
+sparse ``{basis index: value}`` row (see ``linalg``), so kernels,
+quotient bases and structure constants are all field-valued from there
+on.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .diagrams import (
     slot_perm,
 )
 from .laurent import ZERO, LaurentPoly
-from .linalg import IncrementalRREF, nullspace, rank, reduce_against
+from .linalg import IncrementalRREF, add_multiple, nullspace, rank, reduce_against
 from .qtensor import GradedHomTable, TensorSpace, VKey, arrangements
 from .scalars import QQ
 
@@ -106,39 +110,43 @@ class BlockComputer:
             self._tilde_cache[key] = hit
         return hit
 
-    def element_coords(self, el: Element, bottom: IdemKey, top: IdemKey, d: int):
-        """Coordinates of a homogeneous element in the tilde basis, mapped
-        from the engine's integers into the scalar field."""
-        basis = self.tilde_basis(bottom, top, d)
-        index = {k: i for i, k in enumerate(basis)}
-        vec = [self.field.zero()] * len(basis)
+    def element_coords(self, el: Element, bottom: IdemKey, top: IdemKey, d: int) -> dict:
+        """Sparse coordinates of a homogeneous element in the tilde basis,
+        mapped from the engine's integers into the scalar field (a
+        coefficient divisible by the characteristic drops out)."""
+        index = {k: i for i, k in enumerate(self.tilde_basis(bottom, top, d))}
+        from_int = self.field.from_int
+        vec = {}
         for k, c in el.terms.items():
-            if k[0] != bottom:
-                raise ValueError("element has terms off the requested component")
-            if k not in index:
+            i = index.get(k)
+            if i is None:
+                if k[0] != bottom:
+                    raise ValueError("element has terms off the requested component")
                 raise ValueError("element has terms off the requested degree")
-            vec[index[k]] = self.field.from_int(c)
+            x = from_int(c)
+            if x:
+                vec[i] = x
         return vec
 
     # -- the violating ideal -------------------------------------------------------
 
     def kernel_space(self, bottom: IdemKey, top: IdemKey, d: int):
-        """Row-reduced basis of K ∩ (bottom T~ top)_d, as (rows, pivots).
+        """Row-reduced basis of K ∩ (bottom T~ top)_d, as (rows, pivot_rows):
+        the sparse rows in pivot order and the pivot → row map.
 
         Rows are products through violating idempotents; assembly stops as
         soon as the rank saturates the whole tilde component (the common
-        case for entries the oracle predicts to vanish)."""
+        case for entries the oracle predicts to vanish).  The cache keeps
+        the whole ``IncrementalRREF``, which ``standard_space`` copies."""
         key = (bottom, top, d)
-        hit = self._kernel_cache.get(key)
-        if hit is not None:
-            return hit
-        inc = IncrementalRREF(self.field)
-        if self.tilde_basis(bottom, top, d):
-            mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
-            self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
-        hit = (inc.rows, inc.pivots)
-        self._kernel_cache[key] = hit
-        return hit
+        inc = self._kernel_cache.get(key)
+        if inc is None:
+            inc = IncrementalRREF(self.field)
+            if self.tilde_basis(bottom, top, d):
+                mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
+                self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
+            self._kernel_cache[key] = inc
+        return inc.rows, inc.pivot_rows
 
     def lefts_through(self, bottom: IdemKey, top: IdemKey, d: int, mids):
         """Left factors for ``saturate``: for each ``(mid, g, deg g)`` in
@@ -189,8 +197,8 @@ class BlockComputer:
         nb = len(self.tilde_basis(bottom, top, d))
         if nb == 0:
             return 0
-        _, pivots = self.kernel_space(bottom, top, d)
-        return nb - len(pivots)
+        _, pivot_rows = self.kernel_space(bottom, top, d)
+        return nb - len(pivot_rows)
 
     # -- graded Hom entries -------------------------------------------------------------
 
@@ -265,12 +273,12 @@ class BlockComputer:
         return out
 
     def standard_space(self, key: VKey, col: VKey, d: int):
-        """Row space of (K + L^κ_I) in (e(I,κ) T~ e_col)_d."""
+        """Row space of (K + L^κ_I) in (e(I,κ) T~ e_col)_d, as (rows,
+        pivots): the x_φ products added to a copy of the kernel's state."""
         bottom = idem_key(*key)
         top = idem_key(*col)
-        inc = IncrementalRREF(self.field)
-        for r in self.kernel_space(bottom, top, d)[0]:
-            inc.add(r)
+        self.kernel_space(bottom, top, d)
+        inc = self._kernel_cache[(bottom, top, d)].copy()
         lefts = ((el, mid, d - degx) for el, mid, degx in self.x_phi_elements(key))
         self.saturate(inc, bottom, top, d, lefts)
         return inc.rows, inc.pivots
@@ -361,9 +369,8 @@ class QuotientBlock:
                 if entry.is_zero():
                     continue
                 for d in entry.support():
-                    tb = comp.tilde_basis(a, b, d)
-                    rref, pivots = comp.kernel_space(a, b, d)
-                    reps = [tb[i] for i in range(len(tb)) if i not in pivots]
+                    _, pivot_rows = comp.kernel_space(a, b, d)
+                    reps = [k for i, k in enumerate(comp.tilde_basis(a, b, d)) if i not in pivot_rows]
                     if len(reps) != entry.coeff(d):
                         raise IntegrityError("coset representative count mismatch")
                     for rkey in reps:
@@ -386,14 +393,12 @@ class QuotientBlock:
         if el.is_zero():
             return {}
         vec = comp.element_coords(el, bottom, top, d)
-        rref, pivots = comp.kernel_space(bottom, top, d)
-        rem = reduce_against(vec, rref, pivots)
+        _, pivot_rows = comp.kernel_space(bottom, top, d)
+        rem = reduce_against(vec, pivot_rows)
         tb = comp.tilde_basis(bottom, top, d)
         out = {}
-        for c_idx, v in enumerate(rem):
-            if not v:
-                continue
-            if c_idx in pivots:
+        for c_idx, v in sorted(rem.items()):
+            if c_idx in pivot_rows:
                 raise IntegrityError("kernel reduction left a pivot coordinate")
             key = (bottom, top, d, tb[c_idx])
             bi = self.index.get(key)
@@ -487,11 +492,11 @@ def kernel_equals_cyclotomic(comp: BlockComputer, bottom: IdemKey, top: IdemKey,
     if dmin is None:
         return True
     for d in range(dmin, dmax + 1):
-        k_rows, k_piv = comp.kernel_space(bottom, top, d)
+        _, k_piv = comp.kernel_space(bottom, top, d)
         c_rows, c_piv = cyclotomic_ideal_space(comp, bottom, top, d)
         if len(k_piv) != len(c_piv):
             return False
-        if any(any(reduce_against(r, k_rows, k_piv)) for r in c_rows):
+        if any(reduce_against(r, k_piv) for r in c_rows):
             return False
     return True
 
@@ -548,17 +553,16 @@ def double_centralizer_data(comp: BlockComputer, key: VKey, single: "BlockComput
         coeffs = {}
         if not entry.is_zero():
             for d in entry.support():
-                tb = single.tilde_basis(ybottom, (J, (0,)), d)
-                rrefk, pivk = single.kernel_space(ybottom, (J, (0,)), d)
-                reps = [tb[i] for i in range(len(tb)) if i not in pivk]
-                rref2, piv2 = single.kernel_space(ybottom, (J, (0,)), d + deg_y)
+                _, pivk = single.kernel_space(ybottom, (J, (0,)), d)
+                reps = [k for i, k in enumerate(single.tilde_basis(ybottom, (J, (0,)), d)) if i not in pivk]
+                _, piv2 = single.kernel_space(ybottom, (J, (0,)), d + deg_y)
                 img = IncrementalRREF(single.field)
                 for rkey in reps:
                     el = _dot_multiply(single, dots_vec, rkey)
                     if el.is_zero():
                         continue
                     vec = single.element_coords(el, ybottom, (J, (0,)), d + deg_y)
-                    img.add(reduce_against(vec, rref2, piv2))
+                    img.add(reduce_against(vec, piv2))
                 if img.rank:
                     coeffs[d + deg_y] = coeffs.get(d + deg_y, 0) + img.rank
         image_dims = LaurentPoly(coeffs)
@@ -607,45 +611,40 @@ def frobenius_certificate(block: QuotientBlock) -> dict:
             for j in range(n):
                 pij = block._mult.get((i, j), {})
                 pji = block._mult.get((j, i), {})
-                row = [field.zero()] * len(support)
-                nontrivial = False
+                row = {}
                 for col, bi in enumerate(support):
                     v = pij.get(bi, field.zero()) - pji.get(bi, field.zero())
                     if v:
                         row[col] = v
-                        nontrivial = True
-                if nontrivial:
+                if row:
                     cons.append(row)
-        tspace = nullspace(cons, field) if cons else [
-            [field.one() if k == col else field.zero() for k in range(len(support))]
-            for col in range(len(support))
-        ]
+        tspace = nullspace(cons, len(support), field)
         if not tspace:
             continue
         # Deterministic search through the T-space for a nondegenerate Gram.
         candidates = list(tspace)
         for a in range(len(tspace)):
             for b in range(a + 1, len(tspace)):
-                candidates.append([x + y for x, y in zip(tspace[a], tspace[b])])
+                candidates.append(add_multiple(dict(tspace[a]), field.one(), tspace[b]))
         for mult in (1, 2, 3):
-            combo = [field.zero()] * len(support)
+            combo = {}
             for k, v in enumerate(tspace):
-                combo = [x + field.from_int((mult**k) % 1009) * y for x, y in zip(combo, v)]
+                add_multiple(combo, field.from_int((mult**k) % 1009), v)
             candidates.append(combo)
         for tvec in candidates:
-            t = {bi: tvec[col] for col, bi in enumerate(support) if tvec[col]}
+            t = {bi: tvec[col] for col, bi in enumerate(support) if col in tvec}
             if not t:
                 continue
             gram = []
             for i in range(n):
-                row = []
+                row = {}
                 for j in range(n):
-                    prod = block._mult.get((i, j), {})
                     acc = field.zero()
-                    for k, c in prod.items():
+                    for k, c in block._mult.get((i, j), {}).items():
                         if k in t:
                             acc = acc + c * t[k]
-                    row.append(acc)
+                    if acc:
+                        row[j] = acc
                 gram.append(row)
             if rank(gram, field) == n:
                 return {

@@ -14,7 +14,8 @@ that moves a permutation past a monomial; ``reduce`` then applies the
 cyclotomic relation.  Right multiplication by a permutation never moves
 past a monomial, so reduce(x^e w) = reduce(x^e)·w, and the normal form
 of each monomial x^e is memoized.  Elements handed out (``one``,
-``gen_x``, ``gen_s``, ``add``, ``scale``, ``multiply``, ``to_vector``)
+``gen_x``, ``gen_s``, ``add``, ``scale``, ``multiply``) and their
+coordinates (``to_vector``, dense; ``coords``, a sparse ``linalg`` row)
 are exact over Q, and ``multiply`` is the one field boundary: it clears
 the denominators of each factor, sums over ℤ against the table, and
 divides once per output key.
@@ -245,6 +246,10 @@ class HeckeAlgebra:
             v[self.index[k]] = c
         return v
 
+    def coords(self, a: dict) -> dict[int, Fraction]:
+        """``a`` as a sparse row over the basis."""
+        return {self.index[k]: Fraction(c) for k, c in a.items() if c}
+
     def dim(self) -> int:
         return len(self.basis)
 
@@ -254,7 +259,7 @@ class HeckeAlgebra:
         rows = []
         for b1 in self.basis:
             for b2 in self.basis:
-                rows.append([Fraction(c) for c in self.to_vector(self._mul_basis(b1, b2))])
+                rows.append(self.coords(self._mul_basis(b1, b2)))
         return rank(rows, QQ)
 
 
@@ -313,7 +318,7 @@ def x_spectra(H: HeckeAlgebra) -> list[list[tuple[Fraction, int]]]:
     out = []
     for k in range(H.d):
         x = H.gen_x(k)
-        mp = min_poly(H.one(), lambda p: H.multiply(p, x), H.to_vector)
+        mp = min_poly(H.one(), lambda p: H.multiply(p, x), H.coords)
         roots = rational_roots(mp)
         if roots is None or any(r.denominator != 1 for r, _m in roots):
             raise RuntimeError("non-integer eigenvalue in cyclotomic dAHA spectrum")
@@ -370,7 +375,7 @@ def block_dimension(H: HeckeAlgebra, eI: dict, eJ: dict) -> int:
     rows = []
     for bk in H.basis:
         el = H.multiply(H.multiply(eI, {bk: Fraction(1)}), eJ)
-        rows.append(H.to_vector(el))
+        rows.append(H.coords(el))
     return rank(rows, QQ)
 
 

@@ -1,19 +1,21 @@
-"""Exact dense linear algebra over a field, the minimal polynomial and
+"""Exact sparse linear algebra over a field, the minimal polynomial and
 rational roots that split idempotents, plus fraction-free rank over
 Z[q,q^-1].
 
-Everything here works on lists of lists of field elements (Fraction or
-GFElement): the rows are coordinates that the integer straightening
-engine produced and ``BlockComputer.element_coords`` mapped into the
-field.  Matrices at desk scale are small, so plain Gauss–Jordan
-elimination with exact arithmetic is the right tool.  It lives in one
-place, ``IncrementalRREF.add``: a new row is reduced by
-``reduce_against`` and then eliminated from the rows already held, so
-the space stays in reduced row echelon form after every row and callers
-can stop as soon as the rank saturates.  ``row_reduce`` feeds a whole
-matrix through it, and ``rank``, ``nullspace`` and ``solve`` read the
-(unique) reduced form.  The Laurent-entry rank uses Bareiss elimination,
-whose intermediate divisions are exact.
+A row is sparse: a ``{column: value}`` dict over the field (Fraction or
+GFElement) that stores no zero value, so the empty dict is the zero row.
+The rows are coordinates that the integer straightening engine produced
+and ``BlockComputer.element_coords`` mapped into the field, and they are
+almost empty (a few percent of their columns are nonzero), so the
+elimination only ever touches stored entries.  Gauss–Jordan elimination
+lives in one place, ``IncrementalRREF.add``: a new row is reduced by
+``reduce_against`` and then eliminated from the held rows that have an
+entry in its pivot column, so the space stays in reduced row echelon
+form after every row and callers can stop as soon as the rank
+saturates.  ``row_reduce`` feeds a whole matrix through it, and
+``rank``, ``nullspace`` and ``solve`` read the (unique) reduced form.
+The Laurent-entry rank uses Bareiss elimination, whose intermediate
+divisions are exact.
 
 ``min_poly`` finds the first linear dependency of a Krylov sequence
 start, start·x, start·x², ... over Q, and ``rational_roots`` splits the
@@ -42,32 +44,47 @@ def row_reduce(rows, field):
 
 class IncrementalRREF:
     """Reduced row echelon form of a row space built one row at a time, so
-    that callers can stop once the rank saturates; rows stay sorted by
-    pivot column."""
+    that callers can stop once the rank saturates.
+
+    ``rows`` are sorted by pivot column, ``pivots`` lists those columns and
+    ``pivot_rows`` maps each pivot column to its row.  A held row is never
+    modified in place (elimination replaces it), so copies of the state
+    may share rows.
+    """
 
     def __init__(self, field):
         self.field = field
-        self.rows: list[list] = []
+        self.rows: list[dict] = []
         self.pivots: list[int] = []
+        self.pivot_rows: dict[int, dict] = {}
+
+    def copy(self) -> IncrementalRREF:
+        out = IncrementalRREF(self.field)
+        out.rows = list(self.rows)
+        out.pivots = list(self.pivots)
+        out.pivot_rows = dict(self.pivot_rows)
+        return out
 
     def add(self, row) -> bool:
         """Reduce ``row`` against the space; absorb it if independent.
 
         Returns True when the rank grew.
         """
-        v = reduce_against(row, self.rows, self.pivots)
-        pc = next((c for c, x in enumerate(v) if x), None)
-        if pc is None:
+        v = reduce_against(row, self.pivot_rows)
+        if not v:
             return False
+        pc = min(v)
         inv = self.field.one() / v[pc]
-        v = [x * inv for x in v]
+        v = {k: x * inv for k, x in v.items()}
+        # Only the held rows with an entry in the new pivot column change.
+        new = {pc: v}
         for i, r in enumerate(self.rows):
-            if r[pc]:
-                f = r[pc]
-                self.rows[i] = [a - f * b for a, b in zip(r, v)]
+            if pc in r:
+                self.rows[i] = self.pivot_rows[self.pivots[i]] = reduce_against(r, new)
         at = bisect(self.pivots, pc)
         self.rows.insert(at, v)
         self.pivots.insert(at, pc)
+        self.pivot_rows[pc] = v
         return True
 
     @property
@@ -79,66 +96,105 @@ def rank(rows, field) -> int:
     return len(row_reduce(rows, field)[1])
 
 
-def reduce_against(vec, rref_rows, pivots):
-    """Remainder of ``vec`` after elimination by a reduced row space."""
-    v = list(vec)
-    for row, c in zip(rref_rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
+def reduce_against(vec, pivot_rows):
+    """Remainder of the sparse row ``vec`` after elimination by a reduced
+    row space, given as its pivot → row map; ``vec`` is not modified.
+
+    A reduced row is zero on every pivot column but its own, so
+    eliminating one pivot column of ``vec`` adds no entry on another: one
+    pass over the pivot columns that ``vec`` holds, in any order, is exact.
+    """
+    v = dict(vec)
+    for c in [c for c in vec if c in pivot_rows]:
+        # add_multiple(v, -v[c], row), inlined and skipping column c: this
+        # is the hot loop of every elimination.
+        f = -v.pop(c)
+        for k, x in pivot_rows[c].items():
+            if k == c:
+                continue
+            y = v.get(k)
+            if y is None:
+                v[k] = f * x
+            else:
+                y = y + f * x
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
     return v
 
 
-def nullspace(rows, field):
-    """Basis of the right kernel of the matrix (list of column vectors)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def add_multiple(v: dict, f, row: dict) -> dict:
+    """v += f·row for sparse rows, in place, dropping entries that cancel;
+    returns v."""
+    if f:
+        for k, x in row.items():
+            y = v.get(k)
+            if y is None:
+                v[k] = f * x
+            else:
+                y = y + f * x
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+    return v
+
+
+def transpose(rows) -> dict[int, dict]:
+    """The nonzero columns of a list of sparse rows, as sparse rows indexed
+    by row position, keyed by column."""
+    cols: dict[int, dict] = {}
+    for j, r in enumerate(rows):
+        for c, x in r.items():
+            cols.setdefault(c, {})[j] = x
+    return cols
+
+
+def nullspace(rows, ncols: int, field):
+    """Basis of the right kernel of a matrix with ``ncols`` columns, one
+    sparse vector per free column, in column order."""
     rref, pivots = row_reduce(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: field.one()}
         for row, pc in zip(rref, pivots):
-            v[pc] = -row[fc]
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
 def solve(rows, rhs, field):
-    """Coefficients x with sum_j x_j rows[j] = rhs, or None when rhs is
-    outside the row span.
+    """Coefficients x, as a sparse row indexed by the rows, with
+    sum_j x_j rows[j] = rhs; None when rhs is outside the row span.
+
+    Reads the reduced form of the augmented transpose [rows^T | rhs]:
+    rhs is in the span exactly when no pivot falls in its column, and the
+    free coefficients are 0.
     """
-    if not rows:
-        return None if any(rhs) else []
     n = len(rows)
-    ncols = len(rows[0])
-    aug = [[rows[j][c] for j in range(n)] + [rhs[c]] for c in range(ncols)]
-    rref, pivots = row_reduce(aug, field)
-    x = [field.zero()] * n
-    for row, pc in zip(rref, pivots):
-        if pc == n:
-            return None
-        x[pc] = row[n]
-    # Verify (cheap, and guards against ill-posed input shapes).
-    for c in range(ncols):
-        acc = field.zero()
-        for j in range(n):
-            acc = acc + x[j] * rows[j][c]
-        if acc != rhs[c]:
-            return None
-    return x
+    aug = transpose(rows)
+    for c, x in rhs.items():
+        aug.setdefault(c, {})[n] = x
+    rref, pivots = row_reduce(aug.values(), field)
+    if pivots and pivots[-1] == n:
+        return None
+    return {pc: row[n] for row, pc in zip(rref, pivots) if n in row}
 
 
-def min_poly(start, times_x, coords=list) -> list[Fraction]:
+def min_poly(start, times_x, coords=dict) -> list[Fraction]:
     """Monic minimal polynomial (coefficients low to high, over Q) of x
     acting on the cyclic space of ``start``.
 
     ``times_x`` maps p to p·x and ``coords`` maps an element to its
-    coordinate list.  Each power start·x^k is solved against the earlier
-    ones; the first dependency is the polynomial.  It appears by degree
-    ``len(coords(start))`` because the stored powers stay independent.
+    sparse coordinate row.  Each power start·x^k is solved against the
+    earlier ones; the first dependency is the polynomial.  It appears by
+    the dimension of the space, because the stored powers stay
+    independent.
     """
     vecs = [coords(start)]
     cur = start
@@ -147,7 +203,7 @@ def min_poly(start, times_x, coords=list) -> list[Fraction]:
         vec = coords(cur)
         sol = solve(vecs, vec, QQ)
         if sol is not None:
-            return [-c for c in sol] + [Fraction(1)]
+            return [-sol.get(k, Fraction(0)) for k in range(len(vecs))] + [Fraction(1)]
         vecs.append(vec)
 
 
@@ -178,7 +234,9 @@ def rational_roots(coeffs) -> list[tuple[Fraction, int]] | None:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Positive divisors of n >= 1, ascending, by trial division up to √n."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _divide_linear(coeffs, r):

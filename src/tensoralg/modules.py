@@ -2,6 +2,9 @@
 radical, simple modules with graded characters, induction/restriction
 along the add-a-strand map, and the crystal operators.
 
+Vectors and matrix rows are sparse ``{index: Fraction}`` dicts, the row
+type of ``linalg``.
+
 The base field must have characteristic 0 here: the radical is computed
 by the Dickson criterion (radical of the trace form of the regular
 representation), which fails in positive characteristic.
@@ -14,8 +17,21 @@ from fractions import Fraction
 from .cyclotomic import BlockComputer, IntegrityError, QuotientBlock
 from .diagrams import Element, idem_key
 from .laurent import LaurentPoly
-from .linalg import min_poly, nullspace, rank, rational_roots, reduce_against, row_reduce, solve
+from .linalg import (
+    add_multiple,
+    min_poly,
+    nullspace,
+    rank,
+    rational_roots,
+    reduce_against,
+    row_reduce,
+    solve,
+    transpose,
+)
 from .scalars import QQ
+
+ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 class UnsupportedCharacteristicError(RuntimeError):
@@ -32,24 +48,13 @@ def _require_char0(block: QuotientBlock):
 Vec = dict[int, Fraction]
 
 
-def _vec_to_list(v: Vec, n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for k, c in v.items():
-        out[k] = c
-    return out
-
-
-def _list_to_vec(row) -> Vec:
-    return {k: c for k, c in enumerate(row) if c}
-
-
 class FinDimModule:
     """A right module over a quotient block, by action matrices.
 
-    ``action(i)`` returns the dim x dim matrix (list of row lists) of the
-    right action of the i-th block basis element; rows are module basis
-    vectors.  ``act(i)`` builds that matrix once; it is cached here.
-    Degrees, when known, grade the module basis.
+    ``action(i)`` returns the dim x dim matrix of the right action of the
+    i-th block basis element, as a list of sparse rows: row r is the
+    image of the r-th module basis vector.  ``act(i)`` builds that matrix
+    once; it is cached here.  Degrees, when known, grade the module basis.
     """
 
     def __init__(self, block: QuotientBlock, dim: int, act, degrees=None):
@@ -65,17 +70,13 @@ class FinDimModule:
             mat = self._mats[i] = self._act(i)
         return mat
 
-    def act_vec(self, v: list[Fraction], x: Vec) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim
+    def act_vec(self, v: Vec, x: Vec) -> Vec:
+        """v·x for a module vector v and a block element x."""
+        out: Vec = {}
         for bi, c in x.items():
             mat = self.action(bi)
-            for r in range(self.dim):
-                if v[r]:
-                    vr = v[r] * c
-                    row = mat[r]
-                    for cidx in range(self.dim):
-                        if row[cidx]:
-                            out[cidx] += vr * row[cidx]
+            for r, vr in v.items():
+                add_multiple(out, vr * c, mat[r])
         return out
 
     def graded_char(self) -> LaurentPoly | None:
@@ -88,26 +89,22 @@ class FinDimModule:
         out = {}
         for idem in self.block.idems:
             ev = self.block.idem_vector(idem)
-            rows = [self.act_vec(_unit(self.dim, r), ev) for r in range(self.dim)]
+            rows = [self.act_vec({r: ONE}, ev) for r in range(self.dim)]
             out[idem] = rank(rows, QQ)
         return out
 
 
-def _unit(n: int, r: int) -> list[Fraction]:
-    v = [Fraction(0)] * n
-    v[r] = Fraction(1)
-    return v
-
-
 def _quotient(rows, n: int):
     """Representative columns of K^n / span(rows), and the projection of
-    a vector onto them."""
+    a vector onto them: its remainder modulo the span, indexed by
+    position among the representative columns."""
     rref, pivots = row_reduce(rows, QQ)
-    rep_cols = [c for c in range(n) if c not in pivots]
+    pivot_rows = dict(zip(pivots, rref))
+    rep_cols = [c for c in range(n) if c not in pivot_rows]
+    position = {c: i for i, c in enumerate(rep_cols)}
 
-    def project(v: list[Fraction]) -> list[Fraction]:
-        red = reduce_against(v, rref, pivots)
-        return [red[c] for c in rep_cols]
+    def project(v: Vec) -> Vec:
+        return {position[c]: x for c, x in reduce_against(v, pivot_rows).items()}
 
     return rep_cols, project
 
@@ -116,7 +113,7 @@ def regular_module(block: QuotientBlock) -> FinDimModule:
     n = block.dim
 
     def act(i: int):
-        return [_vec_to_list(block._mult.get((r, i), {}), n) for r in range(n)]
+        return [block._mult.get((r, i), {}) for r in range(n)]
 
     return FinDimModule(block, n, act, degrees=block.degrees())
 
@@ -160,7 +157,8 @@ def radical(block: QuotientBlock) -> list[Vec]:
     """
     _require_char0(block)
     if block.radical is None:
-        block.radical = [_list_to_vec(v) for v in nullspace(trace_form(block), QQ)]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in trace_form(block)]
+        block.radical = nullspace(rows, block.dim, QQ)
     return block.radical
 
 
@@ -170,33 +168,23 @@ class SemisimpleQuotient:
     def __init__(self, block: QuotientBlock):
         _require_char0(block)
         self.block = block
-        n = block.dim
-        self.rep_cols, self._project = _quotient([_vec_to_list(v, n) for v in radical(block)], n)
+        self.rep_cols, self.project = _quotient(radical(block), block.dim)
         self.dim = len(self.rep_cols)
 
-    def project(self, x: Vec) -> list[Fraction]:
-        return self._project(_vec_to_list(x, self.block.dim))
+    def lift(self, v: Vec) -> Vec:
+        return {self.rep_cols[i]: c for i, c in v.items()}
 
-    def lift(self, v: list[Fraction]) -> Vec:
-        out: Vec = {}
-        for i, c in enumerate(v):
-            if c:
-                out[self.rep_cols[i]] = c
-        return out
+    def multiply(self, u: Vec, v: Vec) -> Vec:
+        return self.project(self.block.multiply_vectors(self.lift(u), self.lift(v)))
 
-    def multiply(self, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        x = self.lift(u)
-        y = self.lift(v)
-        return self.project(self.block.multiply_vectors(x, y))
-
-    def one(self) -> list[Fraction]:
+    def one(self) -> Vec:
         return self.project(self.block.identity_vector())
 
     def degree_of_col(self, c: int) -> int:
         return self.block.basis_degree(c)
 
-    def is_homogeneous(self, v: list[Fraction]) -> int | None:
-        degs = {self.degree_of_col(self.rep_cols[i]) for i, c in enumerate(v) if c}
+    def is_homogeneous(self, v: Vec) -> int | None:
+        degs = {self.degree_of_col(self.rep_cols[i]) for i in v}
         if not degs:
             return None
         if len(degs) > 1:
@@ -204,25 +192,21 @@ class SemisimpleQuotient:
         return degs.pop()
 
 
-def central_primitive_idempotents(S: SemisimpleQuotient) -> list[list[Fraction]]:
+def central_primitive_idempotents(S: SemisimpleQuotient) -> list[Vec]:
     """Split the (degree-0) center of the semisimple quotient into its
     primitive idempotents by repeated spectral projection."""
     n = S.dim
-    basis_imgs = [_unit(n, i) for i in range(n)]
     cons = []
-    for b in basis_imgs:
+    for b in range(n):
+        # z is central iff Σ_i z_i (u_i·u_b − u_b·u_i) = 0 for every b
         comms = [
-            [x - y for x, y in zip(S.multiply(_unit(n, i), b), S.multiply(b, _unit(n, i)))]
+            add_multiple(S.multiply({i: ONE}, {b: ONE}), MINUS_ONE, S.multiply({b: ONE}, {i: ONE}))
             for i in range(n)
         ]
-        for c in range(n):
-            row = [comms[i][c] for i in range(n)]
-            if any(row):
-                cons.append(row)
-    center = nullspace(cons, QQ) if cons else basis_imgs
+        cons.extend(transpose(comms).values())
+    center = nullspace(cons, n, QQ)
     idems = [S.one()]
     for z in center:
-        z = list(z)
         nxt = []
         for e in idems:
             ze = S.multiply(z, e)
@@ -232,7 +216,7 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[list[Fraction]]
                 continue
             for r, _m in roots:
                 proj = _crt_projector(S, ze, e, roots, r)
-                if any(proj):
+                if proj:
                     nxt.append(proj)
         idems = nxt
     return idems
@@ -241,7 +225,7 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[list[Fraction]]
 def _corner_spectrum(S, x, e):
     """Roots, with multiplicity, of the minimal polynomial of x acting on
     the corner eAe (unit e)."""
-    roots = rational_roots(min_poly(list(e), lambda p: S.multiply(p, x)))
+    roots = rational_roots(min_poly(e, lambda p: S.multiply(p, x)))
     if roots is None:
         raise IntegrityError("minimal polynomial does not split over Q")
     return roots
@@ -251,18 +235,18 @@ def _crt_projector(S, x, e, roots, target):
     """Polynomial p with p(x)=e-unit on the target generalized eigenspace,
     0 on the others (Lagrange with multiplicities; semisimple => m=1, but
     multiplicities are handled for safety)."""
-    num = list(e)
+    num = e
     denom = Fraction(1)
     for r, m in roots:
         if r == target:
             continue
         for _ in range(m):
-            num = S.multiply(num, [a - r * b for a, b in zip(x, e)])
+            num = S.multiply(num, add_multiple(dict(x), -r, e))
             denom *= target - r
-    return [a / denom for a in num]
+    return {k: a / denom for k, a in num.items()}
 
 
-def _split_primitive(S: SemisimpleQuotient, e: list[Fraction]) -> list[Fraction]:
+def _split_primitive(S: SemisimpleQuotient, e: Vec) -> Vec:
     """A primitive idempotent under a central idempotent e, found by
     splitting degree-0 corner elements."""
     cur = e
@@ -291,11 +275,8 @@ def _split_primitive(S: SemisimpleQuotient, e: list[Fraction]) -> list[Fraction]
         cur = _crt_projector(S, v, cur, roots, r)
 
 
-def _corner_basis(S: SemisimpleQuotient, e: list[Fraction]) -> list[list[Fraction]]:
-    rows = []
-    for i in range(S.dim):
-        x = S.multiply(S.multiply(e, _unit(S.dim, i)), e)
-        rows.append(x)
+def _corner_basis(S: SemisimpleQuotient, e: Vec) -> list[Vec]:
+    rows = [S.multiply(S.multiply(e, {i: ONE}), e) for i in range(S.dim)]
     return row_reduce(rows, QQ)[0]
 
 
@@ -315,10 +296,10 @@ def simples(block: QuotientBlock) -> list[SimpleModule]:
     for ci, c in enumerate(central_primitive_idempotents(S)):
         f = _split_primitive(S, c)
         # L = f S as a right block-module
-        basis = row_reduce([S.multiply(f, _unit(S.dim, i)) for i in range(S.dim)], QQ)[0]
+        basis = row_reduce([S.multiply(f, {i: ONE}) for i in range(S.dim)], QQ)[0]
         degrees = []
         for v in basis:
-            degs = {S.degree_of_col(S.rep_cols[i]) for i, x in enumerate(v) if x}
+            degs = {S.degree_of_col(S.rep_cols[i]) for i in v}
             if len(degs) != 1:
                 # re-split the row space into homogeneous vectors
                 degrees = None
@@ -328,7 +309,7 @@ def simples(block: QuotientBlock) -> list[SimpleModule]:
             basis, degrees = _homogeneous_basis(S, basis)
 
         def act(i: int, basis=basis):
-            bi = S.project({i: Fraction(1)})
+            bi = S.project({i: ONE})
             mat = [solve(basis, S.multiply(v, bi), QQ) for v in basis]
             if None in mat:
                 raise IntegrityError("simple module is not stable")
@@ -341,11 +322,9 @@ def simples(block: QuotientBlock) -> list[SimpleModule]:
 def _homogeneous_basis(S, basis):
     by_deg: dict[int, list] = {}
     for v in basis:
-        parts: dict[int, list[Fraction]] = {}
-        for i, x in enumerate(v):
-            if x:
-                d = S.degree_of_col(S.rep_cols[i])
-                parts.setdefault(d, [Fraction(0)] * S.dim)[i] = x
+        parts: dict[int, Vec] = {}
+        for i, x in v.items():
+            parts.setdefault(S.degree_of_col(S.rep_cols[i]), {})[i] = x
         for d, p in parts.items():
             by_deg.setdefault(d, []).append(p)
     out = []
@@ -400,34 +379,25 @@ def induce(
     nu = nu_map(src, dst, i, block_src, block_dst)
     nu_cache = {a: nu(a) for a in range(block_src.dim)}
     dm, dn = M.dim, block_dst.dim
-    N = dm * dn
     rel_rows = []
     for a in range(block_src.dim):
         amat = M.action(a)
-        na = nu_cache[a]
+        nab = [block_dst.multiply_vectors(nu_cache[a], {b: ONE}) for b in range(dn)]
         for r in range(dm):
             for b in range(dn):
-                row = [Fraction(0)] * N
-                # (m_r · a) ⊗ b
-                for c in range(dm):
-                    if amat[r][c]:
-                        row[c * dn + b] += amat[r][c]
-                # − m_r ⊗ ν(a)·b
-                prod = block_dst.multiply_vectors(na, {b: Fraction(1)})
-                for k, v in prod.items():
-                    row[r * dn + k] -= v
-                if any(row):
+                # (m_r · a) ⊗ b − m_r ⊗ ν(a)·b, with m_c ⊗ b_k at column c·dn + k
+                row = {c * dn + b: x for c, x in amat[r].items()}
+                add_multiple(row, MINUS_ONE, {r * dn + k: v for k, v in nab[b].items()})
+                if row:
                     rel_rows.append(row)
-    rep_cols, project = _quotient(rel_rows, N)
+    rep_cols, project = _quotient(rel_rows, dm * dn)
 
     def act(j: int):
         mat = []
         for c in rep_cols:
             r, b = divmod(c, dn)
-            full = [Fraction(0)] * N
-            for k, v in block_dst.multiply_vectors({b: Fraction(1)}, {j: Fraction(1)}).items():
-                full[r * dn + k] = v
-            mat.append(project(full))
+            prod = block_dst.multiply_vectors({b: ONE}, {j: ONE})
+            mat.append(project({r * dn + k: v for k, v in prod.items()}))
         return mat
 
     return FinDimModule(block_dst, len(rep_cols), act, degrees=None)
@@ -444,7 +414,7 @@ def restrict(N: FinDimModule, i: int, src: BlockComputer, dst: BlockComputer, bl
 
     def act(j: int):
         img = nu(j)
-        return [N.act_vec(_unit(N.dim, r), img) for r in range(N.dim)]
+        return [N.act_vec({r: ONE}, img) for r in range(N.dim)]
 
     return FinDimModule(block_src, N.dim, act, degrees=N.degrees)
 
@@ -458,18 +428,13 @@ def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
     rows = []
     for i in range(A.dim):
         ma = M.action(i)
-        la = L.action(i)
-        # φ: nm x nl unknowns; constraint φ(m·a) = φ(m)·a
+        la_cols = transpose(L.action(i))
+        # φ: nm x nl unknowns, φ_{r,c} at column r·nl + c; constraint φ(m·a) = φ(m)·a
         for r in range(nm):
             for c in range(nl):
-                row = [Fraction(0)] * (nm * nl)
-                for k in range(nm):
-                    if ma[r][k]:
-                        row[k * nl + c] += ma[r][k]
-                for k in range(nl):
-                    if la[k][c]:
-                        row[r * nl + k] -= la[k][c]
-                if any(row):
+                row = {k * nl + c: x for k, x in ma[r].items()}
+                add_multiple(row, MINUS_ONE, {r * nl + k: x for k, x in la_cols.get(c, {}).items()})
+                if row:
                     rows.append(row)
     return nm * nl - len(row_reduce(rows, QQ)[1])
 
@@ -480,10 +445,10 @@ def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
 def cosocle(M: FinDimModule) -> FinDimModule:
     """M / M·rad(A) as a module."""
     rad = radical(M.block)
-    rep, project = _quotient([M.act_vec(_unit(M.dim, r), x) for r in range(M.dim) for x in rad], M.dim)
+    rep, project = _quotient([M.act_vec({r: ONE}, x) for r in range(M.dim) for x in rad], M.dim)
 
     def act(i: int):
-        return [project(M.act_vec(_unit(M.dim, c), {i: Fraction(1)})) for c in rep]
+        return [project(M.act_vec({c: ONE}, {i: ONE})) for c in rep]
 
     return FinDimModule(M.block, len(rep), act, degrees=None)
 
@@ -494,16 +459,11 @@ def socle(M: FinDimModule) -> FinDimModule:
     cons = []
     for x in rad:
         # act_vec is linear in the vector: m ↦ Σ_r m_r (e_r · x)
-        mats = [M.act_vec(_unit(M.dim, r), x) for r in range(M.dim)]
-        for c in range(M.dim):
-            row = [mats[r][c] for r in range(M.dim)]
-            if any(row):
-                cons.append(row)
-    basis = nullspace(cons, QQ) if cons else [_unit(M.dim, r) for r in range(M.dim)]
-    basis = row_reduce(basis, QQ)[0]
+        cons.extend(transpose([M.act_vec({r: ONE}, x) for r in range(M.dim)]).values())
+    basis = row_reduce(nullspace(cons, M.dim, QQ), QQ)[0]
 
     def act(i: int):
-        mat = [solve(basis, M.act_vec(v, {i: Fraction(1)}), QQ) for v in basis]
+        mat = [solve(basis, M.act_vec(v, {i: ONE}), QQ) for v in basis]
         if None in mat:
             raise IntegrityError("socle is not a submodule")
         return mat
@@ -520,12 +480,12 @@ def decompose_semisimple(M: FinDimModule, simples_list) -> dict[int, int]:
     # solve nonneg integer combination; characters are linearly independent
     tags = sorted(chars)
     idems = sorted(target, key=str)
-    rows = [[Fraction(chars[t][e]) for e in idems] for t in tags]
-    rhs = [Fraction(target[e]) for e in idems]
+    rows = [{k: Fraction(chars[t][e]) for k, e in enumerate(idems) if chars[t][e]} for t in tags]
+    rhs = {k: Fraction(target[e]) for k, e in enumerate(idems) if target[e]}
     sol = solve(rows, rhs, QQ)
-    if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
+    if sol is None or any(c.denominator != 1 or c < 0 for c in sol.values()):
         raise IntegrityError("module is not an integral combination of simples")
-    return {t: int(c) for t, c in zip(tags, sol) if c}
+    return {tags[j]: int(c) for j, c in sol.items()}
 
 
 def identify_simple(M: FinDimModule, simples_list):

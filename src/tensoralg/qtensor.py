@@ -479,12 +479,12 @@ def _root_coords(datum: CartanDatum, wt: Weight) -> tuple[int, ...] | None:
     from .scalars import QQ
 
     n = datum.rank
-    rows = [[Fraction(datum.cartan[i][j]) for j in range(n)] for i in range(n)]
-    rhs = [Fraction(c) for c in wt.coords]
-    x = solve(rows, rhs, QQ) if n else []
-    if x is None or any(v.denominator != 1 for v in x):
+    rows = [{j: Fraction(a) for j, a in enumerate(datum.cartan[i]) if a} for i in range(n)]
+    rhs = {j: Fraction(c) for j, c in enumerate(wt.coords) if c}
+    x = solve(rows, rhs, QQ)
+    if x is None or any(v.denominator != 1 for v in x.values()):
         return None
-    return tuple(int(v) for v in x)
+    return tuple(int(x.get(i, 0)) for i in range(n))
 
 
 class GradedHomTable:

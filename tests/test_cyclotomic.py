@@ -110,6 +110,36 @@ def test_standard_maximal_kappa_equals_projective(sl2_11):
         assert comp.standard_dims(b, col) == comp.graded_hom(b, col)
 
 
+def test_standard_space_starts_from_the_kernel_state(sl2_11):
+    """standard_space copies the cached kernel state and adds the x_φ
+    products: the result equals re-adding every kernel row to an empty
+    space first, and the cached kernel is left as it was."""
+    d, comp = sl2_11
+    checked = grown = 0
+    for n in (1, 2):
+        keys = comp.idems(d.root((n,)))
+        for key in keys:
+            for col in keys:
+                bottom, top = idem_key(*key), idem_key(*col)
+                dmin = comp.min_degree(bottom, top)
+                if dmin is None:
+                    continue
+                for deg in range(dmin, dmin + 5):
+                    k_rows, k_pivots = comp.kernel_space(bottom, top, deg)
+                    kernel = (list(k_rows), dict(k_pivots))
+                    got = comp.standard_space(key, col, deg)
+                    ref = IncrementalRREF(comp.field)
+                    for r in k_rows:
+                        ref.add(r)
+                    lefts = ((el, mid, deg - degx) for el, mid, degx in comp.x_phi_elements(key))
+                    comp.saturate(ref, bottom, top, deg, lefts)
+                    assert got == (ref.rows, ref.pivots)
+                    assert comp.kernel_space(bottom, top, deg) == kernel
+                    checked += 1
+                    grown += len(got[1]) > len(k_pivots)
+    assert checked >= 20 and grown >= 1
+
+
 def test_standard_filtration_certificates(sl2_11):
     d, comp = sl2_11
     for n in (1, 2):

@@ -23,31 +23,45 @@ def F(x):
     return Fraction(x)
 
 
+def sparse(row):
+    """A dense row as a sparse {column: value} row."""
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def dense(row, ncols, field=QQ):
+    out = [field.zero()] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
 def test_row_reduce_and_rank():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
+    rows = [sparse(r) for r in [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]]
     rref, piv = row_reduce(rows, QQ)
     assert piv == [0, 1]
     assert rank(rows, QQ) == 2
-    assert not any(reduce_against([F(1), F(3), F(4)], rref, piv))
-    assert any(reduce_against([F(0), F(0), F(1)], rref, piv))
+    assert not reduce_against(sparse([F(1), F(3), F(4)]), dict(zip(piv, rref)))
+    assert reduce_against(sparse([F(0), F(0), F(1)]), dict(zip(piv, rref)))
 
 
 def test_nullspace_and_solve():
-    rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    null = nullspace(rows, QQ)
+    rows = [sparse(r) for r in [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]]
+    null = nullspace(rows, 3, QQ)
     assert len(null) == 1
-    v = null[0]
+    v = dense(null[0], 3)
     for r in rows:
-        assert sum(a * b for a, b in zip(r, v)) == 0
-    sol = solve(rows, [F(1), F(2), F(1)], QQ)
+        assert sum(a * b for a, b in zip(dense(r, 3), v)) == 0
+    sol = solve(rows, sparse([F(1), F(2), F(1)]), QQ)
     assert sol is not None
-    assert [sol[0] * rows[0][c] + sol[1] * rows[1][c] for c in range(3)] == [F(1), F(2), F(1)]
-    assert solve(rows, [F(0), F(0), F(1)], QQ) is None
+    sol = dense(sol, 2)
+    dense_rows = [dense(r, 3) for r in rows]
+    assert [sol[0] * dense_rows[0][c] + sol[1] * dense_rows[1][c] for c in range(3)] == [F(1), F(2), F(1)]
+    assert solve(rows, sparse([F(0), F(0), F(1)]), QQ) is None
 
 
 def test_prime_field_reduction():
     gf = PrimeField(5)
-    rows = [[gf.from_int(2), gf.from_int(1)], [gf.from_int(4), gf.from_int(2)]]
+    rows = [sparse(r) for r in [[gf.from_int(2), gf.from_int(1)], [gf.from_int(4), gf.from_int(2)]]]
     assert rank(rows, gf) == 1
 
 
@@ -101,21 +115,25 @@ def int_matrices(draw, max_rows=7):
 def test_elimination_matches_reference_gauss_jordan(ints, field, rhs_ints):
     rows = [[field.from_int(x) for x in r] for r in ints]
     want = _reference_rref(rows, field)
-    assert row_reduce(rows, field) == want
-    assert rank(rows, field) == len(want[1])
+    ncols = len(rows[0]) if rows else 0
+    sparse_rows = [sparse(r) for r in rows]
+    rref, pivots = row_reduce(sparse_rows, field)
+    assert ([dense(r, ncols, field) for r in rref], pivots) == want
+    assert rank(sparse_rows, field) == len(want[1])
     if not rows:
         return
-    ncols = len(rows[0])
-    assert nullspace(rows, field) == _reference_nullspace(rows, field)
+    got_null = [dense(v, ncols, field) for v in nullspace(sparse_rows, ncols, field)]
+    assert got_null == _reference_nullspace(rows, field)
     # solve reads the RREF of the augmented transpose [rows^T | rhs]
     for rhs in ([field.from_int(x) for x in rhs_ints[:ncols]], [sum(col) for col in zip(*rows)]):
         aug = [[rows[j][c] for j in range(len(rows))] + [rhs[c]] for c in range(ncols)]
         rref, pivots = _reference_rref(aug, field)
-        x = solve(rows, rhs, field)
+        x = solve(sparse_rows, sparse(rhs), field)
         if len(rows) in pivots:
             assert x is None
         else:
             assert x is not None
+            x = dense(x, len(rows), field)
             want_x = [field.zero()] * len(rows)
             for row, pc in zip(rref, pivots):
                 want_x[pc] = row[-1]
@@ -131,13 +149,55 @@ def test_incremental_matches_batch():
             inc = IncrementalRREF(field)
             for k, r in enumerate(rows):
                 before = inc.rank
-                grew = inc.add(r)
+                grew = inc.add(sparse(r))
                 # after every row the space is the reduced echelon form of the prefix
-                assert (inc.rows, inc.pivots) == _reference_rref(rows[: k + 1], field)
+                held = [dense(row, 5, field) for row in inc.rows]
+                assert (held, inc.pivots) == _reference_rref(rows[: k + 1], field)
                 assert grew == (inc.rank == before + 1)
-            assert (inc.rows, inc.pivots) == row_reduce(rows, field)
+            assert (inc.rows, inc.pivots) == row_reduce([sparse(r) for r in rows], field)
             for r in rows:
-                assert not any(reduce_against(r, inc.rows, inc.pivots))
+                assert not reduce_against(sparse(r), inc.pivot_rows)
+
+
+def _reference_remainder(vec, rref, pivots):
+    """Dense elimination of ``vec`` by every reduced row in turn."""
+    v = list(vec)
+    for row, c in zip(rref, pivots):
+        if v[c]:
+            f = v[c]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+@st.composite
+def sparse_int_rows(draw, max_rows=10):
+    """(ncols, rows, probe): sparse integer rows whose values are nonzero
+    over Q and over GF(7), plus one more sparse row to reduce."""
+    ncols = draw(st.integers(1, 12))
+    value = st.integers(-13, 13).filter(lambda x: x % 7)
+    row = st.dictionaries(st.integers(0, ncols - 1), value, max_size=min(ncols, 4))
+    return ncols, draw(st.lists(row, max_size=max_rows)), draw(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_int_rows(), st.sampled_from(FIELDS))
+def test_sparse_elimination_matches_the_dense_reference(spec, field):
+    ncols, int_rows, int_probe = spec
+    rows = [{c: field.from_int(x) for c, x in r.items()} for r in int_rows]
+    probe = {c: field.from_int(x) for c, x in int_probe.items()}
+    inc = IncrementalRREF(field)
+    for k, r in enumerate(rows):
+        offered = dict(r)
+        inc.add(r)
+        assert r == offered
+        held = [dense(row, ncols, field) for row in inc.rows]
+        prefix = [dense(x, ncols, field) for x in rows[: k + 1]]
+        assert (held, inc.pivots) == _reference_rref(prefix, field)
+        assert inc.pivot_rows == dict(zip(inc.pivots, inc.rows))
+        assert all(x for row in inc.rows for x in row.values())
+        rem = reduce_against(probe, inc.pivot_rows)
+        assert all(rem.values())
+        assert dense(rem, ncols, field) == _reference_remainder(dense(probe, ncols, field), held, inc.pivots)
 
 
 def test_laurent_rank_vs_rational_specialization():
@@ -156,7 +216,7 @@ def test_laurent_rank_vs_rational_specialization():
             )
         r = laurent_rank(rows)
         spec = [[sum(c * Fraction(2) ** e for e, c in zip([e for e, _ in p.to_json()], [c for _, c in p.to_json()])) for p in row] for row in rows]
-        assert r >= rank(spec, QQ)
+        assert r >= rank([sparse(row) for row in spec], QQ)
 
 
 def test_laurent_rank_exact_cases():
@@ -205,7 +265,11 @@ def test_rational_roots_rejects_a_polynomial_that_does_not_split():
 
 def test_min_poly_of_a_diagonal_action():
     diag = [F(1), F(1), F(2)]
-    mp = min_poly([F(1)] * 3, lambda v: [d * x for d, x in zip(diag, v)])
+
+    def times_diag(v):
+        return {c: diag[c] * x for c, x in v.items()}
+
+    mp = min_poly(sparse([F(1)] * 3), times_diag)
     assert mp == _times_linear(_times_linear([F(1)], F(1)), F(2))
     # the cyclic space of (1, 1, 0) only sees the eigenvalue 1
-    assert min_poly([F(1), F(1), F(0)], lambda v: [d * x for d, x in zip(diag, v)]) == [F(-1), F(1)]
+    assert min_poly(sparse([F(1), F(1), F(0)]), times_diag) == [F(-1), F(1)]

@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from tensoralg.workbench import main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 BASE = ["--datum", "sl2", "--lambda", "1;1"]
 
@@ -86,6 +89,28 @@ def test_hecke_task(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
+
+
+def test_module_and_hecke_runs_match_the_benchmark_golden(capsys):
+    """The two CLI runs of the modules-hecke benchmark workload (block
+    structure constants, radicals, simples, induction, the crystal and the
+    Hecke bridge) reproduce its golden items: the crystal's simples per
+    content and its edges, and one Hecke report per d."""
+    golden = json.loads((GOLDEN / "modules-hecke.json").read_text())["items"]
+    items = {}
+    code, out = run_main(
+        ["--datum", "sl2", "--lambda", "1;1;1", "--task", "crystal", "--max-strands", "2"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    items.update({f"crystal:simples{c}": s for c, s in payload["simples"].items()})
+    items["crystal:edges"] = payload["edges"]
+    code, out = run_main(
+        ["--datum", "sl2", "--lambda", "2", "--task", "hecke-check", "--max-strands", "3"], capsys
+    )
+    assert code == 0
+    items.update({f"hecke-check:{k}": v for k, v in json.loads(out)["reports"].items()})
+    assert items == golden
 
 
 def test_config_errors(capsys):
