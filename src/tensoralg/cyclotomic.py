@@ -16,12 +16,15 @@ Every such row space is spanned by products l·r with r running over a
 tilde basis, and one routine builds them all: ``BlockComputer.saturate``
 right-multiplies a stream of left factors by the basis of each
 (mid T~ top)_{d'}, adds the nonzero products' coordinates to an
-``IncrementalRREF`` and stops once the rank fills the component.  The
-kernel (basis diagrams into violating idempotents), the standard-module
-space (kernel rows plus the x_φ) and the classical cyclotomic ideal
-(basis diagrams times y_1^{λ^{i_1}} e(I)) differ only in the left
-factors they stream, which ``lefts_through`` generates for the first and
-the last.
+``IncrementalRREF`` and stops once the rank fills the component.  That
+basis comes in runs by word: the diagrams e·ψ_w·y^a of one w carry their
+dots at the top, so l·ψ_w is straightened once per run and each
+l·ψ_w·y^a is read off it by adding dots, and a zero l·ψ_w skips the
+whole run.  The kernel (basis diagrams into violating idempotents), the
+standard-module space (kernel rows plus the x_φ) and the classical
+cyclotomic ideal (basis diagrams times y_1^{λ^{i_1}} e(I)) differ only
+in the left factors they stream, which ``lefts_through`` generates for
+the first and the last.
 
 The engine computes over ℤ.  ``BlockComputer.element_coords`` is the one
 place its integer coefficients are mapped into the scalar field, as a
@@ -32,6 +35,8 @@ on.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from .cartan import CartanDatum, QMatrix, RootVector, Weight
@@ -50,6 +55,11 @@ from .qtensor import GradedHomTable, TensorSpace, VKey, arrangements
 from .scalars import QQ
 
 
+# The strand bound of ``BlockComputer.idems``, shared with the CLI's
+# ``--max-strands`` default.
+DEFAULT_MAX_STRANDS = 4
+
+
 class IntegrityError(RuntimeError):
     """Computed dimensions contradict the quantum-group oracle; this
     signals a bug in the engine or an inconsistent configuration, never
@@ -66,7 +76,7 @@ class BlockComputer:
         lambdas: Sequence[Weight],
         field=QQ,
         tail: int = 3,
-        max_strands: int = 6,
+        max_strands: int = DEFAULT_MAX_STRANDS,
     ):
         self.datum = datum
         self.qmat = q
@@ -172,26 +182,42 @@ class BlockComputer:
         """Add to ``inc`` the coordinates of every nonzero product l·r, for
         each ``(l, mid, d2)`` in ``lefts`` (l from bottom to mid) and each
         basis diagram r of (mid T~ top)_{d2}, in that order; stop as soon
-        as the rank fills (bottom T~ top)_d.  Returns ``inc``."""
+        as the rank fills (bottom T~ top)_d.  Returns ``inc``.
+
+        The basis diagrams r = e·ψ_w·y^a come in runs by word (``word_runs``),
+        so each crossing product l·ψ_w is formed once per run and its dot
+        variants l·ψ_w·y^a are read off it; when l·ψ_w is zero, so is
+        every product of the run."""
         full = len(self.tilde_basis(bottom, top, d))
         if inc.rank == full:
             return inc
-        last = rights = None
+        last = runs = None
         for el_l, mid, d2 in lefts:
             if (mid, d2) != last:
                 last = (mid, d2)
-                d2min = self.min_degree(mid, top)
-                if d2min is None or d2 < d2min:
-                    rights = []
-                else:
-                    rights = [Element(self.alg, {br: 1}) for br in self.tilde_basis(mid, top, d2)]
-            for el_r in rights:
-                el = el_l.multiply(el_r)
-                if not el.is_zero():
-                    inc.add(self.element_coords(el, bottom, top, d))
+                runs = self.word_runs(mid, top, d2)
+            for psi, dot_vectors in runs:
+                cross = el_l.multiply(psi)
+                if cross.is_zero():
+                    continue
+                for dots in dot_vectors:
+                    inc.add(self.element_coords(cross.times_top_dots(dots), bottom, top, d))
                     if inc.rank == full:
                         return inc
         return inc
+
+    def word_runs(self, bottom: IdemKey, top: IdemKey, d: int) -> list[tuple[Element, list]]:
+        """The basis of (bottom T~ top)_d as runs by word, in basis order:
+        ``(e·ψ_w, [a, ...])`` for the diagrams e·ψ_w·y^a, which
+        ``basis_enumerate`` lists consecutively for each w."""
+        dmin = self.min_degree(bottom, top)
+        if dmin is None or d < dmin:
+            return []
+        zero_dots = (0,) * len(bottom[0])
+        return [
+            (Element(self.alg, {(bottom, w, zero_dots): 1}), [dots for _, _, dots in run])
+            for w, run in groupby(self.tilde_basis(bottom, top, d), key=itemgetter(1))
+        ]
 
     def quotient_dim(self, bottom: IdemKey, top: IdemKey, d: int) -> int:
         nb = len(self.tilde_basis(bottom, top, d))

@@ -544,19 +544,22 @@ class Element:
     # -- structure maps ------------------------------------------------------------------
 
     def multiply(self, other: "Element") -> "Element":
-        """Stack ``other`` on top of ``self`` and straighten."""
+        """Stack ``other`` on top of ``self`` and straighten: each term
+        c·e·ψ_w·y^a of ``other`` adds c times the crossing product self·ψ_w
+        with the dots y^a put on top (``times_top_dots``)."""
         alg = self.algebra
         times_s = alg.term_times_s
         out: dict[DiagKey, int] = {}
-        for (idem1, w1, d1), c1 in self.terms.items():
-            top1 = alg.top_idem(idem1, w1)
-            for (idem2, w2, d2), c2 in other.terms.items():
-                if idem2 != top1:
+        for (idem2, w2, d2), c2 in other.terms.items():
+            word = alg.canonical_word(w2)
+            cross: dict[DiagKey, int] = {}
+            for (idem1, w1, d1), c1 in self.terms.items():
+                if alg.top_idem(idem1, w1) != idem2:
                     continue
-                # the crossings of ``other`` bottom to top, then its dots;
-                # most products die at a crossing, so stop as soon as they do
+                # the crossings of ψ_w bottom to top; most products die at
+                # a crossing, so stop as soon as they do
                 acc = {(w1, d1): 1}
-                for p in alg.canonical_word(w2):
+                for p in word:
                     if len(acc) == 1:
                         # one term: nothing can merge or cancel
                         ((w, d), c), = acc.items()
@@ -574,16 +577,22 @@ class Element:
                         acc = nxt
                     if not acc:
                         break
-                if not acc:
-                    continue
-                if any(d2):
-                    for p in _dot_slots(alg, idem2, w2, d2):
-                        acc = alg._acc_dot(idem1, acc, p)
-                cc = c1 * c2
                 for (w, d), c in acc.items():
                     k = (idem1, w, d)
-                    out[k] = out.get(k, 0) + cc * c
+                    cross[k] = cross.get(k, 0) + c1 * c
+            for k, c in Element(alg, cross).times_top_dots(d2).terms.items():
+                out[k] = out.get(k, 0) + c2 * c
         return Element(alg, out)
+
+    def times_top_dots(self, dots: Sequence[int]) -> "Element":
+        """``self`` times the dot monomial y^dots at its top idempotent,
+        which all its terms share, with dots[k] dots on the k-th black
+        strand there.  Adding dots is injective on basis diagrams, so no
+        terms merge or cancel, and the result is zero only if ``self`` is."""
+        if not any(dots):
+            return self
+        terms = {(idem, w, tuple(map(add, d, dots))): c for (idem, w, d), c in self.terms.items()}
+        return Element(self.algebra, terms)
 
     def __mul__(self, other):
         if isinstance(other, Element):

@@ -17,7 +17,7 @@ import sys
 from itertools import combinations_with_replacement
 
 from .cartan import PRESETS, CartanDatum, default_q_matrix, load_datum_file
-from .cyclotomic import BlockComputer, IntegrityError, QuotientBlock
+from .cyclotomic import DEFAULT_MAX_STRANDS, BlockComputer, IntegrityError, QuotientBlock
 from .diagrams import Element
 from .hecke import HeckeAlgebra, bk_check
 from .modules import crystal_f, simples
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="red labels as coroot pairings, factors separated by ';', coords by ',' (e.g. '1;1' or '1,0;0,1')")
     p.add_argument("--task", required=True,
                    choices=["dims", "multiply", "standard", "verify-euler", "verify-filtration", "crystal", "hecke-check"])
-    p.add_argument("--max-strands", type=int, default=4)
+    p.add_argument("--max-strands", type=int, default=DEFAULT_MAX_STRANDS)
     p.add_argument("--max-degree", type=int, default=12)
     p.add_argument("--tail", type=int, default=3)
     p.add_argument("--field", default="q", help="'q' for rationals or 'p:PRIME'")

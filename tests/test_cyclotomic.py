@@ -1,3 +1,7 @@
+import functools
+import json
+from pathlib import Path
+
 import pytest
 
 from tensoralg.cartan import default_q_matrix, sl2, type_a
@@ -14,7 +18,10 @@ from tensoralg.cyclotomic import (
 from tensoralg.diagrams import Element, idem_key
 from tensoralg.laurent import ONE, ZERO, LaurentPoly
 from tensoralg.linalg import IncrementalRREF
-from tensoralg.qtensor import arrangements
+from tensoralg.qtensor import GradedHomTable, arrangements
+from tensoralg.workbench import block_contents
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +299,8 @@ def test_cyclotomic_space_matches_the_unsaturated_reference(lam_coord):
 def test_kernel_assembly_order_is_pinned(monkeypatch):
     """Products formed and rows offered while filling every entry of the
     A2 (ω1, ω2) contents (1,1) and (2,1) on a fresh computer: the kernel
-    assembler forms its products in a fixed order and stops at saturation."""
+    assembler forms one crossing product per left factor and run by word,
+    offers its rows in a fixed order and stops at saturation."""
     d = type_a(2)
     comp = BlockComputer(d, default_q_matrix(d), (d.weight((1, 0)), d.weight((0, 1))))
     seen = {"products": 0, "zero": 0, "offered": 0, "independent": 0}
@@ -317,4 +325,110 @@ def test_kernel_assembly_order_is_pinned(monkeypatch):
         for a in keys:
             for b in keys:
                 comp.graded_hom(a, b)
-    assert seen == {"products": 2640, "zero": 410, "offered": 2230, "independent": 917}
+    assert seen == {"products": 2000, "zero": 195, "offered": 2230, "independent": 917}
+
+
+def _pairwise_saturate(comp, inc, bottom, top, d, lefts):
+    """Reference assembler: every product l·r with r one basis diagram of
+    (mid T~ top)_{d2}, formed pair by pair, in the order of ``saturate``."""
+    full = len(comp.tilde_basis(bottom, top, d))
+    if inc.rank == full:
+        return inc
+    last = rights = None
+    for el_l, mid, d2 in lefts:
+        if (mid, d2) != last:
+            last = (mid, d2)
+            d2min = comp.min_degree(mid, top)
+            if d2min is None or d2 < d2min:
+                rights = []
+            else:
+                rights = [Element(comp.alg, {br: 1}) for br in comp.tilde_basis(mid, top, d2)]
+        for el_r in rights:
+            el = el_l.multiply(el_r)
+            if not el.is_zero():
+                inc.add(comp.element_coords(el, bottom, top, d))
+                if inc.rank == full:
+                    return inc
+    return inc
+
+
+# name: (datum, red labels, contents); the single-red cases also run the
+# cyclotomic ideal, which needs one red strand
+PAIRWISE_CASES = {
+    "sl2 (w,2w)": (sl2, ((1,), (2,)), [(1,), (2,), (3,)]),
+    "A2 (w1,w2)": (lambda: type_a(2), ((1, 0), (0, 1)), [(1, 1), (2, 1)]),
+    "sl2 (3w)": (sl2, ((3,),), [(1,), (2,), (3,)]),
+    "A2 (w1)": (lambda: type_a(2), ((1, 0),), [(1, 1), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRWISE_CASES))
+def test_runs_by_word_offer_the_pairwise_rows(case, monkeypatch):
+    """On every component of the case's blocks, over the graded Hom
+    window, ``saturate`` offers the same rows in the same order as the
+    pair-by-pair reference and ends in the same row space, for the
+    kernel, the standard-module space and the cyclotomic ideal."""
+    datum_f, lams, contents = PAIRWISE_CASES[case]
+    d = datum_f()
+
+    def computer():
+        return BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams))
+
+    comp, ref = computer(), computer()
+    monkeypatch.setattr(ref, "saturate", functools.partial(_pairwise_saturate, ref))
+    offered: list = []
+    add = IncrementalRREF.add
+
+    def logged_add(self, row):
+        offered.append(dict(row))
+        return add(self, row)
+
+    monkeypatch.setattr(IncrementalRREF, "add", logged_add)
+
+    def logged(fn, *args):
+        offered.clear()
+        out = fn(*args)
+        return list(offered), out
+
+    spaces = [
+        lambda c, key, col, deg: c.kernel_space(idem_key(*key), idem_key(*col), deg),
+        lambda c, key, col, deg: c.standard_space(key, col, deg),
+    ]
+    if len(lams) == 1:
+        spaces.append(lambda c, key, col, deg: cyclotomic_ideal_space(c, idem_key(*key), idem_key(*col), deg))
+    components = rows = cut = 0
+    for coords in contents:
+        keys = comp.idems(d.root(coords))
+        for key in keys:
+            for col in keys:
+                bottom, top = idem_key(*key), idem_key(*col)
+                dmin = comp.min_degree(bottom, top)
+                if dmin is None:
+                    continue
+                pred = comp.space.form_vv(key, col)
+                dmax = max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + comp.tail
+                for deg in range(dmin, dmax + 1):
+                    for space in spaces:
+                        got = logged(space, comp, key, col, deg)
+                        assert got == logged(space, ref, key, col, deg), (key, col, deg)
+                        components += 1
+                        rows += len(got[0])
+                        cut += 0 < len(got[1][1]) == len(comp.tilde_basis(bottom, top, deg))
+    assert components >= 100 and rows >= 100 and cut >= 5
+
+
+def test_a2_table_matches_the_benchmark_golden():
+    """Every entry of the a2-table benchmark workload (A2, reds (ω1, ω2),
+    all contents with at most three strands plus (4,0) and (0,4)) on a
+    fresh computer reproduces its golden Laurent polynomial."""
+    golden = json.loads((GOLDEN / "a2-table.json").read_text())["items"]
+    d = type_a(2)
+    comp = BlockComputer(d, default_q_matrix(d), (d.weight((1, 0)), d.weight((0, 1))))
+    label = GradedHomTable.idem_label
+    items = {}
+    for alpha in [*block_contents(d, 3), d.root((4, 0)), d.root((0, 4))]:
+        keys = comp.idems(alpha)
+        for a in keys:
+            for b in keys:
+                items[f"{label(a)}|{label(b)}"] = comp.graded_hom(a, b).to_json()
+    assert items == golden

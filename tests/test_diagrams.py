@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensoralg.cartan import b2, default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import BlockComputer
@@ -16,6 +16,7 @@ from tensoralg.diagrams import (
     diagram_from_text,
     diagram_text,
     idem_key,
+    inversions,
     perm_of_word,
     tits_moves,
 )
@@ -63,30 +64,38 @@ def test_canonical_word_is_straight_selection():
     assert cw[:x] == tuple(range(x - 1, -1, -1))
 
 
-def test_tits_moves_connect_reduced_words():
-    rng = random.Random(1)
-    for m in range(2, 6):
-        for _ in range(20):
-            w = list(range(m))
-            rng.shuffle(w)
-            w = tuple(w)
-            cw = canonical_word(w)
-            # random reduced word: evaluate random braid-free shuffles of cw
-            word = list(cw)
-            rng.shuffle(word)
-            if perm_of_word(tuple(word), m) != w or len(word) != len(cw):
-                continue
-            moves = tits_moves(tuple(word), cw)
-            cur = list(word)
-            for kind, t in moves:
-                if kind == "c":
-                    assert abs(cur[t] - cur[t + 1]) >= 2
-                    cur[t], cur[t + 1] = cur[t + 1], cur[t]
-                else:
-                    a, b = cur[t], cur[t + 1]
-                    assert cur[t + 2] == a and abs(a - b) == 1
-                    cur[t : t + 3] = [b, a, b]
-            assert cur == list(cw)
+@st.composite
+def reduced_words(draw):
+    """A random reduced word on m strands, built by a random walk that
+    appends s_p only when the length grows."""
+    m = draw(st.integers(2, 6))
+    word: tuple[int, ...] = ()
+    for p in draw(st.lists(st.integers(0, m - 2), max_size=20)):
+        if len(inversions(perm_of_word(word + (p,), m))) > len(word):
+            word += (p,)
+    return m, word
+
+
+@settings(max_examples=200, deadline=None)
+@example((3, (0, 1, 0)))
+@example((3, (1, 0, 1)))
+@example((4, (2, 0)))
+@given(reduced_words())
+def test_tits_moves_connect_reduced_words(sample):
+    # every move is a legal commutation or braid, and the path ends at the
+    # canonical word of the same permutation
+    m, word = sample
+    cw = canonical_word(perm_of_word(word, m))
+    cur = list(word)
+    for kind, t in tits_moves(word, cw):
+        if kind == "c":
+            assert abs(cur[t] - cur[t + 1]) >= 2
+            cur[t], cur[t + 1] = cur[t + 1], cur[t]
+        else:
+            a, b = cur[t], cur[t + 1]
+            assert kind == "b" and cur[t + 2] == a and abs(a - b) == 1
+            cur[t : t + 3] = [b, a, b]
+    assert cur == list(cw)
 
 
 # -- degrees ---------------------------------------------------------------------
@@ -393,6 +402,53 @@ def composable_elements(draw):
 def test_flip_is_an_anti_automorphism(pair):
     a, b = pair
     assert a.multiply(b).flip() == b.flip().multiply(a.flip())
+
+
+@st.composite
+def diagram_pairs(draw):
+    """Basis diagrams l of (x T y) and r = e·ψ_w·y^a of (y T z), in one
+    content block of sl2 (ω, 2ω) or A2 (ω1, ω2)."""
+    alg, idems, pool = _flip_pool(draw(st.sampled_from(sorted(FLIP_CASES))))
+    x, y = draw(st.sampled_from(sorted(xy for xy, keys in pool.items() if keys)))
+    z = draw(st.sampled_from([z for z in idems if pool[(y, z)]]))
+    return alg, draw(st.sampled_from(pool[(x, y)])), draw(st.sampled_from(pool[(y, z)]))
+
+
+def _word_events(alg, key):
+    """The generic word of a basis diagram: its canonical word, then one
+    dot event per dot at the top."""
+    idem, w, dots = key
+    black = alg.boundary(alg.top_idem(idem, w))[2]
+    events = [("s", p) for p in alg.canonical_word(w)]
+    return events + [("y", slot) for slot, k in enumerate(black) if k is not None for _ in range(dots[k])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagram_pairs())
+def test_dot_variants_share_the_crossing_product(pair):
+    # l·(ψ_w y^a) = (l·ψ_w)·y^a, checked against the straightened word of
+    # l followed by r; zero whenever l·ψ_w is
+    alg, kl, kr = pair
+    idem, w, dots = kr
+    left = Element(alg, {kl: 1})
+    cross = left.multiply(Element(alg, {(idem, w, (0,) * len(dots)): 1}))
+    prod = left.multiply(Element(alg, {kr: 1}))
+    (I, kappa), _, _ = kl
+    assert prod == Element.from_word(alg, I, kappa, _word_events(alg, kl) + _word_events(alg, kr))
+    assert prod == cross.times_top_dots(dots)
+    assert prod.is_zero() == cross.is_zero()
+
+
+def test_a_zero_crossing_product_kills_every_dot_variant():
+    # two black strands of one label crossing twice: ψ_s·ψ_s = 0
+    alg, _, pool = _flip_pool("sl2 (w,2w)")
+    e = idem_key((0, 0), (0, 0))
+    s = (0, 1, 3, 2)
+    left = Element(alg, {(e, s, (0, 0)): 1})
+    assert left.multiply(Element(alg, {(e, s, (0, 0)): 1})).is_zero()
+    variants = [k for k in pool[(e, e)] if k[1] == s]
+    assert len(variants) > 3
+    assert all(left.multiply(Element(alg, {k: 1})).is_zero() for k in variants)
 
 
 def test_flip_moves_dots_through():
