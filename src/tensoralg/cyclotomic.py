@@ -45,7 +45,6 @@ from .diagrams import (
     Element,
     IdemKey,
     basis_enumerate,
-    connecting_perms,
     idem_key,
     slot_perm,
 )
@@ -86,7 +85,7 @@ class BlockComputer:
         self.field = field
         self.tail = tail
         self.max_strands = max_strands
-        self._tilde_cache: dict = {}
+        self._tilde_cache: dict = {}  # (bottom, top, d) -> see _tilde_entry
         self._kernel_cache: dict = {}
         self._entry_cache: dict = {}
 
@@ -101,30 +100,31 @@ class BlockComputer:
     # -- tilde components ---------------------------------------------------------
 
     def tilde_basis(self, bottom: IdemKey, top: IdemKey, d: int):
-        key = ("tb", bottom, top, d)
-        hit = self._tilde_cache.get(key)
-        if hit is None:
-            hit = basis_enumerate(self.alg, bottom, top, d, d)
-            self._tilde_cache[key] = hit
-        return hit
+        return self._tilde_entry(bottom, top, d)[0]
+
+    def _tilde_entry(self, bottom: IdemKey, top: IdemKey, d: int) -> list:
+        """The cache entry ``[basis, index]`` of (bottom T~ top)_d; the
+        index is None until ``element_coords`` first needs it."""
+        key = (bottom, top, d)
+        entry = self._tilde_cache.get(key)
+        if entry is None:
+            entry = [basis_enumerate(self.alg, bottom, top, d, d), None]
+            self._tilde_cache[key] = entry
+        return entry
 
     def min_degree(self, bottom: IdemKey, top: IdemKey):
-        key = ("md", bottom, top)
-        hit = self._tilde_cache.get(key)
-        if hit is None:
-            degs = [
-                self.alg.diagram_degree(bottom, w, (0,) * len(bottom[0]))
-                for w in connecting_perms(self.alg, bottom, top)
-            ]
-            hit = min(degs) if degs else None
-            self._tilde_cache[key] = hit
-        return hit
+        return min((deg for _, deg in self.alg.component(bottom, top)), default=None)
 
     def element_coords(self, el: Element, bottom: IdemKey, top: IdemKey, d: int) -> dict:
         """Sparse coordinates of a homogeneous element in the tilde basis,
         mapped from the engine's integers into the scalar field (a
-        coefficient divisible by the characteristic drops out)."""
-        index = {k: i for i, k in enumerate(self.tilde_basis(bottom, top, d))}
+        coefficient divisible by the characteristic drops out).  The
+        {diagram: position} index is built on first use and kept beside
+        the component's basis."""
+        entry = self._tilde_entry(bottom, top, d)
+        index = entry[1]
+        if index is None:
+            index = entry[1] = {k: i for i, k in enumerate(entry[0])}
         from_int = self.field.from_int
         vec = {}
         for k, c in el.terms.items():

@@ -21,6 +21,9 @@ memoized aggressively since blocks reuse the same small Hom components
 over and over, and so is the strand geometry they consult: the
 canonical word of each permutation, the top idempotent of each
 (idempotent, permutation) pair and the boundary of each idempotent.
+Basis enumeration reads two more memos, one per Hom component and one
+per dot budget, so each degree of a component is listed without walking
+its permutations again (``DiagramAlgebra.component``, ``dot_vectors``).
 
 Every coefficient these relations produce is an integer, so the engine
 computes over ℤ with plain ``int`` coefficients.  A scalar field enters
@@ -152,6 +155,9 @@ class DiagramAlgebra:
 
     Dicts returned by the rewriting core (``eval_word``, ``term_times_s``,
     ``crossing_on_basis``) may be memo entries: callers must not mutate them.
+    So are the tuples of the Hom-component geometry (``component``) and of
+    the dot vectors (``dot_vectors``); every component with the same top
+    labels shares the latter.
     """
 
     def __init__(self, datum: CartanDatum, q: QMatrix, lambdas: Sequence[Weight]):
@@ -167,6 +173,8 @@ class DiagramAlgebra:
         self._tops: dict[tuple, IdemKey] = {}  # (idem, w) -> top idempotent
         self._idems: dict[IdemKey, IdemKey] = {}  # one shared object per top idempotent
         self._words: dict[tuple[int, ...], tuple[int, ...]] = {}  # w -> canonical word
+        self._components: dict[tuple, tuple] = {}  # (bottom, top) -> ((w, deg ψ_w), ...)
+        self._dots: dict[tuple, tuple] = {}  # (dot weights, total) -> dot vectors
         self._cross_memo: dict[tuple, dict] = {}
         self._word_memo: dict[tuple, dict] = {}
 
@@ -267,6 +275,29 @@ class DiagramAlgebra:
             for a, i in zip(dots, self.top_idem(idem, w)[0]):
                 deg += 2 * self.datum.sym[i] * a
         return deg
+
+    def component(self, bottom: IdemKey, top: IdemKey) -> tuple:
+        """The geometry of the Hom component (bottom, top), memoized:
+        ``((w, deg ψ_w), ...)`` over ``connecting_perms`` in their order."""
+        key = (bottom, top)
+        hit = self._components.get(key)
+        if hit is None:
+            zero_dots = (0,) * len(bottom[0])
+            hit = tuple((w, self.diagram_degree(bottom, w, zero_dots)) for w in connecting_perms(self, bottom, top))
+            self._components[key] = hit
+        return hit
+
+    def dot_vectors(self, weights: tuple[int, ...], total: int) -> tuple:
+        """All nonnegative vectors a with Σ weights[k]·a_k = total, in
+        lexicographic order, memoized per (weights, total)."""
+        if total < 0:
+            return ()
+        key = (weights, total)
+        hit = self._dots.get(key)
+        if hit is None:
+            hit = tuple(_dot_vectors(weights, total))
+            self._dots[key] = hit
+        return hit
 
     # -- the rewriting core ------------------------------------------------------------
 
@@ -786,36 +817,27 @@ def connecting_perms(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey):
 
 
 def basis_enumerate(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, lo: int, hi: int):
-    """All basis diagrams in the Hom component with degree in [lo, hi]."""
+    """All basis diagrams in the Hom component with degree in [lo, hi], in
+    basis order: by connecting permutation, then by dot vector in
+    lexicographic order."""
+    weights = tuple(2 * alg.datum.sym[i] for i in top[0])
     out = []
-    n = len(bottom[0])
-    dlist = [2 * alg.datum.sym[i] for i in top[0]]
-    for w in connecting_perms(alg, bottom, top):
-        base = alg.diagram_degree(bottom, w, (0,) * n)
-        if base > hi:
-            continue
-        for dots in _dot_vectors(dlist, lo - base, hi - base):
-            out.append((bottom, w, dots))
+    for w, base in alg.component(bottom, top):
+        if lo == hi:
+            vectors = alg.dot_vectors(weights, lo - base)
+        else:
+            vectors = sorted(a for t in range(max(lo - base, 0), hi - base + 1) for a in alg.dot_vectors(weights, t))
+        out += [(bottom, w, dots) for dots in vectors]
     return out
 
 
-def _dot_vectors(weights: list[int], lo: int, hi: int):
-    """All nonnegative vectors with Σ weights[k]·a_k in [lo, hi]."""
-    if hi < 0:
-        return
-    n = len(weights)
-
-    def rec(k, remaining_hi, acc):
-        if k == n:
-            total = hi - remaining_hi
-            if total >= lo:
-                yield tuple(acc)
-            return
-        a = 0
-        while a * weights[k] <= remaining_hi:
-            acc.append(a)
-            yield from rec(k + 1, remaining_hi - a * weights[k], acc)
-            acc.pop()
-            a += 1
-
-    yield from rec(0, hi, [])
+def _dot_vectors(weights: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+    """All nonnegative vectors with Σ weights[k]·a_k = total, lexicographic;
+    the last coordinate is fixed by the others."""
+    if len(weights) <= 1:
+        if not weights:
+            return [()] if total == 0 else []
+        a, rest = divmod(total, weights[0])
+        return [(a,)] if a >= 0 and not rest else []
+    head, tail = weights[0], weights[1:]
+    return [(a,) + v for a in range(total // head + 1) for v in _dot_vectors(tail, total - a * head)]

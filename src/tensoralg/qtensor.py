@@ -122,6 +122,7 @@ class TensorSpace:
         self.ell = len(self.lambdas)
         self._form_memo: dict[tuple, LaurentPoly] = {}
         self._s_in_v_memo: dict[VKey, dict[VKey, LaurentPoly]] = {}
+        self._weight_memo: dict[tuple[int, ...], Weight] = {}  # black word I -> weight of v^κ_I
         self._parent: TensorSpace | None = None
 
     def parent(self) -> "TensorSpace":
@@ -249,12 +250,16 @@ class TensorSpace:
     # -- structural expansion of E on spanning vectors --------------------------------
 
     def vkey_weight(self, key: VKey) -> Weight:
-        I, _ = key
-        wt = self.datum.zero_weight()
-        for lam in self.lambdas:
-            wt = wt + lam
-        for i in I:
-            wt = wt - self.datum.simple_root(i).to_weight()
+        """Σ λ_j − Σ α_{i_k}, memoized per black word I (κ does not enter)."""
+        I = tuple(key[0])
+        wt = self._weight_memo.get(I)
+        if wt is None:
+            wt = self.datum.zero_weight()
+            for lam in self.lambdas:
+                wt = wt + lam
+            for i in I:
+                wt = wt - self.datum.simple_root(i).to_weight()
+            self._weight_memo[I] = wt
         return wt
 
     def e_expand(self, i: int, key: VKey) -> list[tuple[LaurentPoly, VKey]]:

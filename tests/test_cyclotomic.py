@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from tensoralg.cyclotomic import (
     theta_kappa,
     y_idempotent_dots,
 )
+from tensoralg import diagrams
 from tensoralg.diagrams import Element, idem_key
 from tensoralg.laurent import ONE, ZERO, LaurentPoly
 from tensoralg.linalg import IncrementalRREF
@@ -432,3 +434,37 @@ def test_a2_table_matches_the_benchmark_golden():
             for b in keys:
                 items[f"{label(a)}|{label(b)}"] = comp.graded_hom(a, b).to_json()
     assert items == golden
+
+
+def test_component_geometry_is_enumerated_once_per_pair(monkeypatch):
+    """Building every entry of two A2 (ω1, ω2) blocks walks the connecting
+    permutations of each (bottom, top) pair at most once, and components
+    with the same dot budget share their dot-vector tuples."""
+    calls = {}
+    original = diagrams.connecting_perms
+
+    def counted(alg, bottom, top):
+        calls[(bottom, top)] = calls.get((bottom, top), 0) + 1
+        return original(alg, bottom, top)
+
+    monkeypatch.setattr(diagrams, "connecting_perms", counted)
+    d = type_a(2)
+    comp = BlockComputer(d, default_q_matrix(d), (d.weight((1, 0)), d.weight((0, 1))))
+    alphas = [d.root((1, 1)), d.root((2, 1))]
+    for alpha in alphas:
+        comp.graded_hom_table(alpha)
+    # every dot weight is 2 in A2, so equal dot vectors come from one memo entry
+    first: dict = {}
+    components: dict = {}
+    for alpha in alphas:
+        keys = comp.idems(alpha)
+        for bottom, top in itertools.product(keys, keys):
+            dmin = comp.min_degree(bottom, top)
+            for deg in range(dmin, dmin + 6) if dmin is not None else ():
+                for _, _, dots in comp.tilde_basis(bottom, top, deg):
+                    assert first.setdefault(dots, dots) is dots
+                    components.setdefault(dots, set()).add((bottom, top))
+    assert calls and max(calls.values()) == 1
+    assert sum(len(c) > 1 for c in components.values()) >= 10
+    w = (2,) * 3
+    assert comp.alg.dot_vectors(w, 4) is comp.alg.dot_vectors(w, 4)

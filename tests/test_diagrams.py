@@ -13,6 +13,7 @@ from tensoralg.diagrams import (
     WordError,
     basis_enumerate,
     canonical_word,
+    connecting_perms,
     diagram_from_text,
     diagram_text,
     idem_key,
@@ -618,6 +619,66 @@ def test_basis_enumerate_examples():
     assert basis_enumerate(alg, e01, e_other, 0, 10) == []
     # below minimal degree: empty
     assert basis_enumerate(alg, e01, e01, -5, -1) == []
+
+
+def _reference_enumerate(alg, bottom, top, lo, hi):
+    """The enumeration before the component and dot-vector memos: walk the
+    connecting permutations, and for each every dot vector up to ``hi``,
+    kept when its degree reaches ``lo``."""
+    zero_dots = (0,) * len(bottom[0])
+    weights = [2 * alg.datum.sym[i] for i in top[0]]
+    out = []
+    for w in connecting_perms(alg, bottom, top):
+        base = alg.diagram_degree(bottom, w, zero_dots)
+        for dots in itertools.product(*(range((hi - base) // wt + 1) for wt in weights)):
+            if lo - base <= sum(a * wt for a, wt in zip(dots, weights)) <= hi - base:
+                out.append((bottom, w, dots))
+    return out
+
+
+# name -> (datum, red labels, contents with at most three strands)
+ORDER_CASES = {
+    "sl2 (w,2w)": (sl2, [(1,), (2,)], [(n,) for n in range(4)]),
+    "A2 (w1,w2)": (lambda: type_a(2), [(1, 0), (0, 1)], [(a, b) for a in range(4) for b in range(4 - a)]),
+    "B2 (w1)": (b2, [(1, 0)], [(a, b) for a in range(4) for b in range(4 - a)]),
+}
+_ORDER_COMPUTERS: dict = {}
+
+
+def _order_computer(name):
+    if name not in _ORDER_COMPUTERS:
+        datum_f, lams, contents = ORDER_CASES[name]
+        d = datum_f()
+        comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams))
+        blocks = [comp.idems(d.root(c)) for c in contents]
+        _ORDER_COMPUTERS[name] = (comp, [b for b in blocks if b])
+    return _ORDER_COMPUTERS[name]
+
+
+@st.composite
+def enumeration_windows(draw):
+    """A (bottom, top) pair, mostly inside one content block, and a window
+    [lo, hi]: an exact degree, a range or an empty or negative window."""
+    comp, blocks = _order_computer(draw(st.sampled_from(sorted(ORDER_CASES))))
+    block = draw(st.sampled_from(blocks))
+    bottom = draw(st.sampled_from(block))
+    top = draw(st.sampled_from(draw(st.one_of(st.just(block), st.sampled_from(blocks)))))
+    lo = draw(st.integers(-10, 12))
+    hi = draw(st.one_of(st.just(lo), st.integers(lo + 1, lo + 8), st.integers(lo - 4, lo - 1)))
+    return comp, bottom, top, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(enumeration_windows())
+def test_basis_enumerate_keeps_the_basis_order(case):
+    comp, bottom, top, lo, hi = case
+    want = _reference_enumerate(comp.alg, bottom, top, lo, hi)
+    assert basis_enumerate(comp.alg, bottom, top, lo, hi) == want
+    if lo == hi:
+        assert comp.tilde_basis(bottom, top, lo) == want
+    zero_dots = (0,) * len(bottom[0])
+    degs = [comp.alg.diagram_degree(bottom, w, zero_dots) for w in connecting_perms(comp.alg, bottom, top)]
+    assert comp.min_degree(bottom, top) == min(degs, default=None)
 
 
 def test_text_roundtrip():

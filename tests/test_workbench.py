@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import tensoralg
 from tensoralg.workbench import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -159,10 +161,15 @@ def test_dims_output_is_field_independent(capsys):
 
 
 def test_console_script_entrypoint():
+    # the child imports the package this test imported, installed or not
+    env = dict(os.environ)
+    src = str(Path(tensoralg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tensoralg.workbench"] + BASE + ["--task", "dims", "--max-strands", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)
