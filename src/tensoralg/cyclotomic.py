@@ -3,14 +3,25 @@ structure constants and the single-red comparisons.
 
 Everything is per-degree exact linear algebra over the straightening
 engine.  The kernel of T~ -> T in a Hom component at one degree is the
-span of all products through a "violating" idempotent (one with a black
-strand left of every red); graded dimensions of the quotient are
-assembled degree by degree against the quantum-side prediction.  The
-check is two-sided on the window [dmin, top + ``tail``], where dmin is
-the lowest degree of the component and top the highest degree the
-prediction reaches: a dimension above or below the prediction there is a
-hard integrity error, never silently accepted.  The degrees above the
-window are not computed, so they are not yet certified.
+part in the two-sided ideal K that the "violating" idempotents (those
+with a black strand left of every red) generate; graded dimensions of
+the quotient are assembled degree by degree against the quantum-side
+prediction.  The check is two-sided on the window [dmin, top + ``tail``],
+where dmin is the lowest degree of the component and top the highest
+degree the prediction reaches: a dimension above or below the prediction
+there is a hard integrity error, never silently accepted.  The degrees
+above the window are not computed, so they are not yet certified.
+
+A component whose bottom or top idempotent e(x) lies in K is K entirely,
+in every degree, and ``BlockComputer._vanishes`` proves e(x) ∈ K with no
+product in the component, by one of two rules:
+(a) x ends in a black strand and e(x′) ∈ K for its prefix
+x′ = (I[:-1], κ): adding a black strand on the right of every diagram is
+an algebra map T~ -> T~ that keeps a violating idempotent violating, so
+it maps K into K and e(x′) to e(x);
+(b) K fills the degree-0 diagonal (x T~ x)_0, which holds e(x).
+Every other kernel is the span of all products through a violating
+idempotent.
 
 Every such row space is spanned by products l·r with r running over a
 tilde basis, and one routine builds them all: ``BlockComputer.saturate``
@@ -44,6 +55,7 @@ from .diagrams import (
     DiagramAlgebra,
     Element,
     IdemKey,
+    basis_dim,
     basis_enumerate,
     idem_key,
     slot_perm,
@@ -144,19 +156,48 @@ class BlockComputer:
         """Row-reduced basis of K ∩ (bottom T~ top)_d, as (rows, pivot_rows):
         the sparse rows in pivot order and the pivot → row map.
 
-        Rows are products through violating idempotents; assembly stops as
-        soon as the rank saturates the whole tilde component (the common
-        case for entries the oracle predicts to vanish).  The cache keeps
-        the whole ``IncrementalRREF``, which ``standard_space`` copies."""
+        When e(bottom) ∈ K or e(top) ∈ K, every diagram D of the
+        component is e(bottom)·D = D·e(top) ∈ K, so the kernel is the whole
+        component, its unit rows, and no product is formed.
+        With n = dim (bottom T~ top)_d, ``_vanishes(x, n)`` proves
+        e(x) ∈ K by one of two rules:
+        (a) x ends in a black strand and e(x′) ∈ K for x′ = (I[:-1], κ):
+            adding a black strand on the right is an algebra map T~ -> T~
+            that keeps a violating idempotent violating, so it maps K into
+            K and e(x′) to e(x);
+        (b) n0 = dim (x T~ x)_0 ≤ n and K fills (x T~ x)_0, which holds
+            e(x); that diagonal is assembled by products.
+        Otherwise the rows are products through violating idempotents, and
+        assembly stops as soon as the rank saturates the whole tilde
+        component.  Every degree-0 diagonal (x, x, 0) is assembled by
+        products, which ends the recursion of (b).  The cache keeps the
+        whole ``IncrementalRREF``, which ``standard_space`` copies."""
         key = (bottom, top, d)
         inc = self._kernel_cache.get(key)
         if inc is None:
-            inc = IncrementalRREF(self.field)
-            if self.tilde_basis(bottom, top, d):
-                mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
-                self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
+            n = len(self.tilde_basis(bottom, top, d))
+            if n and (bottom != top or d) and (self._vanishes(bottom, n) or self._vanishes(top, n)):
+                inc = IncrementalRREF.full(self.field, n)
+            else:
+                inc = IncrementalRREF(self.field)
+                if n:
+                    mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
+                    self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
             self._kernel_cache[key] = inc
         return inc.rows, inc.pivot_rows
+
+    def _vanishes(self, x: IdemKey, n: int) -> bool:
+        """Whether rule (a) or (b) of ``kernel_space`` proves e(x) ∈ K,
+        assembling only degree-0 diagonals of at most n basis diagrams
+        (n0 is counted, so a larger diagonal is never listed).  The answer
+        depends on (x, n) alone, never on what is cached, so which
+        components are assembled by products, and so every product count,
+        does not depend on the order of requests."""
+        I, kappa = x
+        if I and max(kappa, default=0) < len(I) and self._vanishes((I[:-1], kappa), n):
+            return True
+        n0 = basis_dim(self.alg, x, x, 0)
+        return n0 <= n and len(self.kernel_space(x, x, 0)[1]) == n0
 
     def lefts_through(self, bottom: IdemKey, top: IdemKey, d: int, mids):
         """Left factors for ``saturate``: for each ``(mid, g, deg g)`` in

@@ -23,7 +23,9 @@ canonical word of each permutation, the top idempotent of each
 (idempotent, permutation) pair and the boundary of each idempotent.
 Basis enumeration reads two more memos, one per Hom component and one
 per dot budget, so each degree of a component is listed without walking
-its permutations again (``DiagramAlgebra.component``, ``dot_vectors``).
+its permutations again (``DiagramAlgebra.component``, ``dot_vectors``),
+and ``basis_dim`` counts the diagrams of a degree from the same memos
+without listing them.
 
 Every coefficient these relations produce is an integer, so the engine
 computes over ℤ with plain ``int`` coefficients.  A scalar field enters
@@ -820,7 +822,7 @@ def basis_enumerate(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, lo: int,
     """All basis diagrams in the Hom component with degree in [lo, hi], in
     basis order: by connecting permutation, then by dot vector in
     lexicographic order."""
-    weights = tuple(2 * alg.datum.sym[i] for i in top[0])
+    weights = _dot_weights(alg, top)
     out = []
     for w, base in alg.component(bottom, top):
         if lo == hi:
@@ -829,6 +831,18 @@ def basis_enumerate(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, lo: int,
             vectors = sorted(a for t in range(max(lo - base, 0), hi - base + 1) for a in alg.dot_vectors(weights, t))
         out += [(bottom, w, dots) for dots in vectors]
     return out
+
+
+def basis_dim(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, d: int) -> int:
+    """The number of basis diagrams of degree d in the Hom component,
+    counted from its geometry without listing them."""
+    weights = _dot_weights(alg, top)
+    return sum(len(alg.dot_vectors(weights, d - base)) for _, base in alg.component(bottom, top))
+
+
+def _dot_weights(alg: DiagramAlgebra, top: IdemKey) -> tuple[int, ...]:
+    """The degree of a dot on each black strand of ``top``."""
+    return tuple(2 * alg.datum.sym[i] for i in top[0])
 
 
 def _dot_vectors(weights: tuple[int, ...], total: int) -> list[tuple[int, ...]]:

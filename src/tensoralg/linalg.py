@@ -58,6 +58,17 @@ class IncrementalRREF:
         self.pivots: list[int] = []
         self.pivot_rows: dict[int, dict] = {}
 
+    @classmethod
+    def full(cls, field, n: int) -> IncrementalRREF:
+        """The whole space of ``n`` columns, whose unique reduced form is
+        the ``n`` unit rows."""
+        out = cls(field)
+        one = field.one()
+        out.rows = [{c: one} for c in range(n)]
+        out.pivots = list(range(n))
+        out.pivot_rows = dict(zip(out.pivots, out.rows))
+        return out
+
     def copy(self) -> IncrementalRREF:
         out = IncrementalRREF(self.field)
         out.rows = list(self.rows)

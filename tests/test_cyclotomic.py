@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -298,13 +299,10 @@ def test_cyclotomic_space_matches_the_unsaturated_reference(lam_coord):
     assert components >= 24 and cut >= 1
 
 
-def test_kernel_assembly_order_is_pinned(monkeypatch):
-    """Products formed and rows offered while filling every entry of the
-    A2 (ω1, ω2) contents (1,1) and (2,1) on a fresh computer: the kernel
-    assembler forms one crossing product per left factor and run by word,
-    offers its rows in a fixed order and stops at saturation."""
-    d = type_a(2)
-    comp = BlockComputer(d, default_q_matrix(d), (d.weight((1, 0)), d.weight((0, 1))))
+def _count_assembly(monkeypatch) -> dict:
+    """Counters of products formed (and zero) and rows offered (and
+    independent), kept by wrappers on ``Element.multiply`` and
+    ``IncrementalRREF.add`` for the rest of the test."""
     seen = {"products": 0, "zero": 0, "offered": 0, "independent": 0}
     multiply, add = Element.multiply, IncrementalRREF.add
 
@@ -322,12 +320,50 @@ def test_kernel_assembly_order_is_pinned(monkeypatch):
 
     monkeypatch.setattr(Element, "multiply", counted_multiply)
     monkeypatch.setattr(IncrementalRREF, "add", counted_add)
+    return seen
+
+
+def _a2_w1_w2():
+    d = type_a(2)
+    return d, BlockComputer(d, default_q_matrix(d), (d.weight((1, 0)), d.weight((0, 1))))
+
+
+def test_kernel_assembly_order_is_pinned(monkeypatch):
+    """Products formed and rows offered while filling every entry of the
+    A2 (ω1, ω2) contents (1,1) and (2,1) on a fresh computer: the kernel
+    assembler fills a component whose bottom or top idempotent provably
+    vanishes without a product, forms one crossing product per left
+    factor and run by word elsewhere, offers its rows in a fixed order and
+    stops at saturation."""
+    d, comp = _a2_w1_w2()
+    seen = _count_assembly(monkeypatch)
     for coords in [(1, 1), (2, 1)]:
         keys = comp.idems(d.root(coords))
         for a in keys:
             for b in keys:
                 comp.graded_hom(a, b)
-    assert seen == {"products": 2000, "zero": 195, "offered": 2230, "independent": 917}
+    assert seen == {"products": 706, "zero": 109, "offered": 737, "independent": 269}
+
+
+def test_assembly_counts_do_not_depend_on_the_entry_order(monkeypatch):
+    """The A2 (ω1, ω2) content-(2,1) table filled in two shuffled orders,
+    each on a fresh computer, forms the same products and offers the same
+    rows: whether a component is filled without products depends on the
+    component alone, never on what an earlier entry cached."""
+    d = type_a(2)
+    seen = _count_assembly(monkeypatch)
+    counts, tables = [], []
+    for seed in (1, 2):
+        _, comp = _a2_w1_w2()
+        keys = comp.idems(d.root((2, 1)))
+        pairs = list(itertools.product(keys, keys))
+        random.Random(seed).shuffle(pairs)
+        for key in seen:
+            seen[key] = 0
+        tables.append({(a, b): comp.graded_hom(a, b) for a, b in pairs})
+        counts.append(dict(seen))
+    assert counts[0] == counts[1] and counts[0]["products"] > 0
+    assert tables[0] == tables[1]
 
 
 def _pairwise_saturate(comp, inc, bottom, top, d, lefts):
@@ -354,6 +390,21 @@ def _pairwise_saturate(comp, inc, bottom, top, d, lefts):
     return inc
 
 
+def _certificate_off(monkeypatch, comp):
+    """Make ``comp`` assemble every kernel component by products."""
+    monkeypatch.setattr(comp, "_vanishes", lambda x, n: False)
+
+
+def _hom_window(comp, key, col):
+    """The degrees ``graded_hom`` checks for the entry (key, col)."""
+    bottom, top = idem_key(*key), idem_key(*col)
+    dmin = comp.min_degree(bottom, top)
+    if dmin is None:
+        return range(0)
+    pred = comp.space.form_vv(key, col)
+    return range(dmin, max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + comp.tail + 1)
+
+
 # name: (datum, red labels, contents); the single-red cases also run the
 # cyclotomic ideal, which needs one red strand
 PAIRWISE_CASES = {
@@ -364,20 +415,27 @@ PAIRWISE_CASES = {
 }
 
 
+def _case_computer(case):
+    """The case's datum, a fresh computer for its red labels, and its contents."""
+    datum_f, lams, contents = PAIRWISE_CASES[case]
+    d = datum_f()
+    return d, BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams)), contents
+
+
 @pytest.mark.parametrize("case", sorted(PAIRWISE_CASES))
 def test_runs_by_word_offer_the_pairwise_rows(case, monkeypatch):
     """On every component of the case's blocks, over the graded Hom
     window, ``saturate`` offers the same rows in the same order as the
     pair-by-pair reference and ends in the same row space, for the
-    kernel, the standard-module space and the cyclotomic ideal."""
-    datum_f, lams, contents = PAIRWISE_CASES[case]
-    d = datum_f()
-
-    def computer():
-        return BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams))
-
-    comp, ref = computer(), computer()
+    kernel, the standard-module space and the cyclotomic ideal; both
+    computers assemble every kernel by products."""
+    d, comp, contents = _case_computer(case)
+    _, ref, _ = _case_computer(case)
     monkeypatch.setattr(ref, "saturate", functools.partial(_pairwise_saturate, ref))
+    # with vanishing idempotents filled without products, too few
+    # components would reach either assembler
+    for c in (comp, ref):
+        _certificate_off(monkeypatch, c)
     offered: list = []
     add = IncrementalRREF.add
 
@@ -396,7 +454,7 @@ def test_runs_by_word_offer_the_pairwise_rows(case, monkeypatch):
         lambda c, key, col, deg: c.kernel_space(idem_key(*key), idem_key(*col), deg),
         lambda c, key, col, deg: c.standard_space(key, col, deg),
     ]
-    if len(lams) == 1:
+    if comp.space.ell == 1:
         spaces.append(lambda c, key, col, deg: cyclotomic_ideal_space(c, idem_key(*key), idem_key(*col), deg))
     components = rows = cut = 0
     for coords in contents:
@@ -404,12 +462,7 @@ def test_runs_by_word_offer_the_pairwise_rows(case, monkeypatch):
         for key in keys:
             for col in keys:
                 bottom, top = idem_key(*key), idem_key(*col)
-                dmin = comp.min_degree(bottom, top)
-                if dmin is None:
-                    continue
-                pred = comp.space.form_vv(key, col)
-                dmax = max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + comp.tail
-                for deg in range(dmin, dmax + 1):
+                for deg in _hom_window(comp, key, col):
                     for space in spaces:
                         got = logged(space, comp, key, col, deg)
                         assert got == logged(space, ref, key, col, deg), (key, col, deg)
@@ -417,6 +470,69 @@ def test_runs_by_word_offer_the_pairwise_rows(case, monkeypatch):
                         rows += len(got[0])
                         cut += 0 < len(got[1][1]) == len(comp.tilde_basis(bottom, top, deg))
     assert components >= 100 and rows >= 100 and cut >= 5
+
+
+def _ends_black(x):
+    I, kappa = x
+    return bool(I) and kappa[-1] < len(I)
+
+
+def test_vanishing_idempotents_keep_every_space(monkeypatch):
+    """On every component of the ``PAIRWISE_CASES`` blocks, over the graded
+    Hom window, the kernel and the standard-module space equal those of a
+    computer that assembles every kernel by products; both rules of
+    ``_vanishes`` fill some component."""
+    by_prefix = directly = 0
+    for case in sorted(PAIRWISE_CASES):
+        d, comp, contents = _case_computer(case)
+        _, ref, _ = _case_computer(case)
+        _certificate_off(monkeypatch, ref)
+        proven: dict = {}
+        vanishes = comp._vanishes
+
+        def logged(x, n):
+            proven[x, n] = vanishes(x, n)
+            return proven[x, n]
+
+        monkeypatch.setattr(comp, "_vanishes", logged)
+        for coords in contents:
+            keys = comp.idems(d.root(coords))
+            for key in keys:
+                for col in keys:
+                    bottom, top = idem_key(*key), idem_key(*col)
+                    for deg in _hom_window(comp, key, col):
+                        got = comp.kernel_space(bottom, top, deg)
+                        assert got == ref.kernel_space(bottom, top, deg), (case, key, col, deg)
+                        got = comp.standard_space(key, col, deg)
+                        assert got == ref.standard_space(key, col, deg), (case, key, col, deg)
+        for (x, n), ok in proven.items():
+            # rule (a) proved x when its prefix was proved with the same n
+            if ok and _ends_black(x) and proven.get(((x[0][:-1], x[1]), n)):
+                by_prefix += 1
+            elif ok:
+                directly += 1
+    assert by_prefix >= 1 and directly >= 1
+
+
+def test_a_vanishing_prefix_kills_the_idempotent(monkeypatch):
+    """The lemma behind rule (a): for every idempotent x of at most three
+    strands of the ``PAIRWISE_CASES`` data whose last strand is black, if
+    the kernel fills (x′ T~ x′)_0 for the prefix x′ = (I[:-1], κ), it fills
+    (x T~ x)_0, each assembled by products."""
+    premises = 0
+    for case in sorted(PAIRWISE_CASES):
+        d, comp, _ = _case_computer(case)
+        _certificate_off(monkeypatch, comp)
+
+        def full(x):
+            return len(comp.kernel_space(x, x, 0)[1]) == len(comp.tilde_basis(x, x, 0))
+
+        for alpha in block_contents(d, 3):
+            for I, kappa in comp.idems(alpha):
+                if _ends_black((I, kappa)) and full((I[:-1], kappa)):
+                    premises += 1
+                    assert full((I, kappa)), (case, I, kappa)
+    assert premises >= 5
 
 
 def test_a2_table_matches_the_benchmark_golden():

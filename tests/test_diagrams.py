@@ -11,6 +11,7 @@ from tensoralg.diagrams import (
     Element,
     RedCrossingError,
     WordError,
+    basis_dim,
     basis_enumerate,
     canonical_word,
     connecting_perms,
@@ -676,6 +677,7 @@ def test_basis_enumerate_keeps_the_basis_order(case):
     assert basis_enumerate(comp.alg, bottom, top, lo, hi) == want
     if lo == hi:
         assert comp.tilde_basis(bottom, top, lo) == want
+        assert basis_dim(comp.alg, bottom, top, lo) == len(want)
     zero_dots = (0,) * len(bottom[0])
     degs = [comp.alg.diagram_degree(bottom, w, zero_dots) for w in connecting_perms(comp.alg, bottom, top)]
     assert comp.min_degree(bottom, top) == min(degs, default=None)
