@@ -6,11 +6,13 @@ engine.  The kernel of T~ -> T in a Hom component at one degree is the
 part in the two-sided ideal K that the "violating" idempotents (those
 with a black strand left of every red) generate; graded dimensions of
 the quotient are assembled degree by degree against the quantum-side
-prediction.  The check is two-sided on the window [dmin, top + ``tail``],
-where dmin is the lowest degree of the component and top the highest
-degree the prediction reaches: a dimension above or below the prediction
-there is a hard integrity error, never silently accepted.  The degrees
-above the window are not computed, so they are not yet certified.
+prediction.  The check (``BlockComputer._checked_dims``, for graded Hom
+entries and standard-module columns alike) is two-sided on the window
+[dmin, top + ``tail``], where dmin is the lowest degree of the
+component and top the highest degree the prediction reaches: a
+dimension above or below the prediction there is a hard integrity
+error, never silently accepted.  The degrees above the window are not
+computed, so they are not yet certified.
 
 A component whose bottom or top idempotent e(x) lies in K is K entirely,
 in every degree, and ``BlockComputer._vanishes`` proves e(x) ∈ K with no
@@ -99,6 +101,7 @@ class BlockComputer:
         self.max_strands = max_strands
         self._tilde_cache: dict = {}  # (bottom, top, d) -> see _tilde_entry
         self._kernel_cache: dict = {}
+        self._vanish_cache: dict = {}  # (x, n) -> _vanishes(x, n)
         self._entry_cache: dict = {}
 
     # -- idempotent universes -------------------------------------------------
@@ -192,12 +195,19 @@ class BlockComputer:
         (n0 is counted, so a larger diagonal is never listed).  The answer
         depends on (x, n) alone, never on what is cached, so which
         components are assembled by products, and so every product count,
-        does not depend on the order of requests."""
-        I, kappa = x
-        if I and max(kappa, default=0) < len(I) and self._vanishes((I[:-1], kappa), n):
-            return True
-        n0 = basis_dim(self.alg, x, x, 0)
-        return n0 <= n and len(self.kernel_space(x, x, 0)[1]) == n0
+        does not depend on the order of requests; that also makes it safe
+        to memoize per (x, n)."""
+        key = (x, n)
+        hit = self._vanish_cache.get(key)
+        if hit is None:
+            I, kappa = x
+            if I and max(kappa, default=0) < len(I) and self._vanishes((I[:-1], kappa), n):
+                hit = True
+            else:
+                n0 = basis_dim(self.alg, x, x, 0)
+                hit = n0 <= n and len(self.kernel_space(x, x, 0)[1]) == n0
+            self._vanish_cache[key] = hit
+        return hit
 
     def lefts_through(self, bottom: IdemKey, top: IdemKey, d: int, mids):
         """Left factors for ``saturate``: for each ``(mid, g, deg g)`` in
@@ -260,6 +270,12 @@ class BlockComputer:
             for w, run in groupby(self.tilde_basis(bottom, top, d), key=itemgetter(1))
         ]
 
+    def coset_reps(self, bottom: IdemKey, top: IdemKey, d: int) -> list:
+        """The basis diagrams of (bottom T~ top)_d off the kernel's pivot
+        columns, in basis order: their classes are a basis of the quotient."""
+        _, pivot_rows = self.kernel_space(bottom, top, d)
+        return [k for i, k in enumerate(self.tilde_basis(bottom, top, d)) if i not in pivot_rows]
+
     def quotient_dim(self, bottom: IdemKey, top: IdemKey, d: int) -> int:
         nb = len(self.tilde_basis(bottom, top, d))
         if nb == 0:
@@ -279,34 +295,35 @@ class BlockComputer:
         """
         key = (row, col)
         hit = self._entry_cache.get(key)
-        if hit is not None:
-            return hit
-        bottom, top = idem_key(*row), idem_key(*col)
-        pred = self.space.form_vv(bottom, top)
+        if hit is None:
+            bottom, top = idem_key(*row), idem_key(*col)
+            pred = self.space.form_vv(bottom, top)
+            hit = self._entry_cache[key] = self._checked_dims(
+                f"component {row}->{col}", bottom, top, pred, lambda d: self.quotient_dim(bottom, top, d)
+            )
+        return hit
+
+    def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> LaurentPoly:
+        """The graded dimension ``dim_at(d)`` of a quotient of the
+        component (bottom, top), checked two-sidedly against ``pred`` at
+        every degree of the window [dmin, top + ``tail``]; ``what`` names
+        the component in the ``IntegrityError`` a mismatch raises."""
         dmin = self.min_degree(bottom, top)
         if dmin is None:
             if not pred.is_zero():
-                raise IntegrityError(f"empty component but oracle predicts {pred.text()}")
-            self._entry_cache[key] = ZERO
+                raise IntegrityError(f"{what}: empty component but oracle predicts {pred.text()}")
             return ZERO
         dmax = max(pred.max_exp() if not pred.is_zero() else dmin, dmin)
         coeffs = {}
         for d in range(dmin, dmax + self.tail + 1):
-            dim = self.quotient_dim(bottom, top, d)
+            dim = dim_at(d)
             want = pred.coeff(d)
-            if dim > want:
-                raise IntegrityError(
-                    f"component {row}->{col} degree {d}: dimension {dim} exceeds oracle {want}"
-                )
-            if dim < want:
-                raise IntegrityError(
-                    f"component {row}->{col} degree {d}: dimension {dim} below oracle {want}"
-                )
+            if dim != want:
+                side = "exceeds" if dim > want else "below"
+                raise IntegrityError(f"{what} degree {d}: dimension {dim} {side} oracle {want}")
             if dim:
                 coeffs[d] = dim
-        out = LaurentPoly(coeffs)
-        self._entry_cache[key] = out
-        return out
+        return LaurentPoly(coeffs)
 
     def graded_hom_table(self, alpha: RootVector) -> GradedHomTable:
         table = GradedHomTable()
@@ -354,35 +371,17 @@ class BlockComputer:
         """dim_q Hom(P_col, S^κ_I), assembled against form(v_col, s^κ_I)."""
         ck = ("sd", key, col)
         hit = self._entry_cache.get(ck)
-        if hit is not None:
-            return hit
-        out = self._standard_dims(key, col)
-        self._entry_cache[ck] = out
-        return out
-
-    def _standard_dims(self, key: VKey, col: VKey) -> LaurentPoly:
-        bottom = idem_key(*key)
-        top = idem_key(*col)
-        pred = self.space.form_vs(top, bottom)
-        dmin = self.min_degree(bottom, top)
-        if dmin is None:
-            if not pred.is_zero():
-                raise IntegrityError("empty component but standard oracle is nonzero")
-            return ZERO
-        dmax = max(pred.max_exp() if not pred.is_zero() else dmin, dmin)
-        coeffs = {}
-        for d in range(dmin, dmax + self.tail + 1):
-            nb = len(self.tilde_basis(bottom, top, d))
-            _, pivots = self.standard_space(key, col, d)
-            dim = nb - len(pivots)
-            want = pred.coeff(d)
-            if dim != want:
-                raise IntegrityError(
-                    f"standard module column {key}->{col} degree {d}: {dim} != oracle {want}"
-                )
-            if dim:
-                coeffs[d] = dim
-        return LaurentPoly(coeffs)
+        if hit is None:
+            bottom, top = idem_key(*key), idem_key(*col)
+            pred = self.space.form_vs(top, bottom)
+            hit = self._entry_cache[ck] = self._checked_dims(
+                f"standard module column {key}->{col}",
+                bottom,
+                top,
+                pred,
+                lambda d: len(self.tilde_basis(bottom, top, d)) - len(self.standard_space(key, col, d)[1]),
+            )
+        return hit
 
     def standard_filtration_check(self, key: VKey) -> tuple[bool, dict]:
         """Both halves of the standard-filtration statement.
@@ -436,8 +435,7 @@ class QuotientBlock:
                 if entry.is_zero():
                     continue
                 for d in entry.support():
-                    _, pivot_rows = comp.kernel_space(a, b, d)
-                    reps = [k for i, k in enumerate(comp.tilde_basis(a, b, d)) if i not in pivot_rows]
+                    reps = comp.coset_reps(a, b, d)
                     if len(reps) != entry.coeff(d):
                         raise IntegrityError("coset representative count mismatch")
                     for rkey in reps:
@@ -480,29 +478,16 @@ class QuotientBlock:
 
     def multiply_vectors(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
         out: dict[int, object] = {}
-        zero = self.comp.field.zero()
         for i, ci in x.items():
             for j, cj in y.items():
                 prod = self._mult.get((i, j))
-                if not prod:
-                    continue
-                cc = ci * cj
-                for k, ck in prod.items():
-                    v = out.get(k, zero) + cc * ck
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
+                if prod:
+                    add_multiple(out, ci * cj, prod)
         return out
 
     def identity_vector(self) -> dict[int, object]:
-        out = {}
-        for i, (a, b, d, key) in enumerate(self.basis):
-            if a == b and d == 0:
-                idem, w, dots = key
-                if all(x == 0 for x in dots) and list(w) == sorted(w):
-                    out[i] = self.comp.field.one()
-        return out
+        """The sum of the idempotent vectors, in basis order."""
+        return {i: c for idem in self.idems for i, c in self.idem_vector(idem).items()}
 
     def degrees(self) -> list[int]:
         return [d for (_, _, d, _) in self.basis]
@@ -620,8 +605,7 @@ def double_centralizer_data(comp: BlockComputer, key: VKey, single: "BlockComput
         coeffs = {}
         if not entry.is_zero():
             for d in entry.support():
-                _, pivk = single.kernel_space(ybottom, (J, (0,)), d)
-                reps = [k for i, k in enumerate(single.tilde_basis(ybottom, (J, (0,)), d)) if i not in pivk]
+                reps = single.coset_reps(ybottom, (J, (0,)), d)
                 _, piv2 = single.kernel_space(ybottom, (J, (0,)), d + deg_y)
                 img = IncrementalRREF(single.field)
                 for rkey in reps:
@@ -631,7 +615,7 @@ def double_centralizer_data(comp: BlockComputer, key: VKey, single: "BlockComput
                     vec = single.element_coords(el, ybottom, (J, (0,)), d + deg_y)
                     img.add(reduce_against(vec, piv2))
                 if img.rank:
-                    coeffs[d + deg_y] = coeffs.get(d + deg_y, 0) + img.rank
+                    coeffs[d + deg_y] = img.rank
         image_dims = LaurentPoly(coeffs)
         want = LaurentPoly.q_power(deg_theta) * hom
         match = image_dims == want

@@ -27,6 +27,12 @@ its permutations again (``DiagramAlgebra.component``, ``dot_vectors``),
 and ``basis_dim`` counts the diagrams of a degree from the same memos
 without listing them.
 
+A combination of basis diagrams times one crossing is the sum of its
+terms' products (``DiagramAlgebra.acc_times_s``, beside ``_acc_dot`` for a
+dot); word normal forms and ``Element.multiply`` both walk a crossing word
+through it, and every sum of combinations goes through
+``linalg.add_multiple``, which drops the terms that cancel.
+
 Every coefficient these relations produce is an integer, so the engine
 computes over ℤ with plain ``int`` coefficients.  A scalar field enters
 only where coordinates meet linear algebra (``BlockComputer.element_coords``);
@@ -47,6 +53,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .cartan import CartanDatum, QMatrix, Weight
+from .linalg import add_multiple
 from .qtensor import check_kappa
 
 IdemKey = tuple[tuple[int, ...], tuple[int, ...]]  # (I, kappa)
@@ -155,8 +162,10 @@ class DiagramAlgebra:
     """The strand algebra over ℤ for a fixed Cartan datum, Q-matrix and red
     labels.  All rewriting state (memo tables) lives here.
 
-    Dicts returned by the rewriting core (``eval_word``, ``term_times_s``,
-    ``crossing_on_basis``) may be memo entries: callers must not mutate them.
+    Dicts returned by the rewriting core (``eval_word``, ``acc_times_s``,
+    ``term_times_s``, ``crossing_on_basis``) may be memo entries, and one
+    dict may sit in two memos (a word's normal form can be the memoized
+    product of its one crossing): callers must not mutate them.
     So are the tuples of the Hom-component geometry (``component``) and of
     the dot vectors (``dot_vectors``); every component with the same top
     labels shares the latter.
@@ -320,15 +329,7 @@ class DiagramAlgebra:
             if ev == "y":
                 acc = self._acc_dot(idem, acc, p)
             elif ev == "s":
-                nxt: dict = {}
-                for (w, dots), c in acc.items():
-                    for k2, c2 in self.term_times_s(idem, w, dots, p).items():
-                        v = nxt.get(k2, 0) + c * c2
-                        if v:
-                            nxt[k2] = v
-                        elif k2 in nxt:
-                            del nxt[k2]
-                acc = nxt
+                acc = self.acc_times_s(idem, acc, p)
             else:
                 raise WordError(f"unknown event {ev!r}")
         self._word_memo[key] = acc
@@ -348,6 +349,20 @@ class DiagramAlgebra:
             nd = list(dots)
             nd[k] += 1
             out[(w, tuple(nd))] = c
+        return out
+
+    def acc_times_s(self, idem: IdemKey, acc: dict, p: int) -> dict:
+        """``acc`` times a crossing at top slot ``p``: the sum of
+        ``term_times_s`` over its terms, with the terms that cancel dropped.
+        A single term with coefficient 1 returns the memo entry itself."""
+        if len(acc) == 1:
+            # one term: nothing can merge or cancel
+            ((w, dots), c), = acc.items()
+            step = self.term_times_s(idem, w, dots, p)
+            return step if c == 1 else {k: c * v for k, v in step.items()}
+        out: dict = {}
+        for (w, dots), c in acc.items():
+            add_multiple(out, c, self.term_times_s(idem, w, dots, p))
         return out
 
     def term_times_s(self, idem: IdemKey, w: tuple[int, ...], dots: tuple[int, ...], p: int):
@@ -371,9 +386,7 @@ class DiagramAlgebra:
                 nd[k] -= 1
                 nd = tuple(nd)
                 out = self._acc_dot(idem, self.term_times_s(idem, w, nd, p), slot)
-                key = (w, nd)
-                out[key] = out.get(key, 0) + sign
-                return _prune(out)
+                return add_multiple(out, sign, {(w, nd): 1})
             # Dots ride along with their strands: the pair's entries swap
             # (a red passing a black keeps the black indexing).
             if dots[ka] != dots[ka + 1]:
@@ -425,8 +438,7 @@ class DiagramAlgebra:
                         nd = [0] * n
                         nd[kp] += a
                         nd[kp + 1] += b
-                        k2 = (wpp, tuple(nd))
-                        out[k2] = out.get(k2, 0) + coeff
+                        add_multiple(out, coeff, {(wpp, tuple(nd)): 1})
             else:
                 # red/black bigon: λ^i dots on the black strand
                 slot = p if lv[0] == "b" else p + 1
@@ -434,12 +446,8 @@ class DiagramAlgebra:
                 lam = self.lambdas[(lu if lv[0] == "b" else lv)[1]]
                 nd = [0] * n
                 nd[black[slot]] += lam.coords[i]
-                k2 = (wpp, tuple(nd))
-                out[k2] = out.get(k2, 0) + 1
-            for (wl, dl), c in X.items():
-                for k2, c2 in self.term_times_s(idem, wl, dl, p).items():
-                    out[k2] = out.get(k2, 0) - c * c2
-        out = _prune(out)
+                out[(wpp, tuple(nd))] = 1
+            add_multiple(out, -1, self.acc_times_s(idem, X, p))
         self._cross_memo[key] = out
         return out
 
@@ -467,14 +475,11 @@ class DiagramAlgebra:
                     events = [("s", q) for q in cur[:t]]
                     events += [("y", p)] * e0 + [("y", p + 1)] * e1 + [("y", p + 2)] * e2
                     events += [("s", q) for q in cur[t + 3 :]]
-                    for k2, c2 in self.eval_word(idem, events).items():
-                        corr[k2] = corr.get(k2, 0) + sign * coeff * c2
+                    add_multiple(corr, sign * coeff, self.eval_word(idem, events))
                 cur[t : t + 3] = [b, a, b]
             else:
                 cur[t], cur[t + 1] = cur[t + 1], cur[t]
-        key = (w_target, (0,) * n)
-        corr[key] = corr.get(key, 0) + 1
-        return _prune(corr)
+        return add_multiple(corr, 1, {(w_target, (0,) * n): 1})
 
     def _labels_below(self, idem: IdemKey, word: Sequence[int]):
         arr = list(self.boundary(idem)[1])
@@ -496,21 +501,13 @@ class DiagramAlgebra:
             return {}
         out: dict[tuple[int, int, int], int] = {}
         for (a, b), c in self.q.entry(i, j).items():
-            for k in range(a):
-                key = (k, b, a - 1 - k)
-                out[key] = out.get(key, 0) + c
-                if not out[key]:
-                    del out[key]
+            add_multiple(out, c, {(k, b, a - 1 - k): 1 for k in range(a)})
         return out
 
 
 def _compose_s(w: tuple[int, ...], p: int) -> tuple[int, ...]:
     """s_p ∘ w: swap the values p and p+1."""
     return tuple(p + 1 if x == p else p if x == p + 1 else x for x in w)
-
-
-def _prune(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
 
 
 class Element:
@@ -521,7 +518,7 @@ class Element:
 
     def __init__(self, algebra: DiagramAlgebra, terms: dict[DiagKey, int] | None = None):
         self.algebra = algebra
-        self.terms = _prune(terms or {})
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     # -- constructors ----------------------------------------------------------------
 
@@ -551,10 +548,7 @@ class Element:
     # -- vector space structure ----------------------------------------------------------
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Element(self.algebra, out)
+        return Element(self.algebra, add_multiple(dict(self.terms), 1, other.terms))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + other.scale(-1)
@@ -581,7 +575,6 @@ class Element:
         c·e·ψ_w·y^a of ``other`` adds c times the crossing product self·ψ_w
         with the dots y^a put on top (``times_top_dots``)."""
         alg = self.algebra
-        times_s = alg.term_times_s
         out: dict[DiagKey, int] = {}
         for (idem2, w2, d2), c2 in other.terms.items():
             word = alg.canonical_word(w2)
@@ -593,28 +586,11 @@ class Element:
                 # a crossing, so stop as soon as they do
                 acc = {(w1, d1): 1}
                 for p in word:
-                    if len(acc) == 1:
-                        # one term: nothing can merge or cancel
-                        ((w, d), c), = acc.items()
-                        step = times_s(idem1, w, d, p)
-                        acc = step if c == 1 else {k: c * v for k, v in step.items()}
-                    else:
-                        nxt: dict = {}
-                        for (w, d), c in acc.items():
-                            for k2, c2b in times_s(idem1, w, d, p).items():
-                                v = nxt.get(k2, 0) + c * c2b
-                                if v:
-                                    nxt[k2] = v
-                                elif k2 in nxt:
-                                    del nxt[k2]
-                        acc = nxt
+                    acc = alg.acc_times_s(idem1, acc, p)
                     if not acc:
                         break
-                for (w, d), c in acc.items():
-                    k = (idem1, w, d)
-                    cross[k] = cross.get(k, 0) + c1 * c
-            for k, c in Element(alg, cross).times_top_dots(d2).terms.items():
-                out[k] = out.get(k, 0) + c2 * c
+                add_multiple(cross, c1, {(idem1, w, d): c for (w, d), c in acc.items()})
+            add_multiple(out, c2, Element(alg, cross).times_top_dots(d2).terms)
         return Element(alg, out)
 
     def times_top_dots(self, dots: Sequence[int]) -> "Element":
@@ -640,9 +616,8 @@ class Element:
             new_bottom = alg.top_idem(idem, w)
             events = [("y", slot) for slot in _dot_slots(alg, idem, w, dots)]
             events += [("s", p) for p in reversed(alg.canonical_word(w))]
-            for (w2, d2), c2 in alg.eval_word(new_bottom, tuple(events)).items():
-                k2 = (new_bottom, w2, d2)
-                out[k2] = out.get(k2, 0) + c * c2
+            nf = alg.eval_word(new_bottom, tuple(events))
+            add_multiple(out, c, {(new_bottom, w2, d2): c2 for (w2, d2), c2 in nf.items()})
         return Element(alg, out)
 
     def degree(self) -> int | None:
@@ -678,7 +653,7 @@ class Element:
             w = tuple(int(x) for x in t["w"])
             algebra.check_red_order(idem, w)
             key = (idem, w, tuple(int(x) for x in t["dots"]))
-            terms[key] = terms.get(key, 0) + int(t["coeff"])
+            add_multiple(terms, int(t["coeff"]), {key: 1})
         return Element(algebra, terms)
 
 

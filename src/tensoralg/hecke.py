@@ -18,7 +18,9 @@ of each monomial x^e is memoized.  Elements handed out (``one``,
 coordinates (``to_vector``, dense; ``coords``, a sparse ``linalg`` row)
 are exact over Q, and ``multiply`` is the one field boundary: it clears
 the denominators of each factor, sums over ℤ against the table, and
-divides once per output key.
+divides once per output key.  That sum keeps the zeros that cancel and
+drops them in the one pass that divides, since it is the hot loop of the
+module theory; every other sum of terms is ``linalg.add_multiple``.
 
 Weight idempotents come from simultaneous generalized eigenprojections of
 the commuting x_k; each spectrum (integers, with multiplicities) comes
@@ -35,7 +37,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .cartan import CartanDatum, Weight
-from .linalg import min_poly, rank, rational_roots
+from .linalg import add_multiple, min_poly, rank, rational_roots
 from .scalars import QQ
 
 Perm = tuple[int, ...]  # one-line: w[i] = image of i (0-based)
@@ -104,7 +106,7 @@ class HeckeAlgebra:
 
     @staticmethod
     def add(a: dict, b: dict) -> dict:
-        return _add_into(dict(a), b)
+        return add_multiple(dict(a), 1, b)
 
     @staticmethod
     def scale(a: dict, c: Fraction) -> dict:
@@ -152,11 +154,11 @@ class HeckeAlgebra:
                 for i in reversed(word):
                     nxt: dict[HKey, int] = {}
                     for (e, w), c in terms.items():
-                        _add_into(nxt, self._s_times(e, w, i), c)
+                        add_multiple(nxt, c, self._s_times(e, w, i))
                     terms = nxt
                 # monomials commute, so x^{ea} shifts exponents injectively
                 shifted = {(tuple(x + y for x, y in zip(ea, e)), w): c for (e, w), c in terms.items()}
-                _add_into(out, shifted, ca)
+                add_multiple(out, ca, shifted)
         return out
 
     def _s_times(self, e: tuple[int, ...], w: Perm, i: int) -> dict[HKey, int]:
@@ -181,7 +183,7 @@ class HeckeAlgebra:
         (normal form of x^e)·w."""
         out: dict = {}
         for (e, w), c in terms.items():
-            _add_into(out, {(f, _perm_mul(u, w)): v for (f, u), v in self._reduce_monomial(e).items()}, c)
+            add_multiple(out, c, {(f, _perm_mul(u, w)): v for (f, u), v in self._reduce_monomial(e).items()})
         return out
 
     def _reduce_monomial(self, e: tuple[int, ...]) -> dict[HKey, int]:
@@ -220,7 +222,7 @@ class HeckeAlgebra:
             conj = self.multiply_raw(self.multiply_raw(s, prev), s)
             # x_k = s x_{k-1} s + s, so x_k^N - s x_{k-1}^N s is the bracket
             # of _mixed_power, of total degree < N.
-            out = self.reduce(_add_into(conj, self._mixed_power(k, N)))
+            out = self.reduce(add_multiple(conj, 1, self._mixed_power(k, N)))
         self._xk_reduction[k] = out
         return out
 
@@ -231,12 +233,12 @@ class HeckeAlgebra:
         e = [0] * self.d
         e[k - 1] = 1
         u = self.multiply_raw(self.multiply_raw(v, {(tuple(e), _perm_id(self.d)): 1}), v)
-        total = _add_into(dict(u), v)
+        total = add_multiple(dict(u), 1, v)
         acc = upow = one
         for _ in range(N):
             acc = self.multiply_raw(acc, total)
             upow = self.multiply_raw(upow, u)
-        return _add_into(acc, upow, -1)
+        return add_multiple(acc, -1, upow)
 
     # -- vectors ------------------------------------------------------------------------
 
@@ -267,17 +269,6 @@ def _clear_denominators(a: dict) -> tuple[dict, int]:
     """(a·m over ℤ, m) for m the lcm of the denominators of a's coefficients."""
     m = math.lcm(*(c.denominator for c in a.values()))
     return {k: c.numerator * (m // c.denominator) for k, c in a.items()}, m
-
-
-def _add_into(out: dict, terms: dict, c=1) -> dict:
-    """out += c · terms, dropping coefficients that cancel; returns out."""
-    for k, v in terms.items():
-        v = out.get(k, 0) + c * v
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
 
 
 def _poly_shift_mul(coeffs: list[int], root: int) -> list[int]:

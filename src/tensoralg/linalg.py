@@ -136,8 +136,19 @@ def reduce_against(vec, pivot_rows):
 
 
 def add_multiple(v: dict, f, row: dict) -> dict:
-    """v += f·row for sparse rows, in place, dropping entries that cancel;
-    returns v."""
+    """v += f·row, in place, dropping entries that cancel; returns v.
+
+    ``v`` and ``row`` are any sparse ``{key: coeff}`` combinations that
+    store no zero, over ℤ or a field: rows here, diagram and Hecke terms,
+    polynomials.  The sums of this module, the diagram engine, the
+    polynomial representation, the Hecke rewriter and the quotient blocks
+    all go through it, except for three inlined copies: ``reduce_against``
+    (the hot loop of elimination, where the call cost about 20%),
+    ``LaurentPoly`` (this module imports ``laurent``) and
+    ``HeckeAlgebra.multiply`` (an unpruned integer sum, filtered once while
+    it divides).  ``polyrep._apply_term`` walks its own operators, since it
+    is the engine's independent oracle.
+    """
     if f:
         for k, x in row.items():
             y = v.get(k)
@@ -317,11 +328,5 @@ def _laurent_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         if rem:
             raise ArithmeticError("non-exact division in Bareiss elimination")
         out[qexp] = qc
-        for de in dsup:
-            ne = qexp + de
-            na = nmap.get(ne, 0) - qc * den.coeff(de)
-            if na:
-                nmap[ne] = na
-            elif ne in nmap:
-                del nmap[ne]
+        add_multiple(nmap, -qc, {qexp + de: den.coeff(de) for de in dsup})
     return LaurentPoly(out)

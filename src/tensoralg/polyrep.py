@@ -19,7 +19,10 @@ correctness test for products.  It never calls the rewriting code.
 
 from __future__ import annotations
 
+from operator import add
+
 from .diagrams import DiagramAlgebra, Element, IdemKey
+from .linalg import add_multiple
 
 Poly = dict[tuple[int, ...], int]  # exponent vector -> coefficient
 
@@ -46,24 +49,15 @@ class LabeledPoly:
 def poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        # multiplying by one monomial is injective on monomials
+        add_multiple(out, c1, {tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()})
     return out
 
 
 def _swap_vars(f: Poly, k: int) -> Poly:
-    out: Poly = {}
-    for e, c in f.items():
-        ne = list(e)
-        ne[k], ne[k + 1] = ne[k + 1], ne[k]
-        ne = tuple(ne)
-        out[ne] = out.get(ne, 0) + c
-    return out
+    """f with y_k and y_{k+1} exchanged; the swap is injective on
+    monomials, so no terms merge."""
+    return {e[:k] + (e[k + 1], e[k]) + e[k + 2 :]: c for e, c in f.items()}
 
 
 def _demazure(f: Poly, k: int) -> Poly:
@@ -74,15 +68,7 @@ def _demazure(f: Poly, k: int) -> Poly:
         if a == b:
             continue
         lo, hi, sgn = (b, a, 1) if a > b else (a, b, -1)
-        for s in range(lo, hi):
-            ne = list(e)
-            ne[k], ne[k + 1] = s, a + b - 1 - s
-            ne = tuple(ne)
-            v = out.get(ne, 0) + (c if sgn > 0 else -c)
-            if v:
-                out[ne] = v
-            elif ne in out:
-                del out[ne]
+        add_multiple(out, sgn * c, {e[:k] + (s, a + b - 1 - s) + e[k + 2 :]: 1 for s in range(lo, hi)})
     return out
 
 
@@ -110,13 +96,7 @@ def apply_element(alg: DiagramAlgebra, a: Element, f: LabeledPoly) -> LabeledPol
         if len(bottoms) > 1:
             raise ValueError("element mixes bottom idempotents; act term by term")
         out_idem = idem
-        g = _apply_term(alg, idem, w, dots, f.poly)
-        for e, v in g.items():
-            nv = acc.get(e, 0) + c * v
-            if nv:
-                acc[e] = nv
-            elif e in acc:
-                del acc[e]
+        add_multiple(acc, c, _apply_term(alg, idem, w, dots, f.poly))
     if out_idem is None:
         # Nothing matched: the action is zero; park it at f's idem.
         return LabeledPoly(f.idem, {})
@@ -185,12 +165,7 @@ def random_poly(alg: DiagramAlgebra, idem: IdemKey, rng, max_degree: int = 6, te
                 break
             e[rng.randrange(n)] += 1
         c = rng.randrange(-3, 4) or 1
-        key = tuple(e)
-        v = poly.get(key, 0) + c
-        if v:
-            poly[key] = v
-        elif key in poly:
-            del poly[key]
+        add_multiple(poly, c, {tuple(e): 1})
     return LabeledPoly(idem, poly)
 
 

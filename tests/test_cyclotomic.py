@@ -9,6 +9,7 @@ import pytest
 from tensoralg.cartan import default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import (
     BlockComputer,
+    IntegrityError,
     QuotientBlock,
     cyclotomic_ideal_space,
     double_centralizer_data,
@@ -22,6 +23,7 @@ from tensoralg.diagrams import Element, idem_key
 from tensoralg.laurent import ONE, ZERO, LaurentPoly
 from tensoralg.linalg import IncrementalRREF
 from tensoralg.qtensor import GradedHomTable, arrangements
+from tensoralg.scalars import QQ, PrimeField
 from tensoralg.workbench import block_contents
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -222,6 +224,29 @@ def test_integrity_error_on_wrong_oracle(sl2_11):
     a = ((0,), (0, 0))
     c = ((0, 0), (0, 0))
     assert comp.graded_hom(a, c) == ZERO
+
+
+A, B = ((0,), (0, 0)), ((0,), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "entry, oracle, message",
+    [
+        (("graded_hom", A, A), LaurentPoly({0: 1, 2: 2}), r"component .* degree 2: dimension 1 below oracle 2"),
+        (("graded_hom", A, A), ONE, r"component .* degree 2: dimension 1 exceeds oracle 0"),
+        (("graded_hom", A, ((0, 0), (0, 0))), ONE, r"component .*: empty component but oracle predicts 1"),
+        (("standard_dims", B, A), LaurentPoly({1: 2}), r"standard module column .* degree 1: dimension 1 below oracle 2"),
+        (("standard_dims", B, A), ONE, r"standard module column .* degree 1: dimension 1 exceeds oracle 0"),
+    ],
+)
+def test_a_wrong_oracle_is_an_integrity_error(monkeypatch, entry, oracle, message):
+    # sl2 (ω, ω): Hom(A, A) = 1 + q², S-column (B, A) = q
+    d = sl2()
+    comp = BlockComputer(d, default_q_matrix(d), (d.weight((1,)), d.weight((1,))))
+    method, row, col = entry
+    monkeypatch.setattr(comp.space, "form_vv" if method == "graded_hom" else "form_vs", lambda x, y: oracle)
+    with pytest.raises(IntegrityError, match=message):
+        getattr(comp, method)(row, col)
 
 
 def test_a2_single_red_euler():
@@ -535,16 +560,27 @@ def test_a_vanishing_prefix_kills_the_idempotent(monkeypatch):
     assert premises >= 5
 
 
-def test_a2_table_matches_the_benchmark_golden():
-    """Every entry of the a2-table benchmark workload (A2, reds (ω1, ω2),
-    all contents with at most three strands plus (4,0) and (0,4)) on a
-    fresh computer reproduces its golden Laurent polynomial."""
-    golden = json.loads((GOLDEN / "a2-table.json").read_text())["items"]
-    d = type_a(2)
-    comp = BlockComputer(d, default_q_matrix(d), (d.weight((1, 0)), d.weight((0, 1))))
+# name: (datum, red labels, field, extra contents) of the table workloads
+TABLE_WORKLOADS = {
+    "a2-table": (lambda: type_a(2), ((1, 0), (0, 1)), QQ, ((4, 0), (0, 4))),
+    "sl2-wide-gfp": (sl2, ((1,), (2,)), PrimeField(2147483647), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_WORKLOADS))
+def test_table_matches_the_benchmark_golden(name):
+    """Every entry of a table benchmark workload (all contents with at
+    most three strands, plus the extra ones) on a fresh computer over the
+    workload's field reproduces its golden Laurent polynomial: a2-table is
+    A2 with reds (ω1, ω2) over Q plus (4,0) and (0,4), sl2-wide-gfp is sl2
+    with reds (ω, 2ω) over GF(2147483647)."""
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())["items"]
+    datum_f, lams, field, extra = TABLE_WORKLOADS[name]
+    d = datum_f()
+    comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams), field)
     label = GradedHomTable.idem_label
     items = {}
-    for alpha in [*block_contents(d, 3), d.root((4, 0)), d.root((0, 4))]:
+    for alpha in [*block_contents(d, 3), *(d.root(c) for c in extra)]:
         keys = comp.idems(alpha)
         for a in keys:
             for b in keys:

@@ -385,15 +385,18 @@ def _flip_pool(name):
 
 
 @st.composite
-def composable_elements(draw):
+def composable_elements(draw, min_terms=0):
     """Random integer combinations a of (x T y) and b of (y T z), mixed in
-    degree, in one content block of sl2 (ω, 2ω) or A2 (ω1, ω2)."""
+    degree, in one content block of sl2 (ω, 2ω) or A2 (ω1, ω2), with at
+    most three terms each and at least ``min_terms`` where the component
+    has that many diagrams."""
     alg, idems, pool = _flip_pool(draw(st.sampled_from(sorted(FLIP_CASES))))
     x, y, z = (draw(st.sampled_from(idems)) for _ in range(3))
 
     def element(bottom, top):
         keys = pool[(bottom, top)]
-        chosen = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)) if keys else []
+        size = min(min_terms, len(keys))
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=size, max_size=3, unique=True)) if keys else []
         return Element(alg, {k: draw(st.integers(-3, 3).filter(bool)) for k in chosen})
 
     return element(x, y), element(y, z)
@@ -404,6 +407,60 @@ def composable_elements(draw):
 def test_flip_is_an_anti_automorphism(pair):
     a, b = pair
     assert a.multiply(b).flip() == b.flip().multiply(a.flip())
+
+
+def _termwise_product(a, b):
+    """Σ c·c′ (t·t′) over the terms c·t of a and c′·t′ of b, each product
+    of two basis diagrams straightened on its own."""
+    alg = a.algebra
+    total = Element(alg)
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            total = total + Element(alg, {ka: 1}).multiply(Element(alg, {kb: 1})).scale(ca * cb)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(composable_elements(min_terms=2), st.randoms(use_true_random=False))
+def test_multi_term_products_are_sums_of_termwise_products(pair, rng):
+    # the polynomial representation checks each termwise product too
+    a, b = pair
+    assert a.multiply(b) == _termwise_product(a, b)
+    alg = a.algebra
+    for kb in b.terms:
+        assert module_axiom_holds(alg, a, b, random_poly(alg, alg.top_idem(kb[0], kb[1]), rng))
+
+
+def test_terms_that_cancel_inside_the_crossing_walk(monkeypatch):
+    # sl2 (ω, 2ω): l = e(1,1|0,1)·ψ·y2 times r = e(1,1|0,0)·ψ·y2 walks the
+    # crossings of r through a running sum of several terms, and at one
+    # crossing two of those terms straighten onto one diagram with
+    # opposite coefficients
+    alg, _, pool = _flip_pool("sl2 (w,2w)")
+    x, y = idem_key((0, 0), (0, 1)), idem_key((0, 0), (0, 0))
+    l, r = (x, (0, 2, 1, 3), (0, 1)), (y, (0, 2, 3, 1), (0, 1))
+    assert l in pool[(x, y)] and r in pool[(y, alg.top_idem(y, r[1]))]
+    cancelled = []
+    acc_times_s = alg.acc_times_s
+
+    def spy(idem, acc, p):
+        if len(acc) > 1:
+            raw: dict = {}
+            for (w, dots), c in acc.items():
+                for k, v in alg.term_times_s(idem, w, dots, p).items():
+                    raw[k] = raw.get(k, 0) + c * v
+            cancelled.extend(k for k, v in raw.items() if not v)
+        return acc_times_s(idem, acc, p)
+
+    a = Element(alg, {l: 2, (x, (0, 2, 1, 3), (1, 0)): -1})
+    b = Element(alg, {r: 1, (y, (0, 2, 3, 1), (0, 2)): 3})
+    # the first product fills the memos, so the spy sees only the walk
+    prod = a.multiply(b)
+    monkeypatch.setattr(alg, "acc_times_s", spy)
+    assert a.multiply(b) == prod
+    assert cancelled
+    assert prod == _termwise_product(a, b)
+    assert module_axiom_holds(alg, a, b, random_poly(alg, alg.top_idem(y, r[1]), random.Random(5)))
 
 
 @st.composite

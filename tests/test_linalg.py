@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tensoralg.laurent import LaurentPoly
 from tensoralg.linalg import (
     IncrementalRREF,
+    add_multiple,
     laurent_rank,
     min_poly,
     nullspace,
@@ -198,6 +199,41 @@ def test_sparse_elimination_matches_the_dense_reference(spec, field):
         rem = reduce_against(probe, inc.pivot_rows)
         assert all(rem.values())
         assert dense(rem, ncols, field) == _reference_remainder(dense(probe, ncols, field), held, inc.pivots)
+
+
+class _Integers:
+    """ℤ as plain ``int``, the engine's coefficients."""
+
+    @staticmethod
+    def zero():
+        return 0
+
+    @staticmethod
+    def from_int(n):
+        return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([_Integers, QQ, PrimeField(7)]),
+    st.dictionaries(st.integers(0, 7), st.integers(-9, 9), max_size=6),
+    st.dictionaries(st.integers(0, 7), st.integers(-9, 9), max_size=6),
+    st.integers(-9, 9),
+)
+def test_add_multiple_matches_the_dense_sum(field, v_ints, row_ints, f_int):
+    # sparse rows store no zero, in the field as well as over ℤ
+    v = {k: field.from_int(x) for k, x in v_ints.items() if field.from_int(x)}
+    row = {k: field.from_int(x) for k, x in row_ints.items() if field.from_int(x)}
+    f = field.from_int(f_int)
+    before, row_before = dict(v), dict(row)
+    out = add_multiple(v, f, row)
+    assert out is v
+    assert row == row_before
+    assert all(out.values())
+    want = [before.get(k, field.zero()) + f * row.get(k, field.zero()) for k in range(8)]
+    assert dense(out, 8, field) == want
+    if not f:
+        assert out == before
 
 
 def test_laurent_rank_vs_rational_specialization():

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import tensoralg
+from tensoralg.laurent import ONE
+from tensoralg.qtensor import TensorSpace
 from tensoralg.workbench import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -119,6 +121,13 @@ def test_config_errors(capsys):
     assert main(["--datum", "nosuch", "--lambda", "1", "--task", "dims"]) == 2
     assert main(["--datum", "sl2", "--lambda", "1,0", "--task", "dims"]) == 2
     assert main(["--datum", "sl2", "--lambda", "-1", "--task", "dims"]) == 2
+
+
+def test_an_integrity_error_exits_3(monkeypatch, capsys):
+    form_vv = TensorSpace.form_vv
+    monkeypatch.setattr(TensorSpace, "form_vv", lambda self, a, b: form_vv(self, a, b) + ONE)
+    assert main(BASE + ["--task", "dims", "--max-strands", "1"]) == 3
+    assert capsys.readouterr().err.startswith("integrity error: component ")
 
 
 def test_hecke_check_with_two_reds_is_a_configuration_error(capsys):
