@@ -8,21 +8,45 @@ with a black strand left of every red) generate; graded dimensions of
 the quotient are assembled degree by degree against the quantum-side
 prediction.  The check (``BlockComputer._checked_dims``, for graded Hom
 entries and standard-module columns alike) is two-sided on the window
-[dmin, top + ``tail``], where dmin is the lowest degree of the
-component and top the highest degree the prediction reaches: a
-dimension above or below the prediction there is a hard integrity
-error, never silently accepted.  The degrees above the window are not
-computed, so they are not yet certified.
+``BlockComputer.checked_window``, [dmin, top + ``tail``], where dmin is
+the lowest degree of the component and top the highest degree the
+prediction reaches: a dimension above or below the prediction there is a
+hard integrity error, never silently accepted.  The degrees above the
+window are not computed, so they are not yet certified.
 
 A component whose bottom or top idempotent e(x) lies in K is K entirely,
-in every degree, and ``BlockComputer._vanishes`` proves e(x) ∈ K with no
-product in the component, by one of two rules:
+in every degree.  ``BlockComputer._proven`` proves e(x) ∈ K from x alone,
+with no product and no look at the prediction; reds are numbered from 1
+on the left, and λ_j^i is the i-th coordinate of the label of red j:
+- x is violating (κ(1) ≥ 1);
+- prefix cut: the strands left of the last red ℓ form an idempotent p,
+  with reds 1..ℓ−1, and e(p) ∈ K.  Putting strands to the right of every
+  diagram is an algebra map that keeps a violating idempotent violating,
+  so it maps K(p) into K and e(p) to e(x);
+- red bigon: the black strand k directly right of red ℓ has label i with
+  λ_ℓ^i = 0, and e(x′) ∈ K for x′, the same strands with k moved left of
+  red ℓ.  Strand k crossing red ℓ and returning costs y_k^{λ_ℓ^i} = 1,
+  so e(x) = ψ·e(x′)·ψ;
+- cyclotomic nilHecke: ℓ = 1 and the first m strands right of red 1 all
+  have label i, with m > λ_1^i.  For ℓ = 1 the quotient is the cyclotomic
+  quiver Hecke algebra, and the idempotent of those m strands spans the
+  cyclotomic nilHecke algebra NH_m^{λ_1^i}, which is 0 for m > λ_1^i;
+  further strands on the right come free as in the prefix cut.
+The last two act on the last red only, since the prefix cut hands every
+earlier red to the prefix, and bigons at different reds commute.
+``BlockComputer._vanishes`` proves e(x) ∈ K by ``_proven`` or by one of
+two rules that look at products:
 (a) x ends in a black strand and e(x′) ∈ K for its prefix
-x′ = (I[:-1], κ): adding a black strand on the right of every diagram is
-an algebra map T~ -> T~ that keeps a violating idempotent violating, so
-it maps K into K and e(x′) to e(x);
+x′ = (I[:-1], κ), by the algebra map of the prefix cut;
 (b) K fills the degree-0 diagonal (x T~ x)_0, which holds e(x).
-Every other kernel is the span of all products through a violating
+
+The same moves bound the dots of a top idempotent (``_dot_bounds``).
+With strand k of label i directly right of red j and x′ as above,
+y_k^{λ_j^i}·y_k^{N}·e(x) = ψ·y_k^{N}·e(x′)·ψ, since dots pass red
+strands; so y_k^{N} e(x′) ∈ K gives y_k^{λ_j^i + N} e(x) ∈ K, and
+e(x) ∈ K gives N = 0.  A basis diagram e·ψ_w·y^a carries its dots at the
+top, so it lies in K once a_k reaches the bound of its top idempotent.
+Every other kernel row is the span of the products through a violating
 idempotent.
 
 Every such row space is spanned by products l·r with r running over a
@@ -102,6 +126,8 @@ class BlockComputer:
         self._tilde_cache: dict = {}  # (bottom, top, d) -> see _tilde_entry
         self._kernel_cache: dict = {}
         self._vanish_cache: dict = {}  # (x, n) -> _vanishes(x, n)
+        self._proof_cache: dict = {}  # x -> _proven(x)
+        self._bounds_cache: dict = {}  # x -> _dot_bounds(x)
         self._entry_cache: dict = {}
 
     # -- idempotent universes -------------------------------------------------
@@ -161,52 +187,118 @@ class BlockComputer:
 
         When e(bottom) ∈ K or e(top) ∈ K, every diagram D of the
         component is e(bottom)·D = D·e(top) ∈ K, so the kernel is the whole
-        component, its unit rows, and no product is formed.
-        With n = dim (bottom T~ top)_d, ``_vanishes(x, n)`` proves
-        e(x) ∈ K by one of two rules:
+        component, its unit rows, and no product is formed.  With
+        n = dim (bottom T~ top)_d, ``_vanishes(x, n)`` proves e(x) ∈ K by
+        ``_proven(x)`` (the rules of the module docstring, which read x
+        alone) or by one of two rules:
         (a) x ends in a black strand and e(x′) ∈ K for x′ = (I[:-1], κ):
             adding a black strand on the right is an algebra map T~ -> T~
             that keeps a violating idempotent violating, so it maps K into
             K and e(x′) to e(x);
         (b) n0 = dim (x T~ x)_0 ≤ n and K fills (x T~ x)_0, which holds
             e(x); that diagonal is assembled by products.
-        Otherwise the rows are products through violating idempotents, and
-        assembly stops as soon as the rank saturates the whole tilde
-        component.  Every degree-0 diagonal (x, x, 0) is assembled by
-        products, which ends the recursion of (b).  The cache keeps the
-        whole ``IncrementalRREF``, which ``standard_space`` copies."""
+        A degree-0 diagonal (x, x, 0) is filled only by ``_proven(x)``
+        and is otherwise assembled by products, which ends the recursion
+        of (b).
+
+        Otherwise the dot bounds of ``top`` come first: a basis diagram
+        e·ψ_w·y^a with a_k ≥ N_k (``_dot_bounds``) is D·y_k^{N_k}·e(top)
+        for a diagram D, since its dots sit at the top, so it lies in K
+        and is a unit row.  Then the rows are products through violating
+        idempotents, and assembly stops as soon as the rank saturates the
+        whole tilde component.  The cache keeps the whole
+        ``IncrementalRREF``, which ``standard_space`` copies."""
         key = (bottom, top, d)
         inc = self._kernel_cache.get(key)
         if inc is None:
-            n = len(self.tilde_basis(bottom, top, d))
-            if n and (bottom != top or d) and (self._vanishes(bottom, n) or self._vanishes(top, n)):
-                inc = IncrementalRREF.full(self.field, n)
+            basis = self.tilde_basis(bottom, top, d)
+            n = len(basis)
+            if bottom == top and not d:
+                filled = self._proven(bottom)
             else:
+                filled = n and (self._vanishes(bottom, n) or self._vanishes(top, n))
+            if filled:
+                inc = IncrementalRREF.units(self.field, range(n))
+            elif not n:
                 inc = IncrementalRREF(self.field)
-                if n:
-                    mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
-                    self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
+            else:
+                bounds = [(k, b) for k, b in enumerate(self._dot_bounds(top)) if b is not None]
+                seeds = [i for i, (_, _, a) in enumerate(basis) if any(a[k] >= b for k, b in bounds)] if bounds else []
+                inc = IncrementalRREF.units(self.field, seeds)
+                mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
+                self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
             self._kernel_cache[key] = inc
         return inc.rows, inc.pivot_rows
 
     def _vanishes(self, x: IdemKey, n: int) -> bool:
-        """Whether rule (a) or (b) of ``kernel_space`` proves e(x) ∈ K,
-        assembling only degree-0 diagonals of at most n basis diagrams
-        (n0 is counted, so a larger diagonal is never listed).  The answer
-        depends on (x, n) alone, never on what is cached, so which
-        components are assembled by products, and so every product count,
-        does not depend on the order of requests; that also makes it safe
-        to memoize per (x, n)."""
+        """Whether ``_proven`` or rule (a) or (b) of ``kernel_space``
+        proves e(x) ∈ K, assembling only degree-0 diagonals of at most n
+        basis diagrams (n0 is counted, so a larger diagonal is never
+        listed).  The answer depends on (x, n) alone, never on what is
+        cached, so which components are assembled by products, and so
+        every product count, does not depend on the order of requests;
+        that also makes it safe to memoize per (x, n)."""
         key = (x, n)
         hit = self._vanish_cache.get(key)
         if hit is None:
             I, kappa = x
-            if I and max(kappa, default=0) < len(I) and self._vanishes((I[:-1], kappa), n):
+            if self._proven(x):
+                hit = True
+            elif I and max(kappa, default=0) < len(I) and self._vanishes((I[:-1], kappa), n):
                 hit = True
             else:
                 n0 = basis_dim(self.alg, x, x, 0)
                 hit = n0 <= n and len(self.kernel_space(x, x, 0)[1]) == n0
             self._vanish_cache[key] = hit
+        return hit
+
+    def _proven(self, x: IdemKey) -> str | None:
+        """The rule of the module docstring that proves e(x) ∈ K, by name
+        ("violating", "prefix", "bigon" or "nilhecke"), or None.  It reads
+        x and the red labels alone: no product, no kernel, no prediction.
+        The prefix cut keeps reds 1..ℓ−1, so a prefix is proved on this
+        computer by reading only the labels of its own reds."""
+        if x in self._proof_cache:
+            return self._proof_cache[x]
+        I, kappa = x
+        rule = None
+        if kappa and kappa[0] >= 1:
+            rule = "violating"
+        elif len(kappa) > 1 and self._proven((I[: kappa[-1]], kappa[:-1])):
+            rule = "prefix"
+        elif kappa and kappa[-1] < len(I):
+            last, k = len(kappa) - 1, kappa[-1]
+            lam = self.lambdas[last].coords
+            if lam[I[k]] == 0 and self._proven((I, kappa[:last] + (k + 1,))):
+                rule = "bigon"
+            elif not last:
+                run = next((m for m, i in enumerate(I) if i != I[0]), len(I))
+                if run > lam[I[0]]:
+                    rule = "nilhecke"
+        self._proof_cache[x] = rule
+        return rule
+
+    def _dot_bounds(self, x: IdemKey) -> tuple:
+        """For each black strand k of x, an N_k with y_k^{N_k} e(x) ∈ K, or
+        None where no bound is known: 0 when ``_proven(x)``, and
+        λ_j^i + N_k(x′) when strand k, of label i, sits directly right of
+        red j and x′ has it moved left of red j (see the module
+        docstring).  Like ``_proven`` it reads x alone."""
+        hit = self._bounds_cache.get(x)
+        if hit is None:
+            I, kappa = x
+            if self._proven(x):
+                hit = (0,) * len(I)
+            else:
+                bounds: list = [None] * len(I)
+                for j, k in enumerate(kappa):
+                    # strand k is directly right of red j unless the next red is
+                    if k < len(I) and (j + 1 == len(kappa) or kappa[j + 1] > k):
+                        below = self._dot_bounds((I, kappa[:j] + (k + 1,) + kappa[j + 1 :]))[k]
+                        if below is not None:
+                            bounds[k] = self.lambdas[j].coords[I[k]] + below
+                hit = tuple(bounds)
+            self._bounds_cache[x] = hit
         return hit
 
     def lefts_through(self, bottom: IdemKey, top: IdemKey, d: int, mids):
@@ -303,19 +395,29 @@ class BlockComputer:
             )
         return hit
 
+    def checked_window(self, bottom: IdemKey, top: IdemKey, pred: LaurentPoly) -> range | None:
+        """The degrees at which ``_checked_dims`` checks a quotient of the
+        component (bottom, top) against ``pred``: [dmin, top + ``tail``],
+        with dmin the lowest degree of the component and top the highest
+        degree of ``pred`` (dmin if that is lower); None for an empty
+        component."""
+        dmin = self.min_degree(bottom, top)
+        if dmin is None:
+            return None
+        return range(dmin, max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + self.tail + 1)
+
     def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> LaurentPoly:
         """The graded dimension ``dim_at(d)`` of a quotient of the
         component (bottom, top), checked two-sidedly against ``pred`` at
-        every degree of the window [dmin, top + ``tail``]; ``what`` names
-        the component in the ``IntegrityError`` a mismatch raises."""
-        dmin = self.min_degree(bottom, top)
-        if dmin is None:
+        every degree of ``checked_window``; ``what`` names the component
+        in the ``IntegrityError`` a mismatch raises."""
+        window = self.checked_window(bottom, top, pred)
+        if window is None:
             if not pred.is_zero():
                 raise IntegrityError(f"{what}: empty component but oracle predicts {pred.text()}")
             return ZERO
-        dmax = max(pred.max_exp() if not pred.is_zero() else dmin, dmin)
         coeffs = {}
-        for d in range(dmin, dmax + self.tail + 1):
+        for d in window:
             dim = dim_at(d)
             want = pred.coeff(d)
             if dim != want:

@@ -59,13 +59,14 @@ class IncrementalRREF:
         self.pivot_rows: dict[int, dict] = {}
 
     @classmethod
-    def full(cls, field, n: int) -> IncrementalRREF:
-        """The whole space of ``n`` columns, whose unique reduced form is
-        the ``n`` unit rows."""
+    def units(cls, field, cols) -> IncrementalRREF:
+        """The span of the unit rows at the increasing columns ``cols``,
+        which is its own unique reduced form (all of ``range(n)`` gives
+        the whole space of n columns)."""
         out = cls(field)
         one = field.one()
-        out.rows = [{c: one} for c in range(n)]
-        out.pivots = list(range(n))
+        out.pivots = list(cols)
+        out.rows = [{c: one} for c in out.pivots]
         out.pivot_rows = dict(zip(out.pivots, out.rows))
         return out
 

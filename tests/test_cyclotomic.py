@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from tensoralg.cyclotomic import (
 from tensoralg import diagrams
 from tensoralg.diagrams import Element, idem_key
 from tensoralg.laurent import ONE, ZERO, LaurentPoly
-from tensoralg.linalg import IncrementalRREF
+from tensoralg.linalg import IncrementalRREF, reduce_against
 from tensoralg.qtensor import GradedHomTable, arrangements
 from tensoralg.scalars import QQ, PrimeField
 from tensoralg.workbench import block_contents
@@ -357,9 +358,10 @@ def test_kernel_assembly_order_is_pinned(monkeypatch):
     """Products formed and rows offered while filling every entry of the
     A2 (ω1, ω2) contents (1,1) and (2,1) on a fresh computer: the kernel
     assembler fills a component whose bottom or top idempotent provably
-    vanishes without a product, forms one crossing product per left
-    factor and run by word elsewhere, offers its rows in a fixed order and
-    stops at saturation."""
+    vanishes without a product, puts the basis diagrams past a dot bound
+    in as unit rows without offering them, forms one crossing product per
+    left factor and run by word elsewhere, offers its rows in a fixed
+    order and stops at saturation."""
     d, comp = _a2_w1_w2()
     seen = _count_assembly(monkeypatch)
     for coords in [(1, 1), (2, 1)]:
@@ -367,7 +369,7 @@ def test_kernel_assembly_order_is_pinned(monkeypatch):
         for a in keys:
             for b in keys:
                 comp.graded_hom(a, b)
-    assert seen == {"products": 706, "zero": 109, "offered": 737, "independent": 269}
+    assert seen == {"products": 501, "zero": 103, "offered": 487, "independent": 86}
 
 
 def test_assembly_counts_do_not_depend_on_the_entry_order(monkeypatch):
@@ -416,18 +418,17 @@ def _pairwise_saturate(comp, inc, bottom, top, d, lefts):
 
 
 def _certificate_off(monkeypatch, comp):
-    """Make ``comp`` assemble every kernel component by products."""
+    """Make ``comp`` assemble every kernel component by products alone:
+    no vanishing end and no dot bound."""
     monkeypatch.setattr(comp, "_vanishes", lambda x, n: False)
+    monkeypatch.setattr(comp, "_proven", lambda x: None)
+    monkeypatch.setattr(comp, "_dot_bounds", lambda x: (None,) * len(x[0]))
 
 
 def _hom_window(comp, key, col):
     """The degrees ``graded_hom`` checks for the entry (key, col)."""
     bottom, top = idem_key(*key), idem_key(*col)
-    dmin = comp.min_degree(bottom, top)
-    if dmin is None:
-        return range(0)
-    pred = comp.space.form_vv(key, col)
-    return range(dmin, max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + comp.tail + 1)
+    return comp.checked_window(bottom, top, comp.space.form_vv(bottom, top)) or range(0)
 
 
 # name: (datum, red labels, contents); the single-red cases also run the
@@ -497,21 +498,46 @@ def test_runs_by_word_offer_the_pairwise_rows(case, monkeypatch):
     assert components >= 100 and rows >= 100 and cut >= 5
 
 
+def test_connecting_permutations_keep_the_red_order():
+    """Every connecting permutation between two idempotents of the
+    ``PAIRWISE_CASES`` blocks, violating ones included, passes
+    ``check_red_order``: red j goes to the top slot of red j, and those
+    slots increase with j, so ``connecting_perms`` need not check."""
+    checked = 0
+    for case in sorted(PAIRWISE_CASES):
+        d, comp, contents = _case_computer(case)
+        for coords in contents:
+            alpha = d.root(coords)
+            keys = comp.idems(alpha) + comp.space.violating_keys(alpha)
+            for bottom, top in itertools.product(keys, keys):
+                for w in diagrams.connecting_perms(comp.alg, bottom, top):
+                    comp.alg.check_red_order(bottom, w)
+                    checked += comp.space.ell > 1
+    assert checked >= 1000
+
+
 def _ends_black(x):
     I, kappa = x
     return bool(I) and kappa[-1] < len(I)
 
 
+# more contents per case for the test below: rule (a) of ``_vanishes``
+# proves e((1, 1, 0), (0, 0)) of A2 (ω1, ω2), where ``_proven`` does not
+VANISHING_CONTENTS = {"A2 (w1,w2)": [(1, 2)]}
+
+
 def test_vanishing_idempotents_keep_every_space(monkeypatch):
     """On every component of the ``PAIRWISE_CASES`` blocks, over the graded
     Hom window, the kernel and the standard-module space equal those of a
-    computer that assembles every kernel by products; both rules of
-    ``_vanishes`` fill some component."""
-    by_prefix = directly = 0
+    computer that assembles every kernel by products; ``_proven``, rules
+    (a) and (b) of ``_vanishes`` and the dot bounds each fill or seed
+    some component."""
+    fired: Counter = Counter()
     for case in sorted(PAIRWISE_CASES):
         d, comp, contents = _case_computer(case)
         _, ref, _ = _case_computer(case)
         _certificate_off(monkeypatch, ref)
+        contents = contents + VANISHING_CONTENTS.get(case, [])
         proven: dict = {}
         vanishes = comp._vanishes
 
@@ -530,13 +556,23 @@ def test_vanishing_idempotents_keep_every_space(monkeypatch):
                         assert got == ref.kernel_space(bottom, top, deg), (case, key, col, deg)
                         got = comp.standard_space(key, col, deg)
                         assert got == ref.standard_space(key, col, deg), (case, key, col, deg)
+                        n = len(comp.tilde_basis(bottom, top, deg))
+                        if proven.get((bottom, n)) or proven.get((top, n)):
+                            continue
+                        bounds = comp._dot_bounds(top)
+                        fired["dot bound"] += any(
+                            b is not None and a[k] >= b
+                            for _, _, a in comp.tilde_basis(bottom, top, deg)
+                            for k, b in enumerate(bounds)
+                        )
         for (x, n), ok in proven.items():
-            # rule (a) proved x when its prefix was proved with the same n
-            if ok and _ends_black(x) and proven.get(((x[0][:-1], x[1]), n)):
-                by_prefix += 1
+            if ok and comp._proven(x):
+                fired["proven"] += 1
+            elif ok and _ends_black(x) and proven.get(((x[0][:-1], x[1]), n)):
+                fired["rule (a)"] += 1
             elif ok:
-                directly += 1
-    assert by_prefix >= 1 and directly >= 1
+                fired["rule (b)"] += 1
+    assert min(fired[rule] for rule in ("proven", "rule (a)", "rule (b)", "dot bound")) >= 1
 
 
 def test_a_vanishing_prefix_kills_the_idempotent(monkeypatch):
@@ -558,6 +594,46 @@ def test_a_vanishing_prefix_kills_the_idempotent(monkeypatch):
                     premises += 1
                     assert full((I, kappa)), (case, I, kappa)
     assert premises >= 5
+
+
+# more red labels for the soundness test below: the cyclotomic nilHecke
+# rule proves e(2ω; 1,1,1) of sl2, at its bound m = λ + 1
+SOUNDNESS_CASES = {**PAIRWISE_CASES, "sl2 (2w)": (sl2, ((2,),), [])}
+
+
+def test_product_free_proofs_hold_in_the_assembled_kernel(monkeypatch):
+    """Soundness of ``_proven`` and ``_dot_bounds``, against kernels
+    assembled by products alone: for every idempotent x of at most three
+    strands of the ``SOUNDNESS_CASES`` data that ``_proven`` proves, the
+    kernel fills (x T~ x)_0, and for every bound N_k of an x it does not
+    prove, y_k^{N_k} e(x) lies in the kernel.  The prefix cut, the red
+    bigon, the cyclotomic nilHecke rule and a dot bound each fire, and
+    the nilHecke rule is sharp: e(3ω; 1,1,1) of sl2 is not in K."""
+    fired: Counter = Counter()
+    for case, (datum_f, lams, _) in sorted(SOUNDNESS_CASES.items()):
+        d = datum_f()
+        comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams))
+        ref = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams))
+        _certificate_off(monkeypatch, ref)
+        for alpha in block_contents(d, 3):
+            for x in comp.idems(alpha):
+                rule = comp._proven(x)
+                full = len(ref.kernel_space(x, x, 0)[1]) == len(ref.tilde_basis(x, x, 0))
+                assert full or not rule, (case, x, rule)
+                fired[rule] += 1
+                if case == "sl2 (3w)" and x == ((0, 0, 0), (0,)):
+                    assert not full and not rule
+                    fired["sharp"] += 1
+                for k, bound in enumerate(comp._dot_bounds(x)):
+                    if rule or bound is None:
+                        continue
+                    dots = tuple(bound if j == k else 0 for j in range(len(x[0])))
+                    el = Element.idempotent(comp.alg, *x).times_top_dots(dots)
+                    deg = el.degree()
+                    _, pivot_rows = ref.kernel_space(x, x, deg)
+                    assert not reduce_against(ref.element_coords(el, x, x, deg), pivot_rows), (case, x, k, bound)
+                    fired["dot bound"] += 1
+    assert min(fired[rule] for rule in ("prefix", "bigon", "nilhecke", "dot bound", "sharp")) >= 1
 
 
 # name: (datum, red labels, field, extra contents) of the table workloads

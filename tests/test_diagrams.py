@@ -385,12 +385,12 @@ def _flip_pool(name):
 
 
 @st.composite
-def composable_elements(draw, min_terms=0):
+def composable_elements(draw, min_terms=0, cases=tuple(sorted(FLIP_CASES))):
     """Random integer combinations a of (x T y) and b of (y T z), mixed in
-    degree, in one content block of sl2 (ω, 2ω) or A2 (ω1, ω2), with at
-    most three terms each and at least ``min_terms`` where the component
-    has that many diagrams."""
-    alg, idems, pool = _flip_pool(draw(st.sampled_from(sorted(FLIP_CASES))))
+    degree, in one content block of one of ``cases`` (sl2 (ω, 2ω) or
+    A2 (ω1, ω2)), with at most three terms each and at least
+    ``min_terms`` where the component has that many diagrams."""
+    alg, idems, pool = _flip_pool(draw(st.sampled_from(cases)))
     x, y, z = (draw(st.sampled_from(idems)) for _ in range(3))
 
     def element(bottom, top):
@@ -407,6 +407,25 @@ def composable_elements(draw, min_terms=0):
 def test_flip_is_an_anti_automorphism(pair):
     a, b = pair
     assert a.multiply(b).flip() == b.flip().multiply(a.flip())
+
+
+@settings(max_examples=100, deadline=None)
+@given(composable_elements(cases=("sl2 (w,2w)",)), st.randoms(use_true_random=False))
+def test_a_product_acts_as_the_composite_action(pair, rng):
+    # apply(a·b, f) == apply(a, apply(b, f)) as labeled polynomials; both
+    # sides are often zero, parked at different idempotents
+    a, b = pair
+    alg = a.algebra
+    for idem, w, _ in list(b.terms)[:1]:
+        f = random_poly(alg, alg.top_idem(idem, w), rng)
+        assert apply_element(alg, a.multiply(b), f) == apply_element(alg, a, apply_element(alg, b, f))
+
+
+def test_zero_labeled_polynomials_are_equal_at_any_idempotent():
+    x, y = idem_key((0, 0), (0, 1)), idem_key((0, 0), (1, 2))
+    assert LabeledPoly(x, {}) == LabeledPoly(y, {})
+    assert LabeledPoly(x, {(1, 0): 1}) != LabeledPoly(y, {(1, 0): 1})
+    assert LabeledPoly(x, {(1, 0): 1}) != LabeledPoly(x, {(0, 1): 1})
 
 
 def _termwise_product(a, b):
