@@ -115,6 +115,8 @@ class BlockComputer:
         tail: int = 3,
         max_strands: int = DEFAULT_MAX_STRANDS,
     ):
+        if tail < 0:
+            raise ValueError("tail must be non-negative, or the checked window ends below the oracle's top degree")
         self.datum = datum
         self.qmat = q
         self.lambdas = tuple(lambdas)

@@ -23,9 +23,12 @@ drops them in the one pass that divides, since it is the hot loop of the
 module theory; every other sum of terms is ``linalg.add_multiple``.
 
 Weight idempotents come from simultaneous generalized eigenprojections of
-the commuting x_k; each spectrum (integers, with multiplicities) comes
-from the minimal polynomial of x_k itself, found by ``linalg.min_poly`` in
-H and split by ``linalg.rational_roots``.  The bridge certificate checks
+the commuting x_k.  ``linalg.spectral_idempotents`` splits each x_k once:
+it reads the minimal polynomial off the Krylov sequence 1, x_k, x_k², ...
+in H, splits it over the integers, and writes each eigenprojection as a
+combination of those powers with coefficients from polynomial arithmetic
+over Q, so no product is formed to build a projector.  e(I) is then
+refined one prefix at a time.  The bridge certificate checks
 the images of the dot relations plus ungraded block-dimension equality
 against the diagram side.
 """
@@ -37,7 +40,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .cartan import CartanDatum, Weight
-from .linalg import add_multiple, min_poly, rank, rational_roots
+from .linalg import add_multiple, rank, spectral_idempotents
 from .scalars import QQ
 
 Perm = tuple[int, ...]  # one-line: w[i] = image of i (0-based)
@@ -299,8 +302,8 @@ def _reduced_word(w: Perm) -> list[int]:
 # -- weight idempotents -------------------------------------------------------------------
 
 
-def x_spectra(H: HeckeAlgebra) -> list[list[tuple[Fraction, int]]]:
-    """Integer spectra, with minimal-polynomial multiplicities, of the x_k.
+def _x_splits(H: HeckeAlgebra) -> list[list[tuple[Fraction, int, dict]]]:
+    """``linalg.spectral_idempotents`` of each x_k, sorted by root.
 
     H is unital and acts faithfully on itself, so x_k and its left
     multiplication have the same minimal polynomial; it is read off the
@@ -309,56 +312,37 @@ def x_spectra(H: HeckeAlgebra) -> list[list[tuple[Fraction, int]]]:
     out = []
     for k in range(H.d):
         x = H.gen_x(k)
-        mp = min_poly(H.one(), lambda p: H.multiply(p, x), H.coords)
-        roots = rational_roots(mp)
-        if roots is None or any(r.denominator != 1 for r, _m in roots):
+        split = spectral_idempotents(H.one(), lambda p: H.multiply(p, x), H.coords)
+        if split is None or any(r.denominator != 1 for r, _m, _e in split):
             raise RuntimeError("non-integer eigenvalue in cyclotomic dAHA spectrum")
-        out.append(sorted(roots))
+        out.append(sorted(split, key=lambda s: s[0]))
     return out
+
+
+def x_spectra(H: HeckeAlgebra) -> list[list[tuple[Fraction, int]]]:
+    """Integer spectra, with minimal-polynomial multiplicities, of the x_k."""
+    return [[(r, m) for r, m, _e in split] for split in _x_splits(H)]
 
 
 def weight_idempotents(H: HeckeAlgebra) -> dict[tuple[int, ...], dict]:
-    """e(I) for every integer eigenvalue sequence I with e(I) != 0.
+    """e(I) for every integer eigenvalue sequence I with e(I) != 0, in
+    lexicographic order of I.
 
-    The spectral projector of x_k onto the generalized v-eigenspace is
-    1 - (1 - P)^{m_v} with P = Π_{u≠v} ((x_k - u)/(v - u))^{m_u}, the
-    multiplicities taken from the minimal polynomial; this is ≡ 1 mod
-    (t - v)^{m_v} and ≡ 0 mod every (t - u)^{m_u}, so it is the exact
-    polynomial idempotent, never a numeric approximation.
+    The x_k commute, so e(I) = e_1(i_1)·...·e_d(i_d) for e_k(v) the
+    generalized v-eigenspace idempotent of x_k.  Each prefix product is
+    formed once and a zero prefix is dropped with every sequence that
+    extends it.
     """
-    spectra = x_spectra(H)
-    projectors: list[dict[Fraction, dict]] = []
-    for k in range(H.d):
-        xk = H.gen_x(k)
-        projs = {}
-        for v, mv in spectra[k]:
-            p = H.one()
-            for u, mu in spectra[k]:
-                if u == v:
-                    continue
-                factor = H.scale(H.add(xk, H.scale(H.one(), -u)), Fraction(1) / (v - u))
-                for _ in range(mu):
-                    p = H.multiply(p, factor)
-            # e_v = 1 - (1 - P)^{m_v}
-            q = H.add(H.one(), H.scale(p, Fraction(-1)))
-            qpow = H.one()
-            for _ in range(mv):
-                qpow = H.multiply(qpow, q)
-            projs[v] = H.add(H.one(), H.scale(qpow, Fraction(-1)))
-        projectors.append(projs)
-    out = {}
-    seqs = [()]
-    for k in range(H.d):
-        seqs = [s + (v,) for s in seqs for v, _m in spectra[k]]
-    for seq in seqs:
-        e = H.one()
-        for k, v in enumerate(seq):
-            e = H.multiply(e, projectors[k][v])
-            if not e:
-                break
-        if e:
-            out[tuple(int(v) for v in seq)] = e
-    return out
+    prefixes = {(): H.one()}
+    for k, split in enumerate(_x_splits(H)):
+        nxt = {}
+        for seq, e in prefixes.items():
+            for v, _m, ev in split:
+                f = H.multiply(e, ev) if k else ev
+                if f:
+                    nxt[seq + (int(v),)] = f
+        prefixes = nxt
+    return prefixes
 
 
 def block_dimension(H: HeckeAlgebra, eI: dict, eJ: dict) -> int:

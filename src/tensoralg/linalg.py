@@ -19,8 +19,11 @@ divisions are exact.
 
 ``min_poly`` finds the first linear dependency of a Krylov sequence
 start, start·x, start·x², ... over Q, and ``rational_roots`` splits the
-result by the rational root theorem; the Hecke referee and the module
-theory both find their spectra this way.
+result by the rational root theorem.  ``spectral_idempotents`` runs the
+same Krylov loop, keeps the powers, and writes each generalized-eigenspace
+idempotent as a combination of them whose coefficients come from
+polynomial arithmetic over Q; the Hecke referee and the module theory
+both split their idempotents this way.
 """
 
 from __future__ import annotations
@@ -140,10 +143,11 @@ def add_multiple(v: dict, f, row: dict) -> dict:
     """v += f·row, in place, dropping entries that cancel; returns v.
 
     ``v`` and ``row`` are any sparse ``{key: coeff}`` combinations that
-    store no zero, over ℤ or a field: rows here, diagram and Hecke terms,
-    polynomials.  The sums of this module, the diagram engine, the
-    polynomial representation, the Hecke rewriter and the quotient blocks
-    all go through it, except for three inlined copies: ``reduce_against``
+    store no zero, over ℤ, a field or Z[q,q^-1]: rows here, diagram and
+    Hecke terms, polynomials, tensor vectors.  The sums of this module,
+    the diagram engine, the polynomial representation, the Hecke
+    rewriter, the quotient blocks and the tensor space all go through
+    it, except for three inlined copies: ``reduce_against``
     (the hot loop of elimination, where the call cost about 20%),
     ``LaurentPoly`` (this module imports ``laurent``) and
     ``HeckeAlgebra.multiply`` (an unpruned integer sum, filtered once while
@@ -211,7 +215,13 @@ def solve(rows, rhs, field):
 
 def min_poly(start, times_x, coords=dict) -> list[Fraction]:
     """Monic minimal polynomial (coefficients low to high, over Q) of x
-    acting on the cyclic space of ``start``.
+    acting on the cyclic space of ``start``."""
+    return _krylov(start, times_x, coords)[0]
+
+
+def _krylov(start, times_x, coords):
+    """(μ, [start·x^j for j < deg μ]) for μ the minimal polynomial of x on
+    the cyclic space of ``start``.
 
     ``times_x`` maps p to p·x and ``coords`` maps an element to its
     sparse coordinate row.  Each power start·x^k is solved against the
@@ -219,15 +229,73 @@ def min_poly(start, times_x, coords=dict) -> list[Fraction]:
     the dimension of the space, because the stored powers stay
     independent.
     """
-    vecs = [coords(start)]
-    cur = start
+    powers, vecs = [start], [coords(start)]
     while True:
-        cur = times_x(cur)
+        cur = times_x(powers[-1])
         vec = coords(cur)
         sol = solve(vecs, vec, QQ)
         if sol is not None:
-            return [-sol.get(k, Fraction(0)) for k in range(len(vecs))] + [Fraction(1)]
+            return [-sol.get(k, Fraction(0)) for k in range(len(vecs))] + [Fraction(1)], powers
+        powers.append(cur)
         vecs.append(vec)
+
+
+def spectral_idempotents(start, times_x, coords=dict):
+    """``[(root, multiplicity, idempotent)]`` for x acting on the cyclic
+    space of ``start``, in ``rational_roots`` order; None when the minimal
+    polynomial μ does not split over Q.
+
+    ``start`` is the unit of the algebra (or corner) that x lives in, and
+    ``times_x`` and ``coords`` are as for ``min_poly``.  The idempotent of
+    the root v of multiplicity m is c_v(x) = Σ_j c_{v,j}·start·x^j over the
+    Krylov powers, where c_v = 1 − (1 − P_v)^m mod μ and P_v = Π_{u≠v}
+    ((t − u)/(v − u))^{m_u}: P_v(v) = 1, so c_v ≡ 1 mod (t − v)^m, and
+    (t − u)^{m_u} divides P_v, so c_v ≡ 0 mod every other factor.  The
+    c_v(x) are therefore the exact generalized-eigenspace idempotents:
+    pairwise orthogonal, summing to ``start``, with (x − v)^m·c_v(x) = 0.
+    Only coefficient lists over Q are multiplied; no algebra product is
+    formed beyond the Krylov powers.
+    """
+    mu, powers = _krylov(start, times_x, coords)
+    roots = rational_roots(mu)
+    if roots is None:
+        return None
+    out = []
+    for v, m in roots:
+        p = q = [Fraction(1)]
+        for u, mu_u in roots:
+            if u != v:
+                for _ in range(mu_u):
+                    p = _mul_mod(p, [-u / (v - u), 1 / (v - u)], mu)
+        for _ in range(m):
+            q = _mul_mod(q, _one_minus(p), mu)
+        e: dict = {}
+        for cj, pj in zip(_one_minus(q), powers):
+            add_multiple(e, cj, pj)
+        out.append((v, m, e))
+    return out
+
+
+def _one_minus(p):
+    """1 − p, on a coefficient list low to high."""
+    return [1 - p[0]] + [-c for c in p[1:]]
+
+
+def _mul_mod(a, b, mu):
+    """a·b mod the monic μ, on coefficient lists low to high (the result
+    has deg μ entries)."""
+    D = len(mu) - 1
+    prod = [Fraction(0)] * max(len(a) + len(b) - 1, D)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for k in range(len(prod) - 1, D - 1, -1):
+        f = prod.pop()
+        if f:
+            for j in range(D):
+                prod[k - D + j] -= f * mu[j]
+    return prod
 
 
 def rational_roots(coeffs) -> list[tuple[Fraction, int]] | None:

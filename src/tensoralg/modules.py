@@ -19,13 +19,12 @@ from .diagrams import Element, idem_key
 from .laurent import LaurentPoly
 from .linalg import (
     add_multiple,
-    min_poly,
     nullspace,
     rank,
-    rational_roots,
     reduce_against,
     row_reduce,
     solve,
+    spectral_idempotents,
     transpose,
 )
 from .scalars import QQ
@@ -183,18 +182,29 @@ class SemisimpleQuotient:
     def degree_of_col(self, c: int) -> int:
         return self.block.basis_degree(c)
 
-    def is_homogeneous(self, v: Vec) -> int | None:
+    def is_homogeneous(self, v: Vec) -> int:
+        """The degree of a nonzero homogeneous v.
+
+        Every element the module theory asks about is a nonzero basis row
+        of a space spanned by homogeneous rows (see ``_split_primitive``),
+        so any other v is an ``IntegrityError``.
+        """
         degs = {self.degree_of_col(self.rep_cols[i]) for i in v}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous element")
+        if len(degs) != 1:
+            raise IntegrityError("element is not nonzero and homogeneous")
         return degs.pop()
 
 
 def central_primitive_idempotents(S: SemisimpleQuotient) -> list[Vec]:
-    """Split the (degree-0) center of the semisimple quotient into its
-    primitive idempotents by repeated spectral projection."""
+    """Split the unit of the semisimple quotient into its central
+    primitive idempotents.
+
+    Starting from the unit, each element z of a basis of the center
+    splits every idempotent e found so far into the spectral idempotents
+    of z·e on the corner eSe (``linalg.spectral_idempotents`` with start
+    e).  Each is a polynomial in z·e, hence central, and the center is
+    spanned by the z, so the idempotents left at the end are primitive.
+    """
     n = S.dim
     cons = []
     for b in range(n):
@@ -204,75 +214,44 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[Vec]:
             for i in range(n)
         ]
         cons.extend(transpose(comms).values())
-    center = nullspace(cons, n, QQ)
     idems = [S.one()]
-    for z in center:
-        nxt = []
-        for e in idems:
-            ze = S.multiply(z, e)
-            roots = _corner_spectrum(S, ze, e)
-            if len(roots) == 1:
-                nxt.append(e)
-                continue
-            for r, _m in roots:
-                proj = _crt_projector(S, ze, e, roots, r)
-                if proj:
-                    nxt.append(proj)
-        idems = nxt
+    for z in nullspace(cons, n, QQ):
+        idems = [f for e in idems for _r, _m, f in _corner_split(S, e, S.multiply(z, e))]
     return idems
 
 
-def _corner_spectrum(S, x, e):
-    """Roots, with multiplicity, of the minimal polynomial of x acting on
-    the corner eAe (unit e)."""
-    roots = rational_roots(min_poly(e, lambda p: S.multiply(p, x)))
-    if roots is None:
+def _corner_split(S, e, x):
+    """``linalg.spectral_idempotents`` of x acting on the corner eSe
+    (unit e)."""
+    split = spectral_idempotents(e, lambda p: S.multiply(p, x))
+    if split is None:
         raise IntegrityError("minimal polynomial does not split over Q")
-    return roots
-
-
-def _crt_projector(S, x, e, roots, target):
-    """Polynomial p with p(x)=e-unit on the target generalized eigenspace,
-    0 on the others (Lagrange with multiplicities; semisimple => m=1, but
-    multiplicities are handled for safety)."""
-    num = e
-    denom = Fraction(1)
-    for r, m in roots:
-        if r == target:
-            continue
-        for _ in range(m):
-            num = S.multiply(num, add_multiple(dict(x), -r, e))
-            denom *= target - r
-    return {k: a / denom for k, a in num.items()}
+    return split
 
 
 def _split_primitive(S: SemisimpleQuotient, e: Vec) -> Vec:
-    """A primitive idempotent under a central idempotent e, found by
-    splitting degree-0 corner elements."""
+    """A primitive idempotent under a central idempotent e.
+
+    While the corner of the current idempotent has dimension above 1,
+    its first degree-0 basis element with more than one root replaces
+    the idempotent by the spectral idempotent of its first root.  Every
+    idempotent here has degree 0 (the unit, central idempotents of a
+    graded algebra and polynomials in degree-0 elements all do), so the
+    corner basis rows are homogeneous.
+    """
     cur = e
     while True:
-        # corner dimension
         corner = _corner_basis(S, cur)
         if len(corner) == 1:
             return cur
-        # find a degree-0 non-scalar element of the corner and split it
-        split = None
         for v in corner:
-            try:
-                d = S.is_homogeneous(v)
-            except ValueError:
-                continue
-            if d not in (None, 0):
-                continue
-            roots = _corner_spectrum(S, v, cur)
-            if len(roots) > 1:
-                split = (v, roots)
-                break
-        if split is None:
+            if S.is_homogeneous(v) == 0:
+                split = _corner_split(S, cur, v)
+                if len(split) > 1:
+                    cur = split[0][2]
+                    break
+        else:
             raise IntegrityError("failed to split a corner idempotent")
-        v, roots = split
-        r = roots[0][0]
-        cur = _crt_projector(S, v, cur, roots, r)
 
 
 def _corner_basis(S: SemisimpleQuotient, e: Vec) -> list[Vec]:
@@ -295,18 +274,10 @@ def simples(block: QuotientBlock) -> list[SimpleModule]:
     out = []
     for ci, c in enumerate(central_primitive_idempotents(S)):
         f = _split_primitive(S, c)
-        # L = f S as a right block-module
+        # L = f S as a right block-module; f has degree 0, so f S is
+        # spanned by homogeneous rows and its reduced basis is homogeneous
         basis = row_reduce([S.multiply(f, {i: ONE}) for i in range(S.dim)], QQ)[0]
-        degrees = []
-        for v in basis:
-            degs = {S.degree_of_col(S.rep_cols[i]) for i in v}
-            if len(degs) != 1:
-                # re-split the row space into homogeneous vectors
-                degrees = None
-                break
-            degrees.append(degs.pop())
-        if degrees is None:
-            basis, degrees = _homogeneous_basis(S, basis)
+        degrees = [S.is_homogeneous(v) for v in basis]
 
         def act(i: int, basis=basis):
             bi = S.project({i: ONE})
@@ -317,27 +288,6 @@ def simples(block: QuotientBlock) -> list[SimpleModule]:
 
         out.append(SimpleModule(block, len(basis), act, degrees, tag=ci))
     return out
-
-
-def _homogeneous_basis(S, basis):
-    by_deg: dict[int, list] = {}
-    for v in basis:
-        parts: dict[int, Vec] = {}
-        for i, x in v.items():
-            parts.setdefault(S.degree_of_col(S.rep_cols[i]), {})[i] = x
-        for d, p in parts.items():
-            by_deg.setdefault(d, []).append(p)
-    out = []
-    degrees = []
-    for d in sorted(by_deg):
-        rref = row_reduce(by_deg[d], QQ)[0]
-        out.extend(rref)
-        degrees.extend([d] * len(rref))
-    # ensure global independence
-    rref, piv = row_reduce(out, QQ)
-    if len(piv) != len(out):
-        raise IntegrityError("homogeneous refinement changed the dimension")
-    return out, degrees
 
 
 # -- induction and restriction ---------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .cartan import CartanDatum, RootVector, Weight
 from .laurent import ONE, ZERO, LaurentPoly, qint_signed
-from .linalg import laurent_rank
+from .linalg import add_multiple, laurent_rank
 
 PTensor = tuple[tuple[int, ...], ...]
 VKey = tuple[tuple[int, ...], tuple[int, ...]]  # (I, kappa)
@@ -75,10 +75,7 @@ class TensorVector:
     def __add__(self, other: "TensorVector") -> "TensorVector":
         if self.space is not other.space:
             raise ValueError("vectors over different tensor spaces")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, ZERO) + c
-        return TensorVector(self.space, out)
+        return TensorVector(self.space, add_multiple(dict(self.terms), ONE, other.terms))
 
     def __sub__(self, other: "TensorVector") -> "TensorVector":
         return self + other.scale(LaurentPoly.from_int(-1))
@@ -162,8 +159,7 @@ class TensorSpace:
                 for k in range(j + 1, self.ell):
                     shift -= d.root_pairing_coeff(i, self.factor_weight(k, t[k]))
                 nt = t[:j] + (t[j] + (i,),) + t[j + 1 :]
-                add = c * LaurentPoly.q_power(shift)
-                out[nt] = out.get(nt, ZERO) + add
+                add_multiple(out, c, {nt: LaurentPoly.q_power(shift)})
         return TensorVector(self, out)
 
     def apply_e(self, i: int, vec: TensorVector) -> TensorVector:
@@ -189,7 +185,7 @@ class TensorSpace:
                         scal = qint_signed(mu.coords[i], di)
                         if not scal.is_zero():
                             nt = t[:j] + (word[:p] + word[p + 1 :],) + t[j + 1 :]
-                            out[nt] = out.get(nt, ZERO) + pre * scal
+                            add_multiple(out, pre, {nt: scal})
                     mu = mu - d.simple_root(word[p]).to_weight()
         return TensorVector(self, out)
 
@@ -412,11 +408,7 @@ class TensorSpace:
         for assign, idem, deg in self.phi_set(*key):
             if all(c == b for c, b in zip(assign, self.letter_blocks(key[1], len(key[0])))):
                 continue
-            sub = self.s_in_v(*idem)
-            mono = LaurentPoly.q_power(-deg)
-            for k2, c2 in sub.items():
-                out[k2] = out.get(k2, ZERO) - mono * c2
-        out = {k: c for k, c in out.items() if not c.is_zero()}
+            add_multiple(out, LaurentPoly.q_power(-deg, -1), self.s_in_v(*idem))
         memo[key] = out
         return out
 

@@ -78,6 +78,8 @@ def load_configuration(args):
         if not lam.is_dominant():
             raise ValueError(f"red label {lam.coords} is not dominant")
     field = parse_field(args.field)
+    if args.tail < 0:
+        raise ValueError("--tail must be non-negative")
     if args.task == "hecke-check" and len(lambdas) != 1:
         raise ValueError("hecke-check needs a single red label")
     if args.task == "crystal" and field.characteristic != 0:

@@ -16,6 +16,7 @@ from tensoralg.linalg import (
     reduce_against,
     row_reduce,
     solve,
+    spectral_idempotents,
 )
 from tensoralg.scalars import QQ, PrimeField
 
@@ -309,3 +310,62 @@ def test_min_poly_of_a_diagonal_action():
     assert mp == _times_linear(_times_linear([F(1)], F(1)), F(2))
     # the cyclic space of (1, 1, 0) only sees the eigenvalue 1
     assert min_poly(sparse([F(1), F(1), F(0)]), times_diag) == [F(-1), F(1)]
+
+
+def _mat_mul(a, b):
+    """Product of two sparse matrices keyed by (row, column)."""
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                add_multiple(out, x, {(i, j): y})
+    return out
+
+
+def _check_spectral_split(x, n):
+    """The split of x on M_n(Q) (start the unit, times_x right
+    multiplication) is a set of pairwise orthogonal idempotents summing to
+    the unit, one per root, each killed by (x − v)^m; returns it."""
+    unit = {(i, i): F(1) for i in range(n)}
+    split = spectral_idempotents(unit, lambda p: _mat_mul(p, x))
+    assert split is not None
+    total = {}
+    for v, m, e in split:
+        assert e and _mat_mul(e, e) == e
+        for u, _mu, f in split:
+            if u != v:
+                assert _mat_mul(e, f) == {}
+        add_multiple(total, F(1), e)
+        shifted = add_multiple(dict(x), -v, unit)
+        power = e
+        for _ in range(m):
+            power = _mat_mul(power, shifted)
+        assert power == {}
+    assert total == unit
+    return split
+
+
+def test_spectral_idempotents_split_a_repeated_root():
+    # x = E11 + E22 + E12 has μ = t(t − 1)²: a Jordan block at 1 beside 0,
+    # where a Lagrange product is not idempotent
+    x = {(0, 0): F(1), (1, 1): F(1), (0, 1): F(1)}
+    split = _check_spectral_split(x, 3)
+    assert sorted((v, m) for v, m, _e in split) == [(F(0), 1), (F(1), 2)]
+    assert dict((v, e) for v, _m, e in split)[F(1)] == {(0, 0): F(1), (1, 1): F(1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=3, max_size=3), st.lists(small_rationals, min_size=3, max_size=3))
+def test_spectral_idempotents_of_a_triangular_matrix(upper, diagonal):
+    # an upper triangular x splits over Q with roots among its diagonal;
+    # repeated diagonal entries with a nonzero entry above give Jordan blocks
+    entries = zip([(0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2)], [F(a) for a in upper] + diagonal)
+    x = {ij: a for ij, a in entries if a}
+    split = _check_spectral_split(x, 3)
+    assert Counter({v: m for v, m, _e in split}) <= Counter(diagonal)
+
+
+def test_spectral_idempotents_reject_a_polynomial_that_does_not_split():
+    # rotation by 90°: μ = t² + 1
+    x = {(0, 1): F(-1), (1, 0): F(1)}
+    assert spectral_idempotents({(0, 0): F(1), (1, 1): F(1)}, lambda p: _mat_mul(p, x)) is None

@@ -4,7 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tensoralg
+from tensoralg.cartan import default_q_matrix, sl2
+from tensoralg.cyclotomic import BlockComputer
 from tensoralg.laurent import ONE
 from tensoralg.qtensor import TensorSpace
 from tensoralg.workbench import main
@@ -121,6 +125,16 @@ def test_config_errors(capsys):
     assert main(["--datum", "nosuch", "--lambda", "1", "--task", "dims"]) == 2
     assert main(["--datum", "sl2", "--lambda", "1,0", "--task", "dims"]) == 2
     assert main(["--datum", "sl2", "--lambda", "-1", "--task", "dims"]) == 2
+
+
+def test_a_negative_tail_is_a_configuration_error(capsys):
+    # a window ending below the oracle's top degree would skip the check
+    # from above and print truncated dimensions
+    assert main(BASE + ["--task", "dims", "--max-strands", "2", "--tail", "-5"]) == 2
+    assert "configuration error: --tail must be non-negative" in capsys.readouterr().err
+    d = sl2()
+    with pytest.raises(ValueError, match="tail must be non-negative"):
+        BlockComputer(d, default_q_matrix(d), (d.weight((1,)),), tail=-1)
 
 
 def test_an_integrity_error_exits_3(monkeypatch, capsys):
