@@ -11,13 +11,15 @@ entries and standard-module columns alike) is two-sided on the window
 ``BlockComputer.checked_window``, [dmin, top + ``tail``], where dmin is
 the lowest degree of the component and top the highest degree the
 prediction reaches: a dimension above or below the prediction there is a
-hard integrity error, never silently accepted.  The degrees above the
-window are not computed, so they are not yet certified.
+hard integrity error, never silently accepted, and so is a predicted
+coefficient below dmin, where the component is empty.  The degrees above
+the window are not computed, so they are not yet certified.
 
 A component whose bottom or top idempotent e(x) lies in K is K entirely,
-in every degree.  ``BlockComputer._proven`` proves e(x) ∈ K from x alone,
-with no product and no look at the prediction; reds are numbered from 1
-on the left, and λ_j^i is the i-th coordinate of the label of red j:
+in every degree, so its quotient is zero.  ``BlockComputer._proven``
+proves e(x) ∈ K from x alone, with no product and no look at the
+prediction; reds are numbered from 1 on the left, and λ_j^i is the i-th
+coordinate of the label of red j:
 - x is violating (κ(1) ≥ 1);
 - prefix cut: the strands left of the last red ℓ form an idempotent p,
   with reds 1..ℓ−1, and e(p) ∈ K.  Putting strands to the right of every
@@ -39,6 +41,22 @@ two rules that look at products:
 (a) x ends in a black strand and e(x′) ∈ K for its prefix
 x′ = (I[:-1], κ), by the algebra map of the prefix cut;
 (b) K fills the degree-0 diagonal (x T~ x)_0, which holds e(x).
+
+The red bigon with λ_j^i = 0 is also an isomorphism.  Let x′ be x with a
+black strand of label i moved across an adjacent red j with λ_j^i = 0, and
+ψ ∈ (x T~ x′)_0, ψ′ ∈ (x′ T~ x)_0 the two crossings: both bigons are
+y^{λ_j^i} = 1, so ψ·ψ′ = e(x) and ψ′·ψ = e(x′) in T~.  So e(x) ≅ e(x′),
+and with the same for y and y′, a ↦ ψ′·a·ψ_y is an isomorphism
+(x T~ y)_d → (x′ T~ y′)_d in every degree that maps K onto K, since K is a
+two-sided ideal: the tilde dimensions, the lowest degree and every
+quotient dimension agree for (x, y) and (x′, y′).  ``_free_rep`` picks
+one idempotent per class (each red slid left past the free strands on its
+left), and ``graded_hom`` computes each entry on the representatives of
+its ends.  The same fact thins the kernel assembly: for violating v, v′ of
+one class, e(v) = ψ·e(v′)·ψ′ gives b·e(v)·r = (b·ψ)·e(v′)·(ψ′·r) at the
+same degree split, so the products through v lie in the span of those
+through v′, and ``kernel_space`` multiplies through the first violating
+idempotent of each class only.
 
 The same moves bound the dots of a top idempotent (``_dot_bounds``).
 With strand k of label i directly right of red j and x′ as above,
@@ -130,6 +148,7 @@ class BlockComputer:
         self._vanish_cache: dict = {}  # (x, n) -> _vanishes(x, n)
         self._proof_cache: dict = {}  # x -> _proven(x)
         self._bounds_cache: dict = {}  # x -> _dot_bounds(x)
+        self._mids_cache: dict = {}  # content coords -> _violating_mids
         self._entry_cache: dict = {}
 
     # -- idempotent universes -------------------------------------------------
@@ -207,9 +226,11 @@ class BlockComputer:
         e·ψ_w·y^a with a_k ≥ N_k (``_dot_bounds``) is D·y_k^{N_k}·e(top)
         for a diagram D, since its dots sit at the top, so it lies in K
         and is a unit row.  Then the rows are products through violating
-        idempotents, and assembly stops as soon as the rank saturates the
-        whole tilde component.  The cache keeps the whole
-        ``IncrementalRREF``, which ``standard_space`` copies."""
+        idempotents, one per ``_free_rep`` class (``_violating_mids``: the
+        others add no row, see the module docstring), and assembly stops as
+        soon as the rank saturates the whole tilde component.  The cache
+        keeps the whole ``IncrementalRREF``, which ``standard_space``
+        copies."""
         key = (bottom, top, d)
         inc = self._kernel_cache.get(key)
         if inc is None:
@@ -227,7 +248,7 @@ class BlockComputer:
                 bounds = [(k, b) for k, b in enumerate(self._dot_bounds(top)) if b is not None]
                 seeds = [i for i, (_, _, a) in enumerate(basis) if any(a[k] >= b for k, b in bounds)] if bounds else []
                 inc = IncrementalRREF.units(self.field, seeds)
-                mids = ((mid, None, 0) for mid in self.space.violating_keys(self.datum.content(bottom[0])))
+                mids = ((mid, None, 0) for mid in self._violating_mids(bottom[0]))
                 self.saturate(inc, bottom, top, d, self.lefts_through(bottom, top, d, mids))
             self._kernel_cache[key] = inc
         return inc.rows, inc.pivot_rows
@@ -301,6 +322,34 @@ class BlockComputer:
                             bounds[k] = self.lambdas[j].coords[I[k]] + below
                 hit = tuple(bounds)
             self._bounds_cache[x] = hit
+        return hit
+
+    def _free_rep(self, x: IdemKey) -> IdemKey:
+        """The normal form of x under free crossings (module docstring):
+        for j = 1..ℓ, red j slides left past the black strand directly to
+        its left while that strand's label i has λ_j^i = 0, and stops at
+        red j−1.  e(x) ≅ e(_free_rep(x)) by degree-0 crossings."""
+        I, kappa = x
+        slid: list = []
+        for j, k in enumerate(kappa):
+            stop = slid[-1] if slid else 0
+            lam = self.lambdas[j].coords
+            while k > stop and lam[I[k - 1]] == 0:
+                k -= 1
+            slid.append(k)
+        return I, tuple(slid)
+
+    def _violating_mids(self, I: Sequence[int]) -> list[IdemKey]:
+        """The violating idempotents of the content of I that ``kernel_space``
+        multiplies through: the first of each ``_free_rep`` class, in the
+        order of ``violating_keys``.  It depends on the content alone."""
+        alpha = self.datum.content(I)
+        hit = self._mids_cache.get(alpha.coords)
+        if hit is None:
+            firsts: dict = {}
+            for v in self.space.violating_keys(alpha):
+                firsts.setdefault(self._free_rep(v), v)
+            hit = self._mids_cache[alpha.coords] = list(firsts.values())
         return hit
 
     def lefts_through(self, bottom: IdemKey, top: IdemKey, d: int, mids):
@@ -383,6 +432,13 @@ class BlockComputer:
         """dim_q of the quotient component with bottom ``row``, top ``col``,
         assembled per degree against the tensor-space prediction.
 
+        The dimensions are those of the component between the
+        ``_free_rep`` representatives, which is isomorphic to this one
+        modulo K (module docstring), so every entry of one class of
+        isomorphic idempotents reads one set of kernels; each entry is
+        still checked against its own ``form_vv(row, col)``, on the same
+        window.
+
         Table symmetry makes the (row, col) naming convention immaterial;
         the acceptance suite pins the equality entry(a,b) = <v_b, v_a> by
         testing both orders.
@@ -392,6 +448,7 @@ class BlockComputer:
         if hit is None:
             bottom, top = idem_key(*row), idem_key(*col)
             pred = self.space.form_vv(bottom, top)
+            bottom, top = self._free_rep(bottom), self._free_rep(top)
             hit = self._entry_cache[key] = self._checked_dims(
                 f"component {row}->{col}", bottom, top, pred, lambda d: self.quotient_dim(bottom, top, d)
             )
@@ -412,12 +469,21 @@ class BlockComputer:
         """The graded dimension ``dim_at(d)`` of a quotient of the
         component (bottom, top), checked two-sidedly against ``pred`` at
         every degree of ``checked_window``; ``what`` names the component
-        in the ``IntegrityError`` a mismatch raises."""
-        window = self.checked_window(bottom, top, pred)
-        if window is None:
-            if not pred.is_zero():
-                raise IntegrityError(f"{what}: empty component but oracle predicts {pred.text()}")
-            return ZERO
+        in the ``IntegrityError`` a mismatch raises.  A coefficient of
+        ``pred`` below the window, where the component is empty, is a
+        mismatch too.  When ``_proven`` proves the bottom or the top
+        idempotent, the component lies in K, so its quotient by K, or by
+        K + L ⊇ K, is zero in every degree: ``pred`` must be zero, and no
+        basis, geometry or kernel is built."""
+        if self._proven(bottom) or self._proven(top):
+            # the component lies in K, so its quotient is zero in every degree
+            window = range(0)
+        else:
+            window = self.checked_window(bottom, top, pred)
+            if window is None:
+                if not pred.is_zero():
+                    raise IntegrityError(f"{what}: empty component but oracle predicts {pred.text()}")
+                return ZERO
         coeffs = {}
         for d in window:
             dim = dim_at(d)
@@ -427,7 +493,12 @@ class BlockComputer:
                 raise IntegrityError(f"{what} degree {d}: dimension {dim} {side} oracle {want}")
             if dim:
                 coeffs[d] = dim
-        return LaurentPoly(coeffs)
+        dims = LaurentPoly(coeffs)
+        if dims != pred:
+            # a coefficient of pred outside the window, where the quotient is zero
+            d = (pred - dims).min_exp()
+            raise IntegrityError(f"{what} degree {d}: dimension 0 below oracle {pred.coeff(d)}")
+        return dims
 
     def graded_hom_table(self, alpha: RootVector) -> GradedHomTable:
         table = GradedHomTable()

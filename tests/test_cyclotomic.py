@@ -227,7 +227,7 @@ def test_integrity_error_on_wrong_oracle(sl2_11):
     assert comp.graded_hom(a, c) == ZERO
 
 
-A, B = ((0,), (0, 0)), ((0,), (0, 1))
+A, B, P = ((0,), (0, 0)), ((0,), (0, 1)), ((0, 0), (0, 2))
 
 
 @pytest.mark.parametrize(
@@ -238,10 +238,14 @@ A, B = ((0,), (0, 0)), ((0,), (0, 1))
         (("graded_hom", A, ((0, 0), (0, 0))), ONE, r"component .*: empty component but oracle predicts 1"),
         (("standard_dims", B, A), LaurentPoly({1: 2}), r"standard module column .* degree 1: dimension 1 below oracle 2"),
         (("standard_dims", B, A), ONE, r"standard module column .* degree 1: dimension 1 exceeds oracle 0"),
+        (("graded_hom", A, A), LaurentPoly({-2: 5, 0: 1, 2: 1}), r"component .* degree -2: dimension 0 below oracle 5"),
+        (("graded_hom", P, P), LaurentPoly({2: 3}), r"component .* degree 2: dimension 0 below oracle 3"),
     ],
 )
 def test_a_wrong_oracle_is_an_integrity_error(monkeypatch, entry, oracle, message):
-    # sl2 (ω, ω): Hom(A, A) = 1 + q², S-column (B, A) = q
+    # sl2 (ω, ω): Hom(A, A) = 1 + q², S-column (B, A) = q; e(P) ∈ K is
+    # proven (its prefix e(0,0 | 0) has two strands right of red 1, λ = 1),
+    # so Hom(P, P) = 0 with no degree window at all
     d = sl2()
     comp = BlockComputer(d, default_q_matrix(d), (d.weight((1,)), d.weight((1,))))
     method, row, col = entry
@@ -361,7 +365,10 @@ def test_kernel_assembly_order_is_pinned(monkeypatch):
     vanishes without a product, puts the basis diagrams past a dot bound
     in as unit rows without offering them, forms one crossing product per
     left factor and run by word elsewhere, offers its rows in a fixed
-    order and stops at saturation."""
+    order and stops at saturation.  An entry with a proven end forms no
+    product at all, and the others read the kernels of their
+    ``_free_rep`` representatives, assembled through one violating
+    idempotent per class."""
     d, comp = _a2_w1_w2()
     seen = _count_assembly(monkeypatch)
     for coords in [(1, 1), (2, 1)]:
@@ -369,7 +376,7 @@ def test_kernel_assembly_order_is_pinned(monkeypatch):
         for a in keys:
             for b in keys:
                 comp.graded_hom(a, b)
-    assert seen == {"products": 501, "zero": 103, "offered": 487, "independent": 86}
+    assert seen == {"products": 154, "zero": 26, "offered": 162, "independent": 46}
 
 
 def test_assembly_counts_do_not_depend_on_the_entry_order(monkeypatch):
@@ -419,10 +426,12 @@ def _pairwise_saturate(comp, inc, bottom, top, d, lefts):
 
 def _certificate_off(monkeypatch, comp):
     """Make ``comp`` assemble every kernel component by products alone:
-    no vanishing end and no dot bound."""
+    no vanishing end, no dot bound, no entry zeroed by a proven end, each
+    entry on its own idempotents and every violating idempotent a mid."""
     monkeypatch.setattr(comp, "_vanishes", lambda x, n: False)
     monkeypatch.setattr(comp, "_proven", lambda x: None)
     monkeypatch.setattr(comp, "_dot_bounds", lambda x: (None,) * len(x[0]))
+    monkeypatch.setattr(comp, "_free_rep", lambda x: x)
 
 
 def _hom_window(comp, key, col):
@@ -634,6 +643,85 @@ def test_product_free_proofs_hold_in_the_assembled_kernel(monkeypatch):
                     assert not reduce_against(ref.element_coords(el, x, x, deg), pivot_rows), (case, x, k, bound)
                     fired["dot bound"] += 1
     assert min(fired[rule] for rule in ("prefix", "bigon", "nilhecke", "dot bound", "sharp")) >= 1
+
+
+# name: (datum, red labels); every black strand passes red 2 of sl2 (ω, 0)
+# freely, and the strands of label 2 (1) pass red 1 (2) of A2 (ω1, ω2)
+CLASS_CASES = {
+    "A2 (w1,w2)": (lambda: type_a(2), ((1, 0), (0, 1))),
+    "A2 (w1)": (lambda: type_a(2), ((1, 0),)),
+    "sl2 (w,0)": (sl2, ((1,), (0,))),
+}
+
+
+def _class_mismatches(monkeypatch, free_rep=None):
+    """Yield each place where a class of isomorphic idempotents does not
+    share its spaces, over every pair of idempotents of at most three
+    strands of the ``CLASS_CASES`` data and every degree of its graded
+    Hom window.  Three computers per case: ``comp`` as it is (with
+    ``free_rep(comp, x)`` as its ``_free_rep`` if given), the products-only
+    reference ``ref``, and ``per_class``, products-only but with the mids
+    of ``comp``'s classes.  Compared: ``graded_hom`` of ``comp`` and of
+    ``ref`` (an ``IntegrityError`` counts as a mismatch), the quotient
+    dimensions of ``ref`` at (x, y) and at the representatives, and the
+    kernels of ``per_class`` and of ``ref``."""
+    for case, (datum_f, lams) in sorted(CLASS_CASES.items()):
+        d = datum_f()
+        comp, ref, per_class = (
+            BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams)) for _ in range(3)
+        )
+        if free_rep is not None:
+            monkeypatch.setattr(comp, "_free_rep", functools.partial(free_rep, comp))
+        for c in (ref, per_class):
+            _certificate_off(monkeypatch, c)
+        monkeypatch.setattr(per_class, "_free_rep", comp._free_rep)
+        for alpha in block_contents(d, 3):
+            keys = comp.idems(alpha)
+            for x, y in itertools.product(keys, keys):
+                try:
+                    got = comp.graded_hom(x, y)
+                except IntegrityError:
+                    got = None
+                if got != ref.graded_hom(x, y):
+                    yield case, x, y, "graded_hom"
+                rx, ry = comp._free_rep(x), comp._free_rep(y)
+                for deg in _hom_window(ref, x, y):
+                    if ref.quotient_dim(x, y, deg) != ref.quotient_dim(rx, ry, deg):
+                        yield case, x, y, deg, "quotient_dim"
+                    if per_class.kernel_space(x, y, deg) != ref.kernel_space(x, y, deg):
+                        yield case, x, y, deg, "kernel_space"
+
+
+def _slide_past_one(comp, x):
+    """A wrong ``_free_rep``: it also slides a red past a strand whose
+    label i has λ_j^i = 1, where the bigon is a dot, not the identity."""
+    I, kappa = x
+    slid: list = []
+    for j, k in enumerate(kappa):
+        stop = slid[-1] if slid else 0
+        while k > stop and comp.lambdas[j].coords[I[k - 1]] <= 1:
+            k -= 1
+        slid.append(k)
+    return I, tuple(slid)
+
+
+def test_isomorphic_idempotents_share_every_quotient(monkeypatch):
+    """Soundness of ``_free_rep`` and of one violating mid per class,
+    against computers that assemble every kernel by products through
+    every violating idempotent (``_class_mismatches``): no mismatch, on
+    data where classes do merge idempotents and mids; and a ``_free_rep``
+    that slides past a red with λ_j^i = 1 is caught."""
+    assert list(_class_mismatches(monkeypatch)) == []
+    merged = 0
+    for datum_f, lams in CLASS_CASES.values():
+        d = datum_f()
+        comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams))
+        for alpha in block_contents(d, 3):
+            keys = comp.idems(alpha)
+            merged += len({comp._free_rep(x) for x in keys}) < len(keys)
+            merged += len(comp._violating_mids(alpha.letters())) < len(comp.space.violating_keys(alpha))
+    assert merged >= 10
+    assert next(_class_mismatches(monkeypatch, _slide_past_one), None) is not None
 
 
 # name: (datum, red labels, field, extra contents) of the table workloads

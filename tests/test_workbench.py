@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,24 @@ def test_dims_output_is_field_independent(capsys):
         code_p, out_p = run_main(args + ["--field", "p:2147483647"], capsys)
         assert code_q == code_p == 0
         assert out_p == out_q
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    """``import tensoralg.workbench``, in a fresh interpreter, loads every
+    module whose entry points the benchmark's tracer wraps: the tracer
+    imports the CLI alone and then looks each of them up in
+    ``sys.modules``, so a layer imported lazily would fail the traced
+    benchmark passes."""
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
+    traced = sorted({module for points in tracing["SPANS"].values() for module, _ in points})
+    assert "tensoralg.modules" in traced and "tensoralg.hecke" in traced
+    env = dict(os.environ)
+    src = str(Path(tensoralg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import json, sys, tensoralg.workbench; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert set(traced) <= set(json.loads(proc.stdout))
 
 
 def test_console_script_entrypoint():
