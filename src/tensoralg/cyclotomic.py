@@ -602,11 +602,9 @@ class QuotientBlock:
 
     def _build(self):
         comp = self.comp
-        table = {}
         for a in self.idems:
             for b in self.idems:
                 entry = comp.graded_hom(a, b)
-                table[(a, b)] = entry
                 if entry.is_zero():
                     continue
                 for d in entry.support():
@@ -615,7 +613,6 @@ class QuotientBlock:
                         raise IntegrityError("coset representative count mismatch")
                     for rkey in reps:
                         self.basis.append((a, b, d, rkey))
-        self.table = table
         self.dim = len(self.basis)
         self.index = {bk: i for i, bk in enumerate(self.basis)}
         self._mult: dict[tuple[int, int], dict[int, object]] = {}

@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 
 from .cartan import CartanDatum, QMatrix, Weight
 from .linalg import add_multiple
-from .qtensor import check_kappa
+from .qtensor import GradedHomTable, check_kappa
 
 IdemKey = tuple[tuple[int, ...], tuple[int, ...]]  # (I, kappa)
 DiagKey = tuple[IdemKey, tuple[int, ...], tuple[int, ...]]  # (idem, w, dots)
@@ -669,12 +669,12 @@ def _dot_slots(alg: DiagramAlgebra, idem: IdemKey, w, dots) -> list[int]:
 def diagram_text(alg: DiagramAlgebra, key: DiagKey) -> str:
     """Render like ``e[1,2|R@0,2] ; s3 s2 ; y1^2``.
 
-    Idempotent labels are 1-based node names, crossing letters are 1-based
-    slot numbers of the canonical word, dots are listed per top black
-    strand.
+    The idempotent is ``GradedHomTable.idem_label`` (1-based node
+    indices), crossing letters are 1-based slot numbers of the canonical
+    word, dots are listed per top black strand.
     """
-    (I, kappa), w, dots = key
-    e = "e[" + ",".join(alg.datum.nodes[i] for i in I) + "|R@" + ",".join(map(str, kappa)) + "]"
+    idem, w, dots = key
+    e = GradedHomTable.idem_label(idem)
     word = " ".join(f"s{p + 1}" for p in canonical_word(w)) or "1"
     ys = " ".join(f"y{k + 1}^{a}" if a > 1 else f"y{k + 1}" for k, a in enumerate(dots) if a) or "1"
     return f"{e} ; {word} ; {ys}"
@@ -687,8 +687,9 @@ def diagram_from_text(alg: DiagramAlgebra, text: str) -> Element:
     m = _TEXT_RE.match(text.strip())
     if not m:
         raise WordError(f"cannot parse diagram text {text!r}")
-    names = [s.strip() for s in m.group("I").split(",") if s.strip()]
-    I = [alg.datum.nodes.index(nm) for nm in names]
+    I = [int(s) - 1 for s in m.group("I").split(",") if s.strip()]
+    if any(not 0 <= i < alg.datum.rank for i in I):
+        raise WordError(f"node index out of range in {text!r}")
     kappa = [int(s) for s in m.group("K").split(",") if s.strip()] if m.group("K").strip() else []
     events: list[tuple[str, int]] = []
     wpart = m.group("W").strip()

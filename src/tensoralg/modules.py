@@ -2,6 +2,12 @@
 radical, simple modules with graded characters, induction/restriction
 along the add-a-strand map, and the crystal operators.
 
+Every module is built by one of four constructions: ``regular_module``;
+a submodule (``_submodule``: the simples f·S and the socle), whose action
+matrices are read off the reduced row space of its basis; a quotient
+(``_quotient_module``: the cosocle M/M·rad and the induced module
+(M ⊗ A′)/relations); and ``restrict``, the pullback along ν_i.
+
 Vectors and matrix rows are sparse ``{index: Fraction}`` dicts, the row
 type of ``linalg``.
 
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import BlockComputer, IntegrityError, QuotientBlock
+from .cyclotomic import IntegrityError, QuotientBlock
 from .diagrams import Element, idem_key
 from .laurent import LaurentPoly
 from .linalg import (
@@ -54,7 +60,10 @@ class FinDimModule:
     i-th block basis element, as a list of sparse rows: row r is the
     image of the r-th module basis vector.  ``act(i)`` builds that matrix
     once; it is cached here.  Degrees, when known, grade the module basis.
+    ``simples`` sets ``tag``, the index of a simple among its block's.
     """
+
+    tag: int | None = None
 
     def __init__(self, block: QuotientBlock, dim: int, act, degrees=None):
         self.block = block
@@ -106,6 +115,44 @@ def _quotient(rows, n: int):
         return {position[c]: x for c, x in reduce_against(v, pivot_rows).items()}
 
     return rep_cols, project
+
+
+def _submodule(block: QuotientBlock, rows, image, what: str, degree=None) -> FinDimModule:
+    """The submodule spanned by ``rows``, on the basis of their reduced
+    row space, where the block basis element i sends a basis vector v to
+    ``image(v, i)``; ``degree(v)``, if given, grades the basis.
+
+    A reduced basis row b_j is 1 at its pivot p_j and every other row is 0
+    there, so u = Σ_j u[p_j] b_j whenever u lies in the span: the
+    coordinates are read off the pivots, and u is only reduced to check
+    that the remainder is 0.  If it is not, ``IntegrityError``.
+    """
+    basis, pivots = row_reduce(rows, QQ)
+    pivot_rows = dict(zip(pivots, basis))
+
+    def act(i: int):
+        mat = []
+        for v in basis:
+            u = image(v, i)
+            if reduce_against(u, pivot_rows):
+                raise IntegrityError(f"{what} is not stable")
+            mat.append({j: u[p] for j, p in enumerate(pivots) if p in u})
+        return mat
+
+    degrees = [degree(v) for v in basis] if degree else None
+    return FinDimModule(block, len(basis), act, degrees)
+
+
+def _quotient_module(block: QuotientBlock, n: int, rows, image) -> FinDimModule:
+    """K^n / span(rows) as a module, on the representative columns of
+    ``_quotient``, where the block basis element i sends the unit vector
+    of column c to ``image(c, i)``."""
+    rep_cols, project = _quotient(rows, n)
+
+    def act(i: int):
+        return [project(image(c, i)) for c in rep_cols]
+
+    return FinDimModule(block, len(rep_cols), act)
 
 
 def regular_module(block: QuotientBlock) -> FinDimModule:
@@ -259,108 +306,87 @@ def _corner_basis(S: SemisimpleQuotient, e: Vec) -> list[Vec]:
     return row_reduce(rows, QQ)[0]
 
 
-class SimpleModule(FinDimModule):
-    def __init__(self, block, dim, act, degrees, tag):
-        super().__init__(block, dim, act, degrees)
-        self.tag = tag
-
-
-def simples(block: QuotientBlock) -> list[SimpleModule]:
+def simples(block: QuotientBlock) -> list[FinDimModule]:
     """The simple right modules, with graded characters, via idempotent
     splitting in the semisimple quotient."""
     S = SemisimpleQuotient(block)
     if S.dim == 0:
         return []
+    images = [S.project({i: ONE}) for i in range(block.dim)]
     out = []
     for ci, c in enumerate(central_primitive_idempotents(S)):
         f = _split_primitive(S, c)
         # L = f S as a right block-module; f has degree 0, so f S is
         # spanned by homogeneous rows and its reduced basis is homogeneous
-        basis = row_reduce([S.multiply(f, {i: ONE}) for i in range(S.dim)], QQ)[0]
-        degrees = [S.is_homogeneous(v) for v in basis]
-
-        def act(i: int, basis=basis):
-            bi = S.project({i: ONE})
-            mat = [solve(basis, S.multiply(v, bi), QQ) for v in basis]
-            if None in mat:
-                raise IntegrityError("simple module is not stable")
-            return mat
-
-        out.append(SimpleModule(block, len(basis), act, degrees, tag=ci))
+        rows = [S.multiply(f, {i: ONE}) for i in range(S.dim)]
+        L = _submodule(block, rows, lambda v, i: S.multiply(v, images[i]), "simple module", S.is_homogeneous)
+        L.tag = ci
+        out.append(L)
     return out
 
 
 # -- induction and restriction ---------------------------------------------------------
 
 
-def nu_map(src: BlockComputer, dst: BlockComputer, i: int, block_src: QuotientBlock, block_dst: QuotientBlock):
+def nu_map(i: int, block_src: QuotientBlock, block_dst: QuotientBlock):
     """The add-a-strand algebra map on quotient blocks: append a black
     strand labeled i at the far right and reduce in the target block."""
+    src, dst = block_src.comp.alg, block_dst.comp.alg
 
     def nu(vi: int) -> dict[int, Fraction]:
         bottom, top, d, key = block_src.basis[vi]
         idem, w, dots = key
         I, kappa = idem
         nI = I + (i,)
-        m = len(src.alg.merged(idem))
+        m = len(src.merged(idem))
         nw = tuple(w) + (m,)
         ndots = tuple(dots) + (0,)
         nbottom = idem_key(nI, kappa)
-        el = Element(dst.alg, {(nbottom, nw, ndots): 1})
-        ntop = dst.alg.top_idem(nbottom, nw)
-        nd = dst.alg.diagram_degree(nbottom, nw, ndots)
+        el = Element(dst, {(nbottom, nw, ndots): 1})
+        ntop = dst.top_idem(nbottom, nw)
+        nd = dst.diagram_degree(nbottom, nw, ndots)
         return block_dst._reduce(el, nbottom, ntop, nd)
 
     return nu
 
 
-def induce(
-    M: FinDimModule,
-    i: int,
-    src: BlockComputer,
-    dst: BlockComputer,
-    block_dst: QuotientBlock,
-) -> FinDimModule:
+def induce(M: FinDimModule, i: int, block_dst: QuotientBlock) -> FinDimModule:
     """F_i M = M ⊗_{A} A' along the add-a-strand map ν_i.
 
-    Computed as (M ⊗ A')/span{(m·a) ⊗ b − m ⊗ ν(a)b}.
+    Computed as (M ⊗ A')/span{(m·a) ⊗ b − m ⊗ ν(a)b}, with m_c ⊗ b_k at
+    column c·dn + k.
     """
     block_src = M.block
-    nu = nu_map(src, dst, i, block_src, block_dst)
-    nu_cache = {a: nu(a) for a in range(block_src.dim)}
+    nu = nu_map(i, block_src, block_dst)
     dm, dn = M.dim, block_dst.dim
     rel_rows = []
     for a in range(block_src.dim):
         amat = M.action(a)
-        nab = [block_dst.multiply_vectors(nu_cache[a], {b: ONE}) for b in range(dn)]
+        na = nu(a)
+        nab = [block_dst.multiply_vectors(na, {b: ONE}) for b in range(dn)]
         for r in range(dm):
             for b in range(dn):
-                # (m_r · a) ⊗ b − m_r ⊗ ν(a)·b, with m_c ⊗ b_k at column c·dn + k
+                # (m_r · a) ⊗ b − m_r ⊗ ν(a)·b
                 row = {c * dn + b: x for c, x in amat[r].items()}
                 add_multiple(row, MINUS_ONE, {r * dn + k: v for k, v in nab[b].items()})
                 if row:
                     rel_rows.append(row)
-    rep_cols, project = _quotient(rel_rows, dm * dn)
 
-    def act(j: int):
-        mat = []
-        for c in rep_cols:
-            r, b = divmod(c, dn)
-            prod = block_dst.multiply_vectors({b: ONE}, {j: ONE})
-            mat.append(project({r * dn + k: v for k, v in prod.items()}))
-        return mat
+    def image(c: int, j: int) -> Vec:
+        r, b = divmod(c, dn)
+        return {r * dn + k: v for k, v in block_dst.multiply_vectors({b: ONE}, {j: ONE}).items()}
 
-    return FinDimModule(block_dst, len(rep_cols), act, degrees=None)
+    return _quotient_module(block_dst, dm * dn, rel_rows, image)
 
 
-def restrict(N: FinDimModule, i: int, src: BlockComputer, dst: BlockComputer, block_src: QuotientBlock) -> FinDimModule:
+def restrict(N: FinDimModule, i: int, block_src: QuotientBlock) -> FinDimModule:
     """E_i N: the same space, acted on through ν_i.
 
     The categorical grading shift <μ,α_i> − d_i is a bookkeeping shift on
     characters only; the ungraded adjunction dims are what this package
     verifies, so the shift is recorded in docs rather than re-graded here.
     """
-    nu = nu_map(src, dst, i, block_src, N.block)
+    nu = nu_map(i, block_src, N.block)
 
     def act(j: int):
         img = nu(j)
@@ -395,30 +421,17 @@ def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
 def cosocle(M: FinDimModule) -> FinDimModule:
     """M / M·rad(A) as a module."""
     rad = radical(M.block)
-    rep, project = _quotient([M.act_vec({r: ONE}, x) for r in range(M.dim) for x in rad], M.dim)
-
-    def act(i: int):
-        return [project(M.act_vec({c: ONE}, {i: ONE})) for c in rep]
-
-    return FinDimModule(M.block, len(rep), act, degrees=None)
+    rows = [M.act_vec({r: ONE}, x) for r in range(M.dim) for x in rad]
+    return _quotient_module(M.block, M.dim, rows, lambda c, i: M.action(i)[c])
 
 
 def socle(M: FinDimModule) -> FinDimModule:
     """{m : m·rad(A) = 0} as a module."""
-    rad = radical(M.block)
     cons = []
-    for x in rad:
+    for x in radical(M.block):
         # act_vec is linear in the vector: m ↦ Σ_r m_r (e_r · x)
         cons.extend(transpose([M.act_vec({r: ONE}, x) for r in range(M.dim)]).values())
-    basis = row_reduce(nullspace(cons, M.dim, QQ), QQ)[0]
-
-    def act(i: int):
-        mat = [solve(basis, M.act_vec(v, {i: ONE}), QQ) for v in basis]
-        if None in mat:
-            raise IntegrityError("socle is not a submodule")
-        return mat
-
-    return FinDimModule(M.block, len(basis), act, degrees=None)
+    return _submodule(M.block, nullspace(cons, M.dim, QQ), lambda v, i: M.act_vec(v, {i: ONE}), "socle")
 
 
 def decompose_semisimple(M: FinDimModule, simples_list) -> dict[int, int]:
@@ -449,17 +462,17 @@ def identify_simple(M: FinDimModule, simples_list):
     return next(s for s in simples_list if s.tag == tag)
 
 
-def crystal_f(L, i, src, dst, block_dst, dst_simples):
+def crystal_f(L: FinDimModule, i: int, block_dst: QuotientBlock, dst_simples) -> FinDimModule | None:
     """cosoc(F_i L): several copies of one simple, returned once (or None)."""
-    FM = induce(L, i, src, dst, block_dst)
+    FM = induce(L, i, block_dst)
     if FM.dim == 0:
         return None
     return identify_simple(cosocle(FM), dst_simples)
 
 
-def crystal_e(L, i, src, dst, block_src, src_simples):
+def crystal_e(L: FinDimModule, i: int, block_src: QuotientBlock, src_simples) -> FinDimModule | None:
     """soc(E_i L): several copies of one simple, returned once (or None)."""
-    EM = restrict(L, i, src, dst, block_src)
+    EM = restrict(L, i, block_src)
     if EM.dim == 0:
         return None
     soc = socle(EM)

@@ -19,12 +19,14 @@ family.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .cartan import CartanDatum, RootVector, Weight
 from .laurent import ONE, ZERO, LaurentPoly, qint_signed
-from .linalg import add_multiple, laurent_rank
+from .linalg import add_multiple, laurent_rank, solve
+from .scalars import QQ
 
 PTensor = tuple[tuple[int, ...], ...]
 VKey = tuple[tuple[int, ...], tuple[int, ...]]  # (I, kappa)
@@ -463,18 +465,13 @@ class TensorSpace:
             return 0
         keys = self.spanning_keys(self.datum.root(coords))
         if not keys:
-            return 1 if all(c == 0 for c in coords) and self.ell >= 0 else 0
+            return 1 if all(c == 0 for c in coords) else 0
         gram = [[self.form_vv(a, b) for b in keys] for a in keys]
         return laurent_rank(gram)
 
 
 def _root_coords(datum: CartanDatum, wt: Weight) -> tuple[int, ...] | None:
     """Express wt as an integral combination of simple roots, if possible."""
-    from fractions import Fraction
-
-    from .linalg import solve
-    from .scalars import QQ
-
     n = datum.rank
     rows = [{j: Fraction(a) for j, a in enumerate(datum.cartan[i]) if a} for i in range(n)]
     rhs = {j: Fraction(c) for j, c in enumerate(wt.coords) if c}

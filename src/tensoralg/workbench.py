@@ -229,7 +229,7 @@ def task_crystal(args, comp: BlockComputer) -> int:
                 continue
             tblk = blocks[target]
             for L in simples_by_alpha[coords]:
-                img = crystal_f(L, i, comp, comp, tblk, simples_by_alpha[target])
+                img = crystal_f(L, i, tblk, simples_by_alpha[target])
                 if img is not None:
                     edges.append(
                         {

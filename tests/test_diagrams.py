@@ -769,6 +769,13 @@ def test_text_roundtrip():
     assert Element.from_json(alg, el.to_json()) == el
 
 
+@pytest.mark.parametrize("label", ["0", "2"])
+def test_text_rejects_a_node_index_out_of_range(label):
+    _, alg = sl2_algebra(1, 1)
+    with pytest.raises(WordError, match="node index out of range"):
+        diagram_from_text(alg, f"e[{label}|R@0,1] ; 1 ; 1")
+
+
 def test_split_strands_dimension_match():
     # merging the two reds of (ω, ω) over an empty position matches the
     # single-red algebra for 2ω, degree by degree

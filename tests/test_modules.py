@@ -4,9 +4,12 @@ import pytest
 
 from tensoralg import modules
 from tensoralg.cartan import default_q_matrix, sl2
-from tensoralg.cyclotomic import BlockComputer, QuotientBlock
+from tensoralg.cyclotomic import BlockComputer, IntegrityError, QuotientBlock
+from tensoralg.linalg import nullspace, row_reduce, solve, transpose
 from tensoralg.modules import (
+    SemisimpleQuotient,
     UnsupportedCharacteristicError,
+    central_primitive_idempotents,
     cosocle,
     crystal_e,
     crystal_f,
@@ -19,7 +22,9 @@ from tensoralg.modules import (
     socle,
     trace_form,
 )
-from tensoralg.scalars import PrimeField
+from tensoralg.scalars import QQ, PrimeField
+
+ONE = Fraction(1)
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +106,11 @@ def test_induce_zero_and_dims(sl2_setup):
     assert M0.dim == 0
     # F applied to the 1-dim top module of T^{2ω}
     top = regular_module(blocks[0])
-    FM = induce(top, 0, comp2, comp2, blocks[1])
+    FM = induce(top, 0, blocks[1])
     assert FM.dim == 2  # the weight-0 projective of T^{2ω}
     # beyond integrability depth the target block is zero
     M2 = regular_module(blocks[2])
-    F3 = induce(M2, 0, comp2, comp2, blocks[3])
+    F3 = induce(M2, 0, blocks[3])
     assert F3.dim == 0
 
 
@@ -114,8 +119,8 @@ def test_adjunction_dims(sl2_setup):
     blocks = {n: QuotientBlock(comp2, d.root((n,))) for n in range(3)}
     M = regular_module(blocks[1])
     N = regular_module(blocks[2])
-    FM = induce(M, 0, comp2, comp2, blocks[2])
-    EN = restrict(N, 0, comp2, comp2, blocks[1])
+    FM = induce(M, 0, blocks[2])
+    EN = restrict(N, 0, blocks[1])
     assert hom_dim(FM, N) == hom_dim(M, EN)
 
 
@@ -126,15 +131,93 @@ def test_crystal_string_b2(sl2_setup):
     chain = [sims[0][0]]
     n = 0
     while n + 1 < 4 and blocks[n + 1].dim:
-        nxt = crystal_f(chain[-1], 0, comp2, comp2, blocks[n + 1], sims[n + 1])
+        nxt = crystal_f(chain[-1], 0, blocks[n + 1], sims[n + 1])
         if nxt is None:
             break
         chain.append(nxt)
         n += 1
     assert len(chain) == 3  # B(2) string has λ^i + 1 = 3 nodes
     # round trip f then e
-    back = crystal_e(chain[1], 0, comp2, comp2, blocks[0], sims[0])
+    back = crystal_e(chain[1], 0, blocks[0], sims[0])
     assert back is not None and back.tag == chain[0].tag
+
+
+def test_crystal_e_inverts_crystal_f_on_every_edge(sl2_setup):
+    """f-edges L → L' and e-edges L' → L are the same set: sl2 (2ω) up
+    to three strands (the string B(2)) and (ω, ω) up to two (B(2) ⊕ B(0)),
+    so ``crystal_e`` runs ``restrict`` and ``socle`` on every edge."""
+    d, comp11, comp2 = sl2_setup
+    for comp, nmax in ((comp2, 3), (comp11, 2)):
+        blocks = {n: QuotientBlock(comp, d.root((n,))) for n in range(nmax + 1)}
+        sims = {n: simples(blocks[n]) if blocks[n].dim else [] for n in blocks}
+        f_edges, e_edges = set(), set()
+        for n in range(nmax):
+            if not blocks[n + 1].dim:
+                continue
+            for L in sims[n]:
+                img = crystal_f(L, 0, blocks[n + 1], sims[n + 1])
+                if img is not None:
+                    f_edges.add((n, L.tag, img.tag))
+            for L in sims[n + 1]:
+                pre = crystal_e(L, 0, blocks[n], sims[n])
+                if pre is not None:
+                    e_edges.add((n, pre.tag, L.tag))
+        assert len(f_edges) == 2
+        assert e_edges == f_edges
+
+
+def _reference_action(basis, image, i):
+    """Each image solved against the reduced basis, one ``solve`` per
+    vector."""
+    mat = [solve(basis, image(v, i), QQ) for v in basis]
+    assert None not in mat
+    return mat
+
+
+def test_submodule_actions_equal_solved_coordinates(sl2_setup):
+    """Every simple's action matrices and degrees, and the socle of the
+    regular module's, equal those solved for against the reduced basis."""
+    d, comp11, comp2 = sl2_setup
+    checked = 0
+    for comp in (comp11, comp2):
+        for n in range(3):
+            blk = QuotientBlock(comp, d.root((n,)))
+            if not blk.dim:
+                continue
+            S = SemisimpleQuotient(blk)
+            for L, c in zip(simples(blk), central_primitive_idempotents(S)):
+                f = modules._split_primitive(S, c)
+                basis = row_reduce([S.multiply(f, {i: ONE}) for i in range(S.dim)], QQ)[0]
+                assert L.degrees == [S.is_homogeneous(v) for v in basis]
+                image = lambda v, i: S.multiply(v, S.project({i: ONE}))
+                for i in range(blk.dim):
+                    assert L.action(i) == _reference_action(basis, image, i)
+                    checked += any(L.action(i))
+            M = regular_module(blk)
+            cons = []
+            for x in radical(blk):
+                cons.extend(transpose([M.act_vec({r: ONE}, x) for r in range(M.dim)]).values())
+            basis = row_reduce(nullspace(cons, M.dim, QQ), QQ)[0]
+            soc = socle(M)
+            for i in range(blk.dim):
+                assert soc.action(i) == _reference_action(basis, lambda v, i: M.act_vec(v, {i: ONE}), i)
+                checked += any(soc.action(i))
+    assert checked
+
+
+def test_an_unstable_span_is_an_integrity_error(sl2_setup):
+    """A basis vector of the regular module that the action moves out of
+    its span is not a submodule; the whole space is, with the regular
+    action."""
+    d, comp11, _ = sl2_setup
+    blk = QuotientBlock(comp11, d.root((1,)))
+    M = regular_module(blk)
+    image = lambda v, i: M.act_vec(v, {i: ONE})
+    k, i = next((k, i) for k in range(blk.dim) for i in range(blk.dim) if set(M.action(i)[k]) - {k})
+    with pytest.raises(IntegrityError, match="span is not stable"):
+        modules._submodule(blk, [{k: ONE}], image, "span").action(i)
+    whole = modules._submodule(blk, [{c: ONE} for c in range(blk.dim)], image, "span")
+    assert all(whole.action(i) == M.action(i) for i in range(blk.dim))
 
 
 def test_socle_cosocle_of_projective(sl2_setup):

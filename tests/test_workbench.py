@@ -215,3 +215,20 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    # each demo imports the package this test imported, installed or not
+    env = dict(os.environ)
+    src = str(Path(tensoralg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_demo_is_run():
+    assert len(DEMOS) == 5
