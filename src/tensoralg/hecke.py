@@ -8,19 +8,26 @@ symmetric group, N = Σ λ^i the level; the defining relations are
 
 Every relation has integer coefficients (the roots of the cyclotomic
 polynomial are the integers i), so the rewriting runs over ℤ: the
-cyclotomic polynomial, ``multiply_raw``, ``reduce`` and the table of
-basis products carry plain ``int``.  ``multiply_raw`` is the one place
-that moves a permutation past a monomial; ``reduce`` then applies the
-cyclotomic relation.  Right multiplication by a permutation never moves
-past a monomial, so reduce(x^e w) = reduce(x^e)·w, and the normal form
-of each monomial x^e is memoized.  Elements handed out (``one``,
-``gen_x``, ``gen_s``, ``add``, ``scale``, ``multiply``) and their
-coordinates (``to_vector``, dense; ``coords``, a sparse ``linalg`` row)
-are exact over Q, and ``multiply`` is the one field boundary: it clears
-the denominators of each factor, sums over ℤ against the table, and
-divides once per output key.  That sum keeps the zeros that cancel and
-drops them in the one pass that divides, since it is the hot loop of the
-module theory; every other sum of terms is ``linalg.add_multiple``.
+cyclotomic polynomial, ``multiply_raw``, ``reduce`` and the memo of the
+right monomial action carry plain ``int``.  ``multiply_raw`` is the one
+place that moves a permutation past a monomial; ``reduce`` then applies
+the cyclotomic relation.  Right multiplication by a permutation never
+moves past a monomial, so reduce(x^e w) = reduce(x^e)·w, and the normal
+form of each monomial x^e is memoized.  For the same reason a product
+only ever rewrites a·x^e:
+
+    a·b = Σ_B c_B·(a·x^{e_B})·w_B,
+
+so ``multiply`` memoizes the normal form of (x^{e_A} w_A)·x^e for each
+basis key A and exponent e (|basis|·N^d entries), and ·w_B composes
+permutations only.  Elements handed out (``one``, ``gen_x``, ``gen_s``,
+``add``, ``scale``, ``multiply``) and their coordinates (``to_vector``,
+dense; ``coords``, a sparse ``linalg`` row) are exact over Q, and
+``multiply`` is the one field boundary: it clears the denominators of
+each factor, sums over ℤ against the memo, and divides once per output
+key.  Those sums keep the zeros that cancel and drop them in the one pass
+that divides, since they are the hot loop of the module theory; every
+other sum of terms is ``linalg.add_multiple``.
 
 Weight idempotents come from simultaneous generalized eigenprojections of
 the commuting x_k.  ``linalg.spectral_idempotents`` splits each x_k once:
@@ -63,8 +70,8 @@ def _s(d: int, i: int) -> Perm:
 
 
 class HeckeAlgebra:
-    """H^λ_d for a dominant sl_n-type weight λ: an integer rewriting table,
-    elements over Q."""
+    """H^λ_d for a dominant sl_n-type weight λ: integer rewriting, elements
+    over Q."""
 
     def __init__(self, datum: CartanDatum, lam: Weight, d: int):
         datum.require_same(lam.datum)
@@ -80,16 +87,14 @@ class HeckeAlgebra:
             for _ in range(m):
                 coeffs = _poly_shift_mul(coeffs, i + 1)
         self.cyc = coeffs  # monic, degree = level
-        self._nf_cache: dict[tuple[HKey, HKey], dict[HKey, int]] = {}
+        self._right_x: dict[tuple[HKey, tuple[int, ...]], dict[HKey, int]] = {}
         self._monomial_nf: dict[tuple[int, ...], dict[HKey, int]] = {}
         self._xk_reduction: dict[int, dict[HKey, int]] = {}
-        self.basis = self._make_basis()
+        perms = sorted(permutations(range(d)))
+        # _times[w][u] = u w: right multiplication by w on permutations
+        self._times = {w: {u: _perm_mul(u, w) for u in perms} for w in perms}
+        self.basis = [(e, w) for e in product(range(self.level), repeat=d) for w in perms]
         self.index = {k: i for i, k in enumerate(self.basis)}
-
-    def _make_basis(self) -> list[HKey]:
-        exps = list(product(range(self.level), repeat=self.d))
-        perms = sorted(permutations(range(self.d)))
-        return [(e, w) for e in exps for w in perms]
 
     # -- normal form sums --------------------------------------------------------
 
@@ -120,31 +125,38 @@ class HeckeAlgebra:
     # -- multiplication ----------------------------------------------------------------
 
     def multiply(self, a: dict, b: dict) -> dict[HKey, Fraction]:
-        """a·b over Q: each factor is scaled to integers by the lcm of its
-        denominators, the product is summed over ℤ against the table, and
-        each output coefficient is divided by the two scales once."""
+        """a·b over Q by the right monomial action
+        a·b = Σ_B c_B·(a·x^{e_B})·w_B.
+
+        Each factor is scaled to integers by the lcm of its denominators.
+        b's terms are grouped by exponent e; a·x^e is summed once per group
+        over ℤ against the memo of (x^{e_A} w_A)·x^e, and ·w_B only
+        composes permutations.  Each output coefficient is divided by the
+        two scales once."""
         ia, da = _clear_denominators(a)
         ib, db = _clear_denominators(b)
-        table = self._nf_cache
+        groups: dict[tuple[int, ...], list[tuple[Perm, int]]] = {}
+        for (e, w), c in ib.items():
+            groups.setdefault(e, []).append((w, c))
+        memo = self._right_x
         out: dict[HKey, int] = {}
         get = out.get
-        for A, ca in ia.items():
-            for B, cb in ib.items():
-                terms = table.get((A, B))
-                if terms is None:
-                    terms = self._mul_basis(A, B)
-                c = ca * cb
-                for k, v in terms.items():
-                    out[k] = get(k, 0) + c * v
+        for e, terms in groups.items():
+            ae: dict[HKey, int] = {}
+            aget = ae.get
+            for A, ca in ia.items():
+                t = memo.get((A, e))
+                if t is None:
+                    t = memo[A, e] = self.reduce(self.multiply_raw({A: 1}, {(e, _perm_id(self.d)): 1}))
+                for k, v in t.items():
+                    ae[k] = aget(k, 0) + ca * v
+            for w, cb in terms:
+                times_w = self._times[w]
+                for (f, u), v in ae.items():
+                    k = (f, times_w[u])
+                    out[k] = get(k, 0) + cb * v
         den = da * db
         return {k: Fraction(v, den) for k, v in out.items() if v}
-
-    def _mul_basis(self, A: HKey, B: HKey) -> dict[HKey, int]:
-        key = (A, B)
-        hit = self._nf_cache.get(key)
-        if hit is None:
-            hit = self._nf_cache[key] = self.reduce(self.multiply_raw({A: 1}, {B: 1}))
-        return hit
 
     def multiply_raw(self, a: dict, b: dict) -> dict:
         """Multiplication without cyclotomic reduction (exponents free):
@@ -261,11 +273,8 @@ class HeckeAlgebra:
     def regular_rank(self) -> int:
         """Rank of the span of all pairwise basis products; equals the
         basis count N^d d! when the rewriting is consistent."""
-        rows = []
-        for b1 in self.basis:
-            for b2 in self.basis:
-                rows.append(self.coords(self._mul_basis(b1, b2)))
-        return rank(rows, QQ)
+        elements = [{b: Fraction(1)} for b in self.basis]
+        return rank([self.coords(self.multiply(b1, b2)) for b1 in elements for b2 in elements], QQ)
 
 
 def _clear_denominators(a: dict) -> tuple[dict, int]:

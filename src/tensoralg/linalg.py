@@ -150,8 +150,9 @@ def add_multiple(v: dict, f, row: dict) -> dict:
     it, except for three inlined copies: ``reduce_against``
     (the hot loop of elimination, where the call cost about 20%),
     ``LaurentPoly`` (this module imports ``laurent``) and
-    ``HeckeAlgebra.multiply`` (an unpruned integer sum, filtered once while
-    it divides).  ``polyrep._apply_term`` walks its own operators, since it
+    ``HeckeAlgebra.multiply`` (unpruned integer sums, a·x^e per exponent e
+    of the right factor and then their ·w images, filtered once while it
+    divides).  ``polyrep._apply_term`` walks its own operators, since it
     is the engine's independent oracle.
     """
     if f:

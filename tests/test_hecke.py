@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensoralg import hecke
 from tensoralg.cartan import default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import BlockComputer
 from tensoralg.hecke import HeckeAlgebra, bk_check, weight_idempotents, x_spectra
@@ -98,6 +99,17 @@ def test_d0_trivial():
     assert H.multiply(H.one(), H.one()) == H.one()
 
 
+def _diagram_dims(comp, contents):
+    """Ungraded dim e(I) T^λ e(J) for every pair of idempotents of each content."""
+    dims = {}
+    for alpha in contents:
+        keys = comp.idems(comp.datum.root(alpha))
+        for a in keys:
+            for b in keys:
+                dims[(a[0], b[0])] = comp.graded_hom(a, b).eval_at_1()
+    return dims
+
+
 def test_bk_certificate_sl2():
     d = sl2()
     q = default_q_matrix(d)
@@ -106,13 +118,52 @@ def test_bk_certificate_sl2():
         comp = BlockComputer(d, q, (lam,))
         for dd in (1, 2):
             H = HeckeAlgebra(d, lam, dd)
-            dims = {}
-            keys = comp.idems(d.root((dd,)))
-            for a in keys:
-                for b in keys:
-                    dims[(a[0], b[0])] = comp.graded_hom(a, b).eval_at_1()
-            rep = bk_check(H, d, lam, dims)
+            rep = bk_check(H, d, lam, _diagram_dims(comp, [(dd,)]))
             assert rep["ok"], rep
+
+
+def _sl2_level2(dd):
+    d = sl2()
+    lam = d.weight((2,))
+    comp = BlockComputer(d, default_q_matrix(d), (lam,))
+    return d, lam, HeckeAlgebra(d, lam, dd), _diagram_dims(comp, [(dd,)])
+
+
+@pytest.mark.parametrize("dd,entries", [(1, 4), (2, 32), (3, 384)])
+def test_bk_check_fills_one_product_per_basis_key_and_exponent(dd, entries):
+    # the right-action memo holds (x^{e_A} w_A)·x^e for every basis key A and
+    # exponent e, |basis|·N^d entries; a pairwise table would fill |basis|²
+    d, lam, H, dims = _sl2_level2(dd)
+    rep = bk_check(H, d, lam, dims)
+    assert rep["ok"], rep
+    assert len(H._right_x) == len(H.basis) * H.level**dd == entries
+
+
+def test_bk_certificate_fails_on_a_doubled_idempotent(monkeypatch):
+    d, lam, H, dims = _sl2_level2(2)
+    honest = hecke.weight_idempotents
+    doubled = min(honest(H))
+
+    def with_one_doubled(H):
+        ids = honest(H)
+        ids[doubled] = H.scale(ids[doubled], Fraction(2))
+        return ids
+
+    monkeypatch.setattr(hecke, "weight_idempotents", with_one_doubled)
+    rep = bk_check(H, d, lam, dims)
+    assert rep["ok"] is False
+    assert rep["relations"][f"e{doubled} idempotent"] is False
+
+
+def test_bk_certificate_fails_on_a_wrong_block_dimension():
+    d, lam, H, dims = _sl2_level2(2)
+    I, J = wrong = next(iter(dims))
+    dims[wrong] += 1
+    rep = bk_check(H, d, lam, dims)
+    assert rep["ok"] is False
+    wrong_key = f"{tuple(i + 1 for i in I)}|{tuple(j + 1 for j in J)}"
+    assert rep["dims"][wrong_key]["match"] is False
+    assert all(v["match"] for k, v in rep["dims"].items() if k != wrong_key)
 
 
 def test_d3_associativity_and_completeness():
@@ -141,12 +192,7 @@ def test_bk_certificate_sl3_fundamental():
     comp = BlockComputer(d, q, (lam,))
     for dd in (1, 2):
         H = HeckeAlgebra(d, lam, dd)
-        dims = {}
-        for coords in [(c1, dd - c1) for c1 in range(dd + 1)]:
-            keys = comp.idems(d.root(coords))
-            for a in keys:
-                for b in keys:
-                    dims[(a[0], b[0])] = comp.graded_hom(a, b).eval_at_1()
+        dims = _diagram_dims(comp, [(c1, dd - c1) for c1 in range(dd + 1)])
         rep = bk_check(H, d, lam, dims)
         assert rep["ok"], rep
 
@@ -179,7 +225,7 @@ def test_x_spectra_is_the_minimal_polynomial_of_left_multiplication():
             assert any(any(row) for row in _apply_poly(mat, smaller))
 
 
-# -- the integer table against the plain rewriting loop ---------------------------------
+# -- the integer product against the plain rewriting loop -----------------------------------
 
 TABLE_CASES = {
     "sl2 (2), d=3": (sl2, (2,), 3),
@@ -241,20 +287,36 @@ def _reference_xk_power(H):
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_IDEMPOTENTS: dict = {}
 
 
 def _draw_element(data, H):
-    keys = data.draw(st.lists(st.sampled_from(H.basis), max_size=4, unique=True))
+    """A few basis keys plus several permutations on one shared exponent (up
+    to 12 terms), so that ``multiply`` groups terms of its right factor."""
+    keys = data.draw(st.lists(st.sampled_from(H.basis), max_size=6, unique=True))
+    e = data.draw(st.sampled_from(H.basis))[0]
+    perms = data.draw(st.lists(st.sampled_from(sorted({w for _, w in H.basis})), max_size=6, unique=True))
+    keys = list(dict.fromkeys(keys + [(e, w) for w in perms]))
     return {k: c for k in keys if (c := data.draw(small_rationals))}
+
+
+def _draw_factor(data, name):
+    """A drawn element or, one time in four, a weight idempotent e(I)."""
+    H = _table_algebra(name)
+    if data.draw(st.integers(0, 3)):
+        return _draw_element(data, H)
+    if name not in _IDEMPOTENTS:
+        _IDEMPOTENTS[name] = weight_idempotents(H)
+    return _IDEMPOTENTS[name][data.draw(st.sampled_from(sorted(_IDEMPOTENTS[name])))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(TABLE_CASES)), st.data())
 def test_multiply_matches_the_reference_rewriting(name, data):
     H = _table_algebra(name)
-    a, b, c = (_draw_element(data, H) for _ in range(3))
+    a, b, c = (_draw_factor(data, name) for _ in range(3))
     ab = H.multiply(a, b)
     assert all(type(v) is Fraction and v for v in ab.values())
     assert ab == _reference_reduce(H, H.multiply_raw(a, b), _reference_xk_power(H))
     assert H.multiply(ab, c) == H.multiply(a, H.multiply(b, c))
-    assert all(type(v) is int for terms in H._nf_cache.values() for v in terms.values())
+    assert all(type(v) is int for terms in H._right_x.values() for v in terms.values())
