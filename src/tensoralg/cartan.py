@@ -10,7 +10,6 @@ data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 
@@ -22,42 +21,66 @@ class CartanDataError(ValueError):
     """Raised when input fails the symmetrizable-Cartan-matrix axioms."""
 
 
-@dataclass(frozen=True)
-class Weight:
+class _LatticeVector:
+    """An immutable coordinate vector over a Cartan datum.
+
+    Values compare and hash by (class, datum, coords), so a weight never
+    equals a root vector with the same coordinates.
+    """
+
+    __slots__ = ("datum", "coords")
+    _kind = "vector"
+
+    def __init__(self, datum: "CartanDatum", coords: tuple[int, ...]):
+        if len(coords) != datum.rank:
+            raise DatumMismatchError(f"{self._kind} coordinate length != rank")
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.datum, self.coords) == (other.datum, other.coords)
+
+    def __hash__(self):
+        return hash((self.datum, self.coords))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(datum={self.datum!r}, coords={self.coords!r})"
+
+    def __add__(self, other):
+        self.datum.require_same(other.datum)
+        return type(self)(self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self.datum.require_same(other.datum)
+        return type(self)(self.datum, tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+
+class Weight(_LatticeVector):
     """An integral weight, stored as the vector of coroot pairings λ^i."""
 
-    datum: "CartanDatum"
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.datum.rank:
-            raise DatumMismatchError("weight coordinate length != rank")
+    __slots__ = ()
+    _kind = "weight"
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self.datum.require_same(other.datum)
-        return Weight(self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self.datum.require_same(other.datum)
-        return Weight(self.datum, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __getitem__(self, i: int) -> int:
         return self.coords[i]
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(_LatticeVector):
     """An element of the root lattice, by coefficients of the simple roots."""
 
-    datum: "CartanDatum"
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.datum.rank:
-            raise DatumMismatchError("root coordinate length != rank")
+    __slots__ = ()
+    _kind = "root"
 
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -68,14 +91,6 @@ class RootVector:
     def letters(self) -> list[int]:
         """The black-strand labels of the content, in weakly increasing order."""
         return [i for i, m in enumerate(self.coords) for _ in range(m)]
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        self.datum.require_same(other.datum)
-        return RootVector(self.datum, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        self.datum.require_same(other.datum)
-        return RootVector(self.datum, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def to_weight(self) -> Weight:
         """The same lattice element in coroot-pairing coordinates."""

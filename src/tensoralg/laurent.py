@@ -17,7 +17,8 @@ class LaurentPoly:
     __slots__ = ("_c", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        # the dict test first: it is cheap, and the ABC check is not
+        items = coeffs.items() if isinstance(coeffs, dict) or isinstance(coeffs, Mapping) else coeffs
         c: dict[int, int] = {}
         for e, a in items:
             if a:

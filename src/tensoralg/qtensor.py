@@ -119,9 +119,11 @@ class TensorSpace:
             if not lam.is_dominant():
                 raise ValueError(f"weight {lam.coords} is not dominant")
         self.ell = len(self.lambdas)
+        # red labels by node: _red_labels[i][j] = λ_j^i
+        self._red_labels = tuple(tuple(lam.coords[i] for lam in self.lambdas) for i in range(datum.rank))
         self._form_memo: dict[tuple, LaurentPoly] = {}
         self._s_in_v_memo: dict[VKey, dict[VKey, LaurentPoly]] = {}
-        self._weight_memo: dict[tuple[int, ...], Weight] = {}  # black word I -> weight of v^κ_I
+        self._weight_memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # black word I -> pairings of v^κ_I
         self._parent: TensorSpace | None = None
 
     def parent(self) -> "TensorSpace":
@@ -149,17 +151,35 @@ class TensorSpace:
     def highest(self) -> TensorVector:
         return TensorVector(self, {((),) * self.ell: ONE})
 
+    def _factor_pairing(self, i: int, j: int, word: tuple[int, ...]) -> int:
+        """α_i^∨ of the weight of factor j after the letters of ``word``."""
+        c = self.datum.cartan
+        return self._red_labels[i][j] - sum(c[s][i] for s in word)
+
+    def _pairings_below(self, i: int, word, kappa, labels) -> Iterator[tuple[int, int]]:
+        """``(p, μ_p^i)`` for each letter p of ``word`` equal to i, where
+        μ_p^i is α_i^∨ of the weight strictly below that letter: the red
+        labels ``labels[j]`` with kappa[j] <= p, less c_{s,i} for every
+        letter s before p.  ``kappa`` is weakly increasing."""
+        c = self.datum.cartan
+        mu = r = 0
+        for p, s in enumerate(word):
+            while r < len(kappa) and kappa[r] <= p:
+                mu += labels[r]
+                r += 1
+            if s == i:
+                yield p, mu
+            mu -= c[s][i]
+
     # -- coproduct actions -------------------------------------------------------
 
     def apply_f(self, i: int, vec: TensorVector) -> TensorVector:
         """Δ^{(ℓ)}(F_i) = Σ_j 1 ⊗ .. ⊗ F_i ⊗ K~_{-i} ⊗ .. ⊗ K~_{-i}."""
-        d = self.datum
+        di = self.datum.sym[i]
         out: dict[PTensor, LaurentPoly] = {}
         for t, c in vec.terms.items():
             for j in range(self.ell):
-                shift = 0
-                for k in range(j + 1, self.ell):
-                    shift -= d.root_pairing_coeff(i, self.factor_weight(k, t[k]))
+                shift = -di * sum(self._factor_pairing(i, k, t[k]) for k in range(j + 1, self.ell))
                 nt = t[:j] + (t[j] + (i,),) + t[j + 1 :]
                 add_multiple(out, c, {nt: LaurentPoly.q_power(shift)})
         return TensorVector(self, out)
@@ -171,24 +191,18 @@ class TensorSpace:
         commutator scalar [α_i^∨(μ)] in q^{d_i}, μ the weight below the
         deleted letter; E_i kills the highest-weight vector.
         """
-        d = self.datum
-        di = d.sym[i]
+        di = self.datum.sym[i]
         out: dict[PTensor, LaurentPoly] = {}
         for t, c in vec.terms.items():
             for j in range(self.ell):
-                shift = 0
-                for k in range(j):
-                    shift += d.root_pairing_coeff(i, self.factor_weight(k, t[k]))
+                shift = di * sum(self._factor_pairing(i, k, t[k]) for k in range(j))
                 pre = c * LaurentPoly.q_power(shift)
                 word = t[j]
-                mu = self.lambdas[j]
-                for p, letter in enumerate(word):
-                    if letter == i:
-                        scal = qint_signed(mu.coords[i], di)
-                        if not scal.is_zero():
-                            nt = t[:j] + (word[:p] + word[p + 1 :],) + t[j + 1 :]
-                            add_multiple(out, pre, {nt: scal})
-                    mu = mu - d.simple_root(word[p]).to_weight()
+                for p, mu in self._pairings_below(i, word, (0,), (self._red_labels[i][j],)):
+                    scal = qint_signed(mu, di)
+                    if not scal.is_zero():
+                        nt = t[:j] + (word[:p] + word[p + 1 :],) + t[j + 1 :]
+                        add_multiple(out, pre, {nt: scal})
         return TensorVector(self, out)
 
     # -- the distinguished spanning vectors ----------------------------------------
@@ -248,17 +262,17 @@ class TensorSpace:
     # -- structural expansion of E on spanning vectors --------------------------------
 
     def vkey_weight(self, key: VKey) -> Weight:
-        """Σ λ_j − Σ α_{i_k}, memoized per black word I (κ does not enter)."""
-        I = tuple(key[0])
-        wt = self._weight_memo.get(I)
-        if wt is None:
-            wt = self.datum.zero_weight()
-            for lam in self.lambdas:
-                wt = wt + lam
-            for i in I:
-                wt = wt - self.datum.simple_root(i).to_weight()
-            self._weight_memo[I] = wt
-        return wt
+        """Σ λ_j − Σ α_{i_k} (κ does not enter)."""
+        return Weight(self.datum, self._word_pairings(tuple(key[0])))
+
+    def _word_pairings(self, I: tuple[int, ...]) -> tuple[int, ...]:
+        """The coroot pairings of :meth:`vkey_weight`, memoized per black word I."""
+        mu = self._weight_memo.get(I)
+        if mu is None:
+            c = self.datum.cartan
+            mu = tuple(sum(labels) - sum(c[s][i] for s in I) for i, labels in enumerate(self._red_labels))
+            self._weight_memo[I] = mu
+        return mu
 
     def e_expand(self, i: int, key: VKey) -> list[tuple[LaurentPoly, VKey]]:
         """E_i v^κ_I as a combination of v^{κ'}_{I'}.
@@ -267,23 +281,14 @@ class TensorSpace:
         is the weight of the partial vector strictly below the letter.
         """
         I, kappa = key
-        d = self.datum
-        di = d.sym[i]
+        di = self.datum.sym[i]
         out = []
-        for t in range(1, len(I) + 1):
-            if I[t - 1] != i:
-                continue
-            mu = self.datum.zero_weight()
-            for j in range(self.ell):
-                if kappa[j] < t:
-                    mu = mu + self.lambdas[j]
-            for s in range(t - 1):
-                mu = mu - d.simple_root(I[s]).to_weight()
-            coeff = qint_signed(mu.coords[i], di)
+        for p, mu in self._pairings_below(i, I, kappa, self._red_labels[i]):
+            coeff = qint_signed(mu, di)
             if coeff.is_zero():
                 continue
-            nI = I[: t - 1] + I[t:]
-            nkappa = tuple(k - 1 if k >= t else k for k in kappa)
+            nI = I[:p] + I[p + 1 :]
+            nkappa = tuple(k - 1 if k > p else k for k in kappa)
             out.append((coeff, (nI, nkappa)))
         return out
 
@@ -304,7 +309,7 @@ class TensorSpace:
             return ZERO
         if b[1] and b[1][0] >= 1:
             return ZERO
-        if self.vkey_weight(a).coords != self.vkey_weight(b).coords:
+        if self._word_pairings(a[0]) != self._word_pairings(b[0]):
             return ZERO
         return self._form_rec(a, b)
 
@@ -333,10 +338,9 @@ class TensorSpace:
         return val
 
     def _shift(self, i: int, key: VKey) -> LaurentPoly:
-        mu = self.vkey_weight(key)
+        """q_i^{-1} q^{<α_i, μ+α_i>}, μ the weight of ``key``."""
         d = self.datum
-        exp = -d.sym[i] + d.root_pairing_coeff(i, mu) + d.sym[i] * d.cartan[i][i]
-        return LaurentPoly.q_power(exp)
+        return LaurentPoly.q_power(d.sym[i] * (self._word_pairings(key[0])[i] + d.cartan[i][i] - 1))
 
     def _sum_over(self, expansion, other: VKey, left: bool) -> LaurentPoly:
         total = ZERO

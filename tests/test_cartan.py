@@ -45,6 +45,35 @@ def test_datum_mismatch_rejected():
         sl2().pairing(sl2().simple_root(0), type_a(2).simple_root(0))
 
 
+def test_weights_and_roots_are_values():
+    d = type_a(2)
+    w, r = d.weight((1, -1)), d.root((1, -1))
+    assert w == type_a(2).weight([1, -1]) and hash(w) == hash(type_a(2).weight([1, -1]))
+    assert r == type_a(2).root([1, -1]) and hash(r) == hash(type_a(2).root([1, -1]))
+    assert w != d.weight((1, 0)) and r != d.root((1, 0))
+    assert w != r and r != w
+    assert w != b2().weight((1, -1))
+    assert len({w, r, d.weight((1, -1))}) == 2
+    assert repr(w) == "Weight(datum=CartanDatum(nodes=['1', '2']), coords=(1, -1))"
+    assert repr(r) == "RootVector(datum=CartanDatum(nodes=['1', '2']), coords=(1, -1))"
+    assert w + w == d.weight((2, -2)) and r - r == d.root((0, 0))
+    assert d.simple_root(0).to_weight() == d.weight((2, -1))
+    with pytest.raises(DatumMismatchError):
+        d.weight((1,))
+    with pytest.raises(DatumMismatchError):
+        d.root((1, 0, 0))
+    for v in (w, r):
+        with pytest.raises(AttributeError):
+            v.coords = (0, 0)
+        with pytest.raises(AttributeError):
+            v.datum = sl2()
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        with pytest.raises(AttributeError):
+            del v.coords
+    assert w.coords == (1, -1) and w.datum is d
+
+
 def test_invalid_cartan_data():
     with pytest.raises(CartanDataError):
         CartanDatum(["1"], [[1]], [1])

@@ -178,6 +178,8 @@ def test_e_expand_matches_apply_e():
         (sl2(), ((1,), (1,)), (2,)),
         (sl2(), ((2,),), (2,)),
         (type_a(2), ((1, 0), (0, 1)), (1, 1)),
+        # not symmetric: c_12 = -2, c_21 = -1, so a transposed Cartan entry shows
+        (b2(), ((1, 0), (0, 1)), (1, 1)),
     ]:
         d = datum
         sp = TensorSpace(d, tuple(d.weight(l) for l in lams))

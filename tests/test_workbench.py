@@ -184,6 +184,15 @@ def test_dims_output_is_field_independent(capsys):
         assert out_p == out_q
 
 
+def child_env():
+    """The environment of a child interpreter that imports the package this
+    test imported, installed or not."""
+    env = dict(os.environ)
+    src = str(Path(tensoralg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_importing_the_cli_loads_every_traced_module():
     """``import tensoralg.workbench``, in a fresh interpreter, loads every
     module whose entry points the benchmark's tracer wraps: the tracer
@@ -193,20 +202,30 @@ def test_importing_the_cli_loads_every_traced_module():
     tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
     traced = sorted({module for points in tracing["SPANS"].values() for module, _ in points})
     assert "tensoralg.modules" in traced and "tensoralg.hecke" in traced
-    env = dict(os.environ)
-    src = str(Path(tensoralg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     code = "import json, sys, tensoralg.workbench; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert set(traced) <= set(json.loads(proc.stdout))
 
 
+def test_importing_the_cli_loads_no_introspection_machinery():
+    """Start-up cost: in a fresh interpreter, ``import tensoralg.workbench``
+    loads none of the modules behind ``dataclasses`` (each CLI run and each
+    benchmark pass pays for every module it imports)."""
+    code = (
+        "import json, sys; before = set(sys.modules); import tensoralg.workbench; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    new = set(json.loads(proc.stdout))
+    assert "tensoralg.cartan" in new
+    assert not new & {"dataclasses", "inspect", "ast", "dis"}
+
+
 def test_console_script_entrypoint():
-    # the child imports the package this test imported, installed or not
-    env = dict(os.environ)
-    src = str(Path(tensoralg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "tensoralg.workbench"] + BASE + ["--task", "dims", "--max-strands", "1"],
         capture_output=True,
@@ -222,10 +241,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    # each demo imports the package this test imported, installed or not
-    env = dict(os.environ)
-    src = str(Path(tensoralg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
