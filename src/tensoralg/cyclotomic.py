@@ -25,17 +25,21 @@ coordinate of the label of red j:
   with reds 1..ℓ−1, and e(p) ∈ K.  Putting strands to the right of every
   diagram is an algebra map that keeps a violating idempotent violating,
   so it maps K(p) into K and e(p) to e(x);
-- red bigon: the black strand k directly right of red ℓ has label i with
-  λ_ℓ^i = 0, and e(x′) ∈ K for x′, the same strands with k moved left of
-  red ℓ.  Strand k crossing red ℓ and returning costs y_k^{λ_ℓ^i} = 1,
-  so e(x) = ψ·e(x′)·ψ;
-- cyclotomic nilHecke: ℓ = 1 and the first m strands right of red 1 all
-  have label i, with m > λ_1^i.  For ℓ = 1 the quotient is the cyclotomic
-  quiver Hecke algebra, and the idempotent of those m strands spans the
-  cyclotomic nilHecke algebra NH_m^{λ_1^i}, which is 0 for m > λ_1^i;
-  further strands on the right come free as in the prefix cut.
-The last two act on the last red only, since the prefix cut hands every
-earlier red to the prefix, and bigons at different reds commute.
+- nilHecke run: the black strand k directly right of red ℓ has label i
+  and the run bound B = λ_ℓ^i + N_k(x′) of the dot-bound paragraph below,
+  x′ being the same strands with k moved left of red ℓ, and the run of
+  label-i strands from k to the right end or the first other label has
+  m > B strands.  Acting on those m strands alone is an algebra map
+  NH_m → e(x) T~ e(x) from the nilHecke algebra; the preimage of K is a
+  two-sided ideal that holds y_1^B, so the map factors through the
+  cyclotomic nilHecke algebra NH_m^B = NH_m/(y_1^B), which is 0 for
+  m > B.  The rule is named for the cases it covers: "bigon" when B = 0
+  (strand k crossing red ℓ and returning costs y_k^{λ_ℓ^i} = 1, so
+  e(x) = ψ·e(x′)·ψ with e(x′) ∈ K), "nilhecke" when ℓ = 1 (then
+  B = λ_1^i, and the quotient is the cyclotomic quiver Hecke algebra) and
+  "run" otherwise.
+The last rule acts on the last red only, since the prefix cut hands every
+earlier red, with the run up to the next red, to the prefix.
 ``BlockComputer._vanishes`` proves e(x) ∈ K by ``_proven`` or by one of
 two rules that look at products:
 (a) x ends in a black strand and e(x′) ∈ K for its prefix
@@ -59,12 +63,18 @@ through v′, and ``kernel_space`` multiplies through the first violating
 idempotent of each class only.
 
 The same moves bound the dots of a top idempotent (``_dot_bounds``).
-With strand k of label i directly right of red j and x′ as above,
-y_k^{λ_j^i}·y_k^{N}·e(x) = ψ·y_k^{N}·e(x′)·ψ, since dots pass red
-strands; so y_k^{N} e(x′) ∈ K gives y_k^{λ_j^i + N} e(x) ∈ K, and
-e(x) ∈ K gives N = 0.  A basis diagram e·ψ_w·y^a carries its dots at the
-top, so it lies in K once a_k reaches the bound of its top idempotent.
-Every other kernel row is the span of the products through a violating
+With strand k of label i directly right of red j and x′ the same strands
+with k moved left of red j, y_k^{λ_j^i}·y_k^{N}·e(x) = ψ·y_k^{N}·e(x′)·ψ,
+since dots pass red strands; so y_k^{N} e(x′) ∈ K gives y_k^B e(x) ∈ K for
+the run bound B = λ_j^i + N_k(x′), and e(x) ∈ K gives N = 0.  The
+nilHecke map above, on the run of label-i strands from k up to the next
+red, spreads that bound along the run: in NH_m^B every y_r^B = 0 (the
+dots act as the Chern roots of a flag in C^B), so every strand of the
+run gets the bound B.  The bound of a strand reads only idempotents with
+a larger Σκ, so the recursion ends, and its answer does not depend on the
+order of calls.  A basis diagram e·ψ_w·y^a carries its dots at the top,
+so it lies in K once a_k reaches the bound of its top idempotent.  Every
+other kernel row is the span of the products through a violating
 idempotent.
 
 Every such row space is spanned by products l·r with r running over a
@@ -90,6 +100,7 @@ on.
 
 from __future__ import annotations
 
+import math
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
@@ -276,11 +287,13 @@ class BlockComputer:
         return hit
 
     def _proven(self, x: IdemKey) -> str | None:
-        """The rule of the module docstring that proves e(x) ∈ K, by name
-        ("violating", "prefix", "bigon" or "nilhecke"), or None.  It reads
-        x and the red labels alone: no product, no kernel, no prediction.
-        The prefix cut keeps reds 1..ℓ−1, so a prefix is proved on this
-        computer by reading only the labels of its own reds."""
+        """The rule of the module docstring that proves e(x) ∈ K, by name,
+        or None: "violating", "prefix", or a nilHecke run at the last red
+        with m > B, named "bigon" when B = 0, "nilhecke" when ℓ = 1 and
+        "run" otherwise.  It reads x and the red labels alone: no product,
+        no kernel, no prediction.  The prefix cut keeps reds 1..ℓ−1, so a
+        prefix is proved on this computer by reading only the labels of
+        its own reds."""
         if x in self._proof_cache:
             return self._proof_cache[x]
         I, kappa = x
@@ -289,24 +302,38 @@ class BlockComputer:
             rule = "violating"
         elif len(kappa) > 1 and self._proven((I[: kappa[-1]], kappa[:-1])):
             rule = "prefix"
-        elif kappa and kappa[-1] < len(I):
-            last, k = len(kappa) - 1, kappa[-1]
-            lam = self.lambdas[last].coords
-            if lam[I[k]] == 0 and self._proven((I, kappa[:last] + (k + 1,))):
-                rule = "bigon"
-            elif not last:
-                run = next((m for m, i in enumerate(I) if i != I[0]), len(I))
-                if run > lam[I[0]]:
-                    rule = "nilhecke"
+        elif kappa:
+            last = len(kappa) - 1
+            bound, m = self._run(x, last)
+            if bound is not None and m > bound:
+                rule = "bigon" if not bound else "run" if last else "nilhecke"
         self._proof_cache[x] = rule
         return rule
 
+    def _run(self, x: IdemKey, j: int) -> tuple:
+        """(B, m) for the nilHecke run right of red j (module docstring):
+        m is the number of strands of label i = I[k] from strand k = κ(j)
+        on, up to the next red or the first other label, and
+        B = λ_j^i + N_k(x′), with x′ the same strands with k moved left of
+        red j; B is None when N_k(x′) is, and (None, 0) when no black
+        strand sits directly right of red j."""
+        I, kappa = x
+        k = kappa[j]
+        end = kappa[j + 1] if j + 1 < len(kappa) else len(I)
+        if k >= end:
+            return None, 0
+        m = next((p for p in range(k, end) if I[p] != I[k]), end) - k
+        below = self._dot_bounds((I, kappa[:j] + (k + 1,) + kappa[j + 1 :]))[k]
+        return (None if below is None else self.lambdas[j].coords[I[k]] + below), m
+
     def _dot_bounds(self, x: IdemKey) -> tuple:
         """For each black strand k of x, an N_k with y_k^{N_k} e(x) ∈ K, or
-        None where no bound is known: 0 when ``_proven(x)``, and
-        λ_j^i + N_k(x′) when strand k, of label i, sits directly right of
-        red j and x′ has it moved left of red j (see the module
-        docstring).  Like ``_proven`` it reads x alone."""
+        None where no bound is known: 0 when ``_proven(x)``, and the run
+        bound B of ``_run`` on every strand of the nilHecke run right of a
+        red (see the module docstring).  Like ``_proven`` it reads x alone,
+        and the bound of a strand reads only idempotents with a larger Σκ,
+        so the recursion ends and its answer does not depend on the order
+        of calls."""
         hit = self._bounds_cache.get(x)
         if hit is None:
             I, kappa = x
@@ -315,11 +342,9 @@ class BlockComputer:
             else:
                 bounds: list = [None] * len(I)
                 for j, k in enumerate(kappa):
-                    # strand k is directly right of red j unless the next red is
-                    if k < len(I) and (j + 1 == len(kappa) or kappa[j + 1] > k):
-                        below = self._dot_bounds((I, kappa[:j] + (k + 1,) + kappa[j + 1 :]))[k]
-                        if below is not None:
-                            bounds[k] = self.lambdas[j].coords[I[k]] + below
+                    bound, m = self._run(x, j)
+                    if bound is not None:
+                        bounds[k : k + m] = [bound] * m
                 hit = tuple(bounds)
             self._bounds_cache[x] = hit
         return hit
@@ -465,6 +490,17 @@ class BlockComputer:
             return None
         return range(dmin, max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + self.tail + 1)
 
+    def certified_through(self, row: VKey, col: VKey, entry: LaurentPoly) -> float:
+        """The degree through which ``entry = graded_hom(row, col)`` is a
+        checked dimension of the quotient: every degree (``math.inf``) when
+        the component is empty or the ``_free_rep`` of an end is proven,
+        and otherwise the last degree of ``checked_window``, below which
+        the component is empty.  The entry equals its prediction, so the
+        window is read off the entry itself."""
+        bottom, top = self._free_rep(idem_key(*row)), self._free_rep(idem_key(*col))
+        window = None if self._proven(bottom) or self._proven(top) else self.checked_window(bottom, top, entry)
+        return math.inf if window is None else window.stop - 1
+
     def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> LaurentPoly:
         """The graded dimension ``dim_at(d)`` of a quotient of the
         component (bottom, top), checked two-sidedly against ``pred`` at
@@ -590,7 +626,18 @@ class BlockComputer:
 
 class QuotientBlock:
     """A finite-dimensional block of the quotient algebra with explicit
-    structure constants on a chosen coset-representative basis."""
+    structure constants on a chosen coset-representative basis.
+
+    ``_mult[(i, j)]`` holds b_i·b_j in that basis for every pair with
+    b_i's top equal to b_j's bottom.  A pair whose target (a1, b2, d1 + d2)
+    is zero in the quotient by a check ``graded_hom`` already made (through
+    ``BlockComputer.certified_through``) gets the empty product with no
+    diagram product formed.  Every other product is reduced against the
+    kernel of its target, above the checked window too, where that
+    reduction is the only check; a coordinate that survives it outside the
+    basis is an ``IntegrityError``.  For each left basis element, e1·ψ_w
+    is formed once per word w and each right basis diagram ψ_w·y^a is read
+    off it by adding dots at the top, as ``BlockComputer.saturate`` does."""
 
     def __init__(self, comp: BlockComputer, alpha: RootVector):
         self.comp = comp
@@ -602,9 +649,11 @@ class QuotientBlock:
 
     def _build(self):
         comp = self.comp
+        targets: dict = {}  # (a, b) -> (graded_hom entry, certified_through)
         for a in self.idems:
             for b in self.idems:
                 entry = comp.graded_hom(a, b)
+                targets[(a, b)] = (entry, comp.certified_through(a, b, entry))
                 if entry.is_zero():
                     continue
                 for d in entry.support():
@@ -615,14 +664,25 @@ class QuotientBlock:
                         self.basis.append((a, b, d, rkey))
         self.dim = len(self.basis)
         self.index = {bk: i for i, bk in enumerate(self.basis)}
+        rights: dict = {}  # a2 -> [(j, b2, d2, w, dots)] in basis order
+        for j, (a2, b2, d2, (_, w, dots)) in enumerate(self.basis):
+            rights.setdefault(a2, []).append((j, b2, d2, w, dots))
         self._mult: dict[tuple[int, int], dict[int, object]] = {}
         for i, (a1, b1, d1, k1) in enumerate(self.basis):
             e1 = Element(comp.alg, {k1: 1})
-            for j, (a2, b2, d2, k2) in enumerate(self.basis):
-                if b1 != a2:
+            zero_dots = (0,) * len(b1[0])
+            crosses: dict = {}  # w -> e1·ψ_w
+            for j, b2, d2, w, dots in rights.get(b1, ()):
+                d = d1 + d2
+                entry, through = targets[(a1, b2)]
+                if d <= through and not entry.coeff(d):
+                    # the quotient is zero there, as the reduction would find
+                    self._mult[(i, j)] = {}
                     continue
-                prod = e1.multiply(Element(comp.alg, {k2: 1}))
-                self._mult[(i, j)] = self._reduce(prod, a1, b2, d1 + d2)
+                cross = crosses.get(w)
+                if cross is None:
+                    cross = crosses[w] = e1.multiply(Element(comp.alg, {(b1, w, zero_dots): 1}))
+                self._mult[(i, j)] = self._reduce(cross.times_top_dots(dots), a1, b2, d)
 
     def _reduce(self, el: Element, bottom: IdemKey, top: IdemKey, d: int) -> dict[int, object]:
         """Express an element of (bottom T~ top)_d in the quotient basis."""

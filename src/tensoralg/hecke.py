@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .cartan import CartanDatum, Weight
-from .linalg import add_multiple, rank, spectral_idempotents
+from .linalg import IncrementalRREF, add_multiple, rank, spectral_idempotents
 from .scalars import QQ
 
 Perm = tuple[int, ...]  # one-line: w[i] = image of i (0-based)
@@ -355,11 +355,14 @@ def weight_idempotents(H: HeckeAlgebra) -> dict[tuple[int, ...], dict]:
 
 
 def block_dimension(H: HeckeAlgebra, eI: dict, eJ: dict) -> int:
-    """dim e(I) H e(J) by exact rank of the sandwiched basis."""
-    rows = []
+    """dim e(I) H e(J) by exact rank.  The rows e(I)·b over the basis keys
+    b span e(I)H, so e(I)H e(J) is spanned by r·e(J) for the rows r that
+    add rank to that span; only those are multiplied by e(J)."""
+    span, rows = IncrementalRREF(QQ), []
     for bk in H.basis:
-        el = H.multiply(H.multiply(eI, {bk: Fraction(1)}), eJ)
-        rows.append(H.coords(el))
+        el = H.multiply(eI, {bk: Fraction(1)})
+        if span.add(H.coords(el)):
+            rows.append(H.coords(H.multiply(el, eJ)))
     return rank(rows, QQ)
 
 

@@ -531,8 +531,9 @@ def _ends_black(x):
 
 
 # more contents per case for the test below: rule (a) of ``_vanishes``
-# proves e((1, 1, 0), (0, 0)) of A2 (ω1, ω2), where ``_proven`` does not
-VANISHING_CONTENTS = {"A2 (w1,w2)": [(1, 2)]}
+# proves e((0, 1, 0, 0), (0, 2)) of A2 (ω1, ω2) from its prefix
+# e((0, 1, 0), (0, 2)), which rule (b) proves and ``_proven`` does not
+VANISHING_CONTENTS = {"A2 (w1,w2)": [(1, 2), (3, 1)]}
 
 
 def test_vanishing_idempotents_keep_every_space(monkeypatch):
@@ -606,8 +607,18 @@ def test_a_vanishing_prefix_kills_the_idempotent(monkeypatch):
 
 
 # more red labels for the soundness test below: the cyclotomic nilHecke
-# rule proves e(2ω; 1,1,1) of sl2, at its bound m = λ + 1
-SOUNDNESS_CASES = {**PAIRWISE_CASES, "sl2 (2w)": (sl2, ((2,),), [])}
+# rule proves e(2ω; 1,1,1) of sl2, at its bound m = λ + 1, and the run
+# right of the second red of sl2 (ω, ω) has bound B = 1 + 1 = 2
+SOUNDNESS_CASES = {**PAIRWISE_CASES, "sl2 (2w)": (sl2, ((2,),), []), "sl2 (w,w)": (sl2, ((1,), (1,)), [])}
+
+# (case, x, proven): the nilHecke rules at their bounds.  e(3ω; 1,1,1) has
+# m = 3 = λ, and e(ω, ω; 1,1) has m = 2 = B, so neither lies in K (its
+# degree-0 quotient is 2-dimensional); one more strand, m = B + 1, is proven
+SHARP_CASES = [
+    ("sl2 (3w)", ((0, 0, 0), (0,)), False),
+    ("sl2 (w,w)", ((0, 0), (0, 0)), False),
+    ("sl2 (w,w)", ((0, 0, 0), (0, 0)), True),
+]
 
 
 def test_product_free_proofs_hold_in_the_assembled_kernel(monkeypatch):
@@ -616,9 +627,11 @@ def test_product_free_proofs_hold_in_the_assembled_kernel(monkeypatch):
     strands of the ``SOUNDNESS_CASES`` data that ``_proven`` proves, the
     kernel fills (x T~ x)_0, and for every bound N_k of an x it does not
     prove, y_k^{N_k} e(x) lies in the kernel.  The prefix cut, the red
-    bigon, the cyclotomic nilHecke rule and a dot bound each fire, and
-    the nilHecke rule is sharp: e(3ω; 1,1,1) of sl2 is not in K."""
+    bigon, the cyclotomic nilHecke rule, the nilHecke run past several
+    reds and a dot bound each fire, and the nilHecke rules are sharp
+    (``SHARP_CASES``)."""
     fired: Counter = Counter()
+    sharp = {(case, x): proven for case, x, proven in SHARP_CASES}
     for case, (datum_f, lams, _) in sorted(SOUNDNESS_CASES.items()):
         d = datum_f()
         comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams))
@@ -630,8 +643,8 @@ def test_product_free_proofs_hold_in_the_assembled_kernel(monkeypatch):
                 full = len(ref.kernel_space(x, x, 0)[1]) == len(ref.tilde_basis(x, x, 0))
                 assert full or not rule, (case, x, rule)
                 fired[rule] += 1
-                if case == "sl2 (3w)" and x == ((0, 0, 0), (0,)):
-                    assert not full and not rule
+                if (case, x) in sharp:
+                    assert full == bool(rule) == sharp[case, x], (case, x, rule)
                     fired["sharp"] += 1
                 for k, bound in enumerate(comp._dot_bounds(x)):
                     if rule or bound is None:
@@ -642,7 +655,8 @@ def test_product_free_proofs_hold_in_the_assembled_kernel(monkeypatch):
                     _, pivot_rows = ref.kernel_space(x, x, deg)
                     assert not reduce_against(ref.element_coords(el, x, x, deg), pivot_rows), (case, x, k, bound)
                     fired["dot bound"] += 1
-    assert min(fired[rule] for rule in ("prefix", "bigon", "nilhecke", "dot bound", "sharp")) >= 1
+    assert min(fired[rule] for rule in ("prefix", "bigon", "nilhecke", "run", "dot bound")) >= 1
+    assert fired["sharp"] == len(SHARP_CASES)
 
 
 # name: (datum, red labels); every black strand passes red 2 of sl2 (ω, 0)
@@ -784,3 +798,107 @@ def test_component_geometry_is_enumerated_once_per_pair(monkeypatch):
     assert sum(len(c) > 1 for c in components.values()) >= 10
     w = (2,) * 3
     assert comp.alg.dot_vectors(w, 4) is comp.alg.dot_vectors(w, 4)
+
+
+# name: (datum, red labels, strand bound) of the module-theory blocks below
+BLOCK_CASES = {
+    "sl2 (w,w,w)": (sl2, ((1,), (1,), (1,)), 2),
+    "sl2 (2w,w)": (sl2, ((2,), (1,)), 2),
+    "A2 (w1,w2)": (lambda: type_a(2), ((1, 0), (0, 1)), 3),
+}
+
+
+def _block_computer(case):
+    datum_f, lams, strands = BLOCK_CASES[case]
+    d = datum_f()
+    return d, BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams)), strands
+
+
+def _pairwise_mult(block):
+    """Reference structure constants: every pair of basis elements with
+    b1 == a2 multiplied by ``Element.multiply`` and reduced."""
+    alg = block.comp.alg
+    out = {}
+    for i, (a1, b1, d1, k1) in enumerate(block.basis):
+        for j, (a2, b2, d2, k2) in enumerate(block.basis):
+            if b1 == a2:
+                prod = Element(alg, {k1: 1}).multiply(Element(alg, {k2: 1}))
+                out[(i, j)] = block._reduce(prod, a1, b2, d1 + d2)
+    return out
+
+
+def _certified_zero(comp, row, col, deg):
+    """Whether the quotient (row T~ col)_deg is zero by a check that
+    ``graded_hom`` made: a proven end of the representatives, or a degree of
+    its window where the entry is 0, or a degree below it, where the
+    component is empty."""
+    bottom, top = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
+    if comp._proven(bottom) or comp._proven(top):
+        return True
+    window = _hom_window(comp, row, col)
+    return (not window or deg < window.stop) and not comp.graded_hom(row, col).coeff(deg)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_structure_constants_form_only_the_products_they_read(case, monkeypatch):
+    """On every block of the case, ``QuotientBlock._mult`` equals the
+    pairwise reference, and ``_build`` forms e1·ψ_w once for each left
+    basis element e1 and word w that reaches a target not certified zero
+    (``_certified_zero``), and no other product; some targets are."""
+    d, comp, strands = _block_computer(case)
+    formed: list = []
+    multiply = Element.multiply
+
+    def logged(self, other):
+        ((left, _),) = self.terms.items()
+        ((right, _),) = other.terms.items()
+        formed.append((left, right[1]))
+        return multiply(self, other)
+
+    skipped = 0
+    for alpha in block_contents(d, strands):
+        if not comp.idems(alpha):
+            continue
+        # the reference assembles every kernel the block reads, so that the
+        # second build forms its structure-constant products alone
+        want = _pairwise_mult(QuotientBlock(comp, alpha))
+        monkeypatch.setattr(Element, "multiply", logged)
+        formed.clear()
+        block = QuotientBlock(comp, alpha)
+        monkeypatch.setattr(Element, "multiply", multiply)
+        assert block._mult == want, alpha
+        wanted = set()
+        for a1, b1, d1, k1 in block.basis:
+            for a2, b2, d2, k2 in block.basis:
+                if b1 == a2:
+                    if _certified_zero(comp, a1, b2, d1 + d2):
+                        skipped += 1
+                    else:
+                        wanted.add((k1, k2[1]))
+        assert sorted(formed) == sorted(wanted), alpha
+    assert skipped >= 1
+
+
+def test_a_product_above_the_window_is_reduced_against_its_kernel(monkeypatch):
+    """Above the checked window, a product is reduced against its assembled
+    kernel: with one such kernel emptied, ``_build`` raises the "escaped"
+    ``IntegrityError`` instead of dropping the product."""
+    d, comp, _ = _block_computer("sl2 (w,w,w)")
+    alpha = d.root((2,))
+    above = []
+    reduce = QuotientBlock._reduce
+
+    def logged(self, el, bottom, top, deg):
+        if not el.is_zero() and deg > _hom_window(comp, bottom, top)[-1]:
+            above.append((bottom, top, deg))
+        return reduce(self, el, bottom, top, deg)
+
+    monkeypatch.setattr(QuotientBlock, "_reduce", logged)
+    QuotientBlock(comp, alpha)
+    assert above
+    target = above[0]
+    _, comp, _ = _block_computer("sl2 (w,w,w)")
+    kernel_space = comp.kernel_space
+    monkeypatch.setattr(comp, "kernel_space", lambda *key: ([], {}) if key == target else kernel_space(*key))
+    with pytest.raises(IntegrityError, match="escaped"):
+        QuotientBlock(comp, alpha)

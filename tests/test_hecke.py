@@ -7,6 +7,8 @@ from tensoralg import hecke
 from tensoralg.cartan import default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import BlockComputer
 from tensoralg.hecke import HeckeAlgebra, bk_check, weight_idempotents, x_spectra
+from tensoralg.linalg import rank
+from tensoralg.scalars import QQ
 
 
 def fact(n):
@@ -164,6 +166,23 @@ def test_bk_certificate_fails_on_a_wrong_block_dimension():
     wrong_key = f"{tuple(i + 1 for i in I)}|{tuple(j + 1 for j in J)}"
     assert rep["dims"][wrong_key]["match"] is False
     assert all(v["match"] for k, v in rep["dims"].items() if k != wrong_key)
+
+
+def test_block_dimension_is_the_rank_of_every_sandwiched_row():
+    """``block_dimension`` multiplies by e(J) only the rows e(I)·b that add
+    rank to e(I)H, and still equals the rank of every e(I)·b·e(J)."""
+    nonzero = 0
+    for datum_f, coords, dd in [(sl2, (2,), 2), (sl2, (3,), 2), (lambda: type_a(2), (1, 1), 2)]:
+        d = datum_f()
+        H = HeckeAlgebra(d, d.weight(coords), dd)
+        ids = list(weight_idempotents(H).values())
+        for eI in ids:
+            for eJ in ids:
+                rows = [H.coords(H.multiply(H.multiply(eI, {b: Fraction(1)}), eJ)) for b in H.basis]
+                got = hecke.block_dimension(H, eI, eJ)
+                assert got == rank(rows, QQ)
+                nonzero += got > 0
+    assert nonzero >= 10
 
 
 def test_d3_associativity_and_completeness():
