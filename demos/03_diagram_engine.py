@@ -29,7 +29,8 @@ rng = random.Random(0)
 pool = []
 for I in [(0, 1, 0), (0, 0, 1), (1, 0, 0)]:
     e = idem_key(I, (0,))
-    pool += basis_enumerate(alg2, e, e, -4, 6)
+    for d in range(-4, 7):
+        pool += basis_enumerate(alg2, e, e, d)
 x = Element(alg2, {rng.choice(pool): 1})
 y = Element(alg2, {rng.choice(pool): 1})
 print("\na random product, straightened:")

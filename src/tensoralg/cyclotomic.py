@@ -181,7 +181,7 @@ class BlockComputer:
         key = (bottom, top, d)
         entry = self._tilde_cache.get(key)
         if entry is None:
-            entry = [basis_enumerate(self.alg, bottom, top, d, d), None]
+            entry = [basis_enumerate(self.alg, bottom, top, d), None]
             self._tilde_cache[key] = entry
         return entry
 

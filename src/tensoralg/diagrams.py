@@ -791,18 +791,14 @@ def connecting_perms(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey):
     yield from rec(0, {})
 
 
-def basis_enumerate(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, lo: int, hi: int):
-    """All basis diagrams in the Hom component with degree in [lo, hi], in
-    basis order: by connecting permutation, then by dot vector in
-    lexicographic order."""
+def basis_enumerate(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, d: int):
+    """All basis diagrams of degree d in the Hom component, in basis
+    order: by connecting permutation, then by dot vector in lexicographic
+    order."""
     weights = _dot_weights(alg, top)
     out = []
     for w, base in alg.component(bottom, top):
-        if lo == hi:
-            vectors = alg.dot_vectors(weights, lo - base)
-        else:
-            vectors = sorted(a for t in range(max(lo - base, 0), hi - base + 1) for a in alg.dot_vectors(weights, t))
-        out += [(bottom, w, dots) for dots in vectors]
+        out += [(bottom, w, dots) for dots in alg.dot_vectors(weights, d - base)]
     return out
 
 

@@ -21,13 +21,13 @@ only ever rewrites a·x^e:
 so ``multiply`` memoizes the normal form of (x^{e_A} w_A)·x^e for each
 basis key A and exponent e (|basis|·N^d entries), and ·w_B composes
 permutations only.  Elements handed out (``one``, ``gen_x``, ``gen_s``,
-``add``, ``scale``, ``multiply``) and their coordinates (``to_vector``,
-dense; ``coords``, a sparse ``linalg`` row) are exact over Q, and
-``multiply`` is the one field boundary: it clears the denominators of
-each factor, sums over ℤ against the memo, and divides once per output
-key.  Those sums keep the zeros that cancel and drop them in the one pass
-that divides, since they are the hot loop of the module theory; every
-other sum of terms is ``linalg.add_multiple``.
+``add``, ``scale``, ``multiply``) and their coordinates (``coords``, a
+sparse ``linalg`` row) are exact over Q, and ``multiply`` is the one
+field boundary: it clears the denominators of each factor, sums over ℤ
+against the memo, and divides once per output key.  Those sums keep the
+zeros that cancel and drop them in the one pass that divides, since they
+are the hot loop of the module theory; every other sum of terms is
+``linalg.add_multiple``.
 
 Weight idempotents come from simultaneous generalized eigenprojections of
 the commuting x_k.  ``linalg.spectral_idempotents`` splits each x_k once:
@@ -256,12 +256,6 @@ class HeckeAlgebra:
         return add_multiple(acc, -1, upow)
 
     # -- vectors ------------------------------------------------------------------------
-
-    def to_vector(self, a: dict) -> list[Fraction]:
-        v = [Fraction(0)] * len(self.basis)
-        for k, c in a.items():
-            v[self.index[k]] = c
-        return v
 
     def coords(self, a: dict) -> dict[int, Fraction]:
         """``a`` as a sparse row over the basis."""

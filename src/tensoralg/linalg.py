@@ -17,13 +17,13 @@ saturates.  ``row_reduce`` feeds a whole matrix through it, and
 The Laurent-entry rank uses Bareiss elimination, whose intermediate
 divisions are exact.
 
-``min_poly`` finds the first linear dependency of a Krylov sequence
-start, start·x, start·x², ... over Q, and ``rational_roots`` splits the
-result by the rational root theorem.  ``spectral_idempotents`` runs the
-same Krylov loop, keeps the powers, and writes each generalized-eigenspace
-idempotent as a combination of them whose coefficients come from
-polynomial arithmetic over Q; the Hecke referee and the module theory
-both split their idempotents this way.
+``spectral_idempotents`` finds the minimal polynomial as the first
+linear dependency of a Krylov sequence start, start·x, start·x², ...
+over Q, splits it by the rational root theorem (``rational_roots``), and
+writes each generalized-eigenspace idempotent as a combination of the
+Krylov powers whose coefficients come from polynomial arithmetic over Q;
+the Hecke referee and the module theory both split their idempotents
+this way.
 """
 
 from __future__ import annotations
@@ -214,12 +214,6 @@ def solve(rows, rhs, field):
     return {pc: row[n] for row, pc in zip(rref, pivots) if n in row}
 
 
-def min_poly(start, times_x, coords=dict) -> list[Fraction]:
-    """Monic minimal polynomial (coefficients low to high, over Q) of x
-    acting on the cyclic space of ``start``."""
-    return _krylov(start, times_x, coords)[0]
-
-
 def _krylov(start, times_x, coords):
     """(μ, [start·x^j for j < deg μ]) for μ the minimal polynomial of x on
     the cyclic space of ``start``.
@@ -247,7 +241,7 @@ def spectral_idempotents(start, times_x, coords=dict):
     polynomial μ does not split over Q.
 
     ``start`` is the unit of the algebra (or corner) that x lives in, and
-    ``times_x`` and ``coords`` are as for ``min_poly``.  The idempotent of
+    ``times_x`` and ``coords`` are as for ``_krylov``.  The idempotent of
     the root v of multiplicity m is c_v(x) = Σ_j c_{v,j}·start·x^j over the
     Krylov powers, where c_v = 1 − (1 − P_v)^m mod μ and P_v = Π_{u≠v}
     ((t − u)/(v − u))^{m_u}: P_v(v) = 1, so c_v ≡ 1 mod (t − v)^m, and

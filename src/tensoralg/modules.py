@@ -2,11 +2,16 @@
 radical, simple modules with graded characters, induction/restriction
 along the add-a-strand map, and the crystal operators.
 
-Every module is built by one of four constructions: ``regular_module``;
-a submodule (``_submodule``: the simples f·S and the socle), whose action
-matrices are read off the reduced row space of its basis; a quotient
-(``_quotient_module``: the cosocle M/M·rad and the induced module
-(M ⊗ A′)/relations); and ``restrict``, the pullback along ν_i.
+Every module is built by one of three constructions: ``regular_module``;
+a submodule (``_submodule``: the simples f·S, the socle, and the
+restriction E_i N = N·ν_i(1)), whose action matrices are read off the
+reduced row space of its basis; and a quotient (``_quotient_module``:
+the cosocle M/M·rad and the induced module (M ⊗ A′)/relations).
+
+Every simple is identified in one way: by the primitive idempotent f_S
+of A/rad that ``simples`` split it off with.  On a module M that rad
+kills, f_S kills every other simple and S·f_S is one-dimensional, so
+rank M·f_S is the multiplicity of S in M (``identify_simple``).
 
 Vectors and matrix rows are sparse ``{index: Fraction}`` dicts, the row
 type of ``linalg``.
@@ -29,7 +34,6 @@ from .linalg import (
     rank,
     reduce_against,
     row_reduce,
-    solve,
     spectral_idempotents,
     transpose,
 )
@@ -60,10 +64,13 @@ class FinDimModule:
     i-th block basis element, as a list of sparse rows: row r is the
     image of the r-th module basis vector.  ``act(i)`` builds that matrix
     once; it is cached here.  Degrees, when known, grade the module basis.
-    ``simples`` sets ``tag``, the index of a simple among its block's.
+    ``simples`` sets ``tag``, the index of a simple among its block's, and
+    ``idem``, the lift to the block of the primitive idempotent that split
+    it off.
     """
 
     tag: int | None = None
+    idem: Vec | None = None
 
     def __init__(self, block: QuotientBlock, dim: int, act, degrees=None):
         self.block = block
@@ -91,15 +98,6 @@ class FinDimModule:
         if self.degrees is None:
             return None
         return LaurentPoly((d, 1) for d in self.degrees)
-
-    def ungraded_char(self) -> dict:
-        """dim of M·e per diagram idempotent e; distinguishes simples."""
-        out = {}
-        for idem in self.block.idems:
-            ev = self.block.idem_vector(idem)
-            rows = [self.act_vec({r: ONE}, ev) for r in range(self.dim)]
-            out[idem] = rank(rows, QQ)
-        return out
 
 
 def _quotient(rows, n: int):
@@ -321,6 +319,7 @@ def simples(block: QuotientBlock) -> list[FinDimModule]:
         rows = [S.multiply(f, {i: ONE}) for i in range(S.dim)]
         L = _submodule(block, rows, lambda v, i: S.multiply(v, images[i]), "simple module", S.is_homogeneous)
         L.tag = ci
+        L.idem = S.lift(f)
         out.append(L)
     return out
 
@@ -380,19 +379,24 @@ def induce(M: FinDimModule, i: int, block_dst: QuotientBlock) -> FinDimModule:
 
 
 def restrict(N: FinDimModule, i: int, block_src: QuotientBlock) -> FinDimModule:
-    """E_i N: the same space, acted on through ν_i.
+    """E_i N = N·ν_i(1), acted on through ν_i.
 
-    The categorical grading shift <μ,α_i> − d_i is a bookkeeping shift on
-    characters only; the ungraded adjunction dims are what this package
-    verifies, so the shift is recorded in docs rather than re-graded here.
+    ν_i(1), the image of the source block's unit, is the sum of the
+    idempotents of N's block that end in a strand labelled i.  It is an
+    idempotent and ν_i(a) = ν_i(1)·ν_i(a)·ν_i(1), so N·ν_i(1) is a
+    submodule on which the source block's unit acts as the identity; the
+    part of N that ν_i(1) kills is not in E_i N.  Like F_i M, the module
+    is ungraded: the categorical grading shift <μ,α_i> − d_i is a
+    bookkeeping shift on characters, recorded in docs rather than applied
+    here.
     """
     nu = nu_map(i, block_src, N.block)
-
-    def act(j: int):
-        img = nu(j)
-        return [N.act_vec({r: ONE}, img) for r in range(N.dim)]
-
-    return FinDimModule(block_src, N.dim, act, degrees=N.degrees)
+    images = [nu(j) for j in range(block_src.dim)]
+    unit: Vec = {}
+    for j, c in block_src.identity_vector().items():
+        add_multiple(unit, c, images[j])
+    rows = [N.act_vec({r: ONE}, unit) for r in range(N.dim)]
+    return _submodule(block_src, rows, lambda v, j: N.act_vec(v, images[j]), "E_i N")
 
 
 def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
@@ -434,32 +438,28 @@ def socle(M: FinDimModule) -> FinDimModule:
     return _submodule(M.block, nullspace(cons, M.dim, QQ), lambda v, i: M.act_vec(v, {i: ONE}), "socle")
 
 
-def decompose_semisimple(M: FinDimModule, simples_list) -> dict[int, int]:
-    """Multiplicities of each simple in a semisimple module, by characters."""
-    if M.dim == 0:
-        return {}
-    chars = {s.tag: s.ungraded_char() for s in simples_list}
-    target = M.ungraded_char()
-    # solve nonneg integer combination; characters are linearly independent
-    tags = sorted(chars)
-    idems = sorted(target, key=str)
-    rows = [{k: Fraction(chars[t][e]) for k, e in enumerate(idems) if chars[t][e]} for t in tags]
-    rhs = {k: Fraction(target[e]) for k, e in enumerate(idems) if target[e]}
-    sol = solve(rows, rhs, QQ)
-    if sol is None or any(c.denominator != 1 or c < 0 for c in sol.values()):
-        raise IntegrityError("module is not an integral combination of simples")
-    return {tags[j]: int(c) for j, c in sol.items()}
-
-
 def identify_simple(M: FinDimModule, simples_list):
-    """The unique simple appearing in a semisimple module, or None for 0."""
-    mult = decompose_semisimple(M, simples_list)
-    if not mult:
+    """The simple S of which M is a sum of copies, or None for M = 0.
+
+    M is a module that rad(A) kills (a socle or a cosocle), so the lift
+    f_S = ``S.idem`` acts on it as the primitive idempotent of A/rad that
+    split S off: it kills every other simple, and S·f_S = f_S·(A/rad)·f_S
+    is one-dimensional.  The rank m_S of M·f_S is therefore exactly the
+    multiplicity of S.  Exactly one m_S must be positive, with
+    m_S·dim S = dim M; otherwise ``IntegrityError``.
+    """
+    if M.dim == 0:
         return None
-    if len(mult) != 1:
-        raise IntegrityError("cosocle/socle is not isotypic")
-    tag = next(iter(mult))
-    return next(s for s in simples_list if s.tag == tag)
+    found = []
+    for S in simples_list:
+        m = rank([M.act_vec({r: ONE}, S.idem) for r in range(M.dim)], QQ)
+        if m:
+            found.append((S, m))
+    if len(found) == 1:
+        S, m = found[0]
+        if m * S.dim == M.dim:
+            return S
+    raise IntegrityError("module is not a sum of copies of one simple")
 
 
 def crystal_f(L: FinDimModule, i: int, block_dst: QuotientBlock, dst_simples) -> FinDimModule | None:
@@ -471,11 +471,9 @@ def crystal_f(L: FinDimModule, i: int, block_dst: QuotientBlock, dst_simples) ->
 
 
 def crystal_e(L: FinDimModule, i: int, block_src: QuotientBlock, src_simples) -> FinDimModule | None:
-    """soc(E_i L): several copies of one simple, returned once (or None)."""
+    """soc(E_i L): several copies of one simple, returned once (or None
+    when E_i L = 0)."""
     EM = restrict(L, i, block_src)
     if EM.dim == 0:
         return None
-    soc = socle(EM)
-    if soc.dim == 0:
-        return None
-    return identify_simple(soc, src_simples)
+    return identify_simple(socle(EM), src_simples)

@@ -104,9 +104,6 @@ class TensorVector:
             bits.append(f"({self.terms[t].text()}) * [{word}]")
         return "TensorVector(" + " + ".join(bits) + ")"
 
-    def weights(self) -> set[tuple[int, ...]]:
-        return {self.space.ptensor_weight(t).coords for t in self.terms}
-
 
 class TensorSpace:
     """V_{λ_1} (x) ... (x) V_{λ_ℓ} for a fixed sequence of dominant weights."""
@@ -133,20 +130,6 @@ class TensorSpace:
                 raise ValueError("cannot strip the empty tensor product")
             self._parent = TensorSpace(self.datum, self.lambdas[:-1])
         return self._parent
-
-    # -- weights ---------------------------------------------------------------
-
-    def factor_weight(self, j: int, word: tuple[int, ...]) -> Weight:
-        wt = self.lambdas[j]
-        for i in word:
-            wt = wt - self.datum.simple_root(i).to_weight()
-        return wt
-
-    def ptensor_weight(self, t: PTensor) -> Weight:
-        wt = self.datum.zero_weight()
-        for j, word in enumerate(t):
-            wt = wt + self.factor_weight(j, word)
-        return wt
 
     def highest(self) -> TensorVector:
         return TensorVector(self, {((),) * self.ell: ONE})

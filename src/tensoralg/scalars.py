@@ -76,7 +76,6 @@ class GFElement:
 
 class RationalField:
     characteristic = 0
-    name = "Q"
 
     @staticmethod
     def zero():
@@ -97,7 +96,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
-        self.name = f"GF({p})"
 
     def zero(self):
         return GFElement(0, self.p)

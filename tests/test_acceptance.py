@@ -164,7 +164,8 @@ def test_criterion_5_rewriting_soundness(computers):
                 dmin = comp.min_degree(ka, kb)
                 if dmin is None:
                     continue
-                pool += basis_enumerate(alg, ka, kb, dmin, min(dmin + 8, 12))
+                for d in range(dmin, min(dmin + 8, 12) + 1):
+                    pool += basis_enumerate(alg, ka, kb, d)
         assert pool
         for _ in range(500):
             k1, k2, k3 = (rng.choice(pool) for _ in range(3))

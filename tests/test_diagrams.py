@@ -222,7 +222,8 @@ def random_pool(alg, idems, lo=-8, hi=8):
     pool = []
     for a in idems:
         for b in idems:
-            pool += basis_enumerate(alg, a, b, lo, hi)
+            for d in range(lo, hi + 1):
+                pool += basis_enumerate(alg, a, b, d)
     return pool
 
 
@@ -379,7 +380,7 @@ def _flip_pool(name):
             for I in sorted(set(itertools.permutations(letters)))
             for kappa in itertools.combinations_with_replacement(range(len(letters) + 1), len(lams))
         ]
-        pool = {(x, y): basis_enumerate(alg, x, y, -6, 6) for x in idems for y in idems}
+        pool = {(x, y): [k for d in range(-6, 7) for k in basis_enumerate(alg, x, y, d)] for x in idems for y in idems}
         _FLIP_POOLS[name] = (alg, idems, pool)
     return _FLIP_POOLS[name]
 
@@ -668,8 +669,9 @@ def test_prime_field_engine():
                 assert rows_7 == [row_mod7(row) for row in rows_q]
                 kernels += 1
         mid = keys[-1]
-        left = basis_enumerate(alg, keys[0], mid, -4, 4)
-        for k1, k2 in itertools.product(left, basis_enumerate(alg, mid, keys[0], -4, 4)):
+        left = [k for d in range(-4, 5) for k in basis_enumerate(alg, keys[0], mid, d)]
+        right = [k for d in range(-4, 5) for k in basis_enumerate(alg, mid, keys[0], d)]
+        for k1, k2 in itertools.product(left, right):
             el = Element(alg, {k1: 1}).multiply(Element(alg, {k2: 1}))
             if el.is_zero():
                 continue
@@ -687,28 +689,28 @@ def test_prime_field_engine():
 def test_basis_enumerate_examples():
     d, alg = sl2_algebra(1, 1)
     e01 = idem_key((0,), (0, 1))
-    out = basis_enumerate(alg, e01, e01, 0, 0)
+    out = basis_enumerate(alg, e01, e01, 0)
     assert len(out) == 1
     (idem, w, dots) = out[0]
     assert list(w) == [0, 1, 2] and dots == (0,)
     # unreachable pairing: mismatched content
     e_other = idem_key((0, 0), (0, 1))
-    assert basis_enumerate(alg, e01, e_other, 0, 10) == []
+    assert all(basis_enumerate(alg, e01, e_other, d) == [] for d in range(11))
     # below minimal degree: empty
-    assert basis_enumerate(alg, e01, e01, -5, -1) == []
+    assert all(basis_enumerate(alg, e01, e01, d) == [] for d in range(-5, 0))
 
 
-def _reference_enumerate(alg, bottom, top, lo, hi):
+def _reference_enumerate(alg, bottom, top, d):
     """The enumeration before the component and dot-vector memos: walk the
-    connecting permutations, and for each every dot vector up to ``hi``,
-    kept when its degree reaches ``lo``."""
+    connecting permutations, and for each every dot vector up to degree
+    d, kept when its degree is d."""
     zero_dots = (0,) * len(bottom[0])
     weights = [2 * alg.datum.sym[i] for i in top[0]]
     out = []
     for w in connecting_perms(alg, bottom, top):
         base = alg.diagram_degree(bottom, w, zero_dots)
-        for dots in itertools.product(*(range((hi - base) // wt + 1) for wt in weights)):
-            if lo - base <= sum(a * wt for a, wt in zip(dots, weights)) <= hi - base:
+        for dots in itertools.product(*(range((d - base) // wt + 1) for wt in weights)):
+            if sum(a * wt for a, wt in zip(dots, weights)) == d - base:
                 out.append((bottom, w, dots))
     return out
 
@@ -733,27 +735,24 @@ def _order_computer(name):
 
 
 @st.composite
-def enumeration_windows(draw):
-    """A (bottom, top) pair, mostly inside one content block, and a window
-    [lo, hi]: an exact degree, a range or an empty or negative window."""
+def enumeration_degrees(draw):
+    """A (bottom, top) pair, mostly inside one content block, and a
+    degree, negative ones included."""
     comp, blocks = _order_computer(draw(st.sampled_from(sorted(ORDER_CASES))))
     block = draw(st.sampled_from(blocks))
     bottom = draw(st.sampled_from(block))
     top = draw(st.sampled_from(draw(st.one_of(st.just(block), st.sampled_from(blocks)))))
-    lo = draw(st.integers(-10, 12))
-    hi = draw(st.one_of(st.just(lo), st.integers(lo + 1, lo + 8), st.integers(lo - 4, lo - 1)))
-    return comp, bottom, top, lo, hi
+    return comp, bottom, top, draw(st.integers(-10, 12))
 
 
 @settings(max_examples=300, deadline=None)
-@given(enumeration_windows())
+@given(enumeration_degrees())
 def test_basis_enumerate_keeps_the_basis_order(case):
-    comp, bottom, top, lo, hi = case
-    want = _reference_enumerate(comp.alg, bottom, top, lo, hi)
-    assert basis_enumerate(comp.alg, bottom, top, lo, hi) == want
-    if lo == hi:
-        assert comp.tilde_basis(bottom, top, lo) == want
-        assert basis_dim(comp.alg, bottom, top, lo) == len(want)
+    comp, bottom, top, d = case
+    want = _reference_enumerate(comp.alg, bottom, top, d)
+    assert basis_enumerate(comp.alg, bottom, top, d) == want
+    assert comp.tilde_basis(bottom, top, d) == want
+    assert basis_dim(comp.alg, bottom, top, d) == len(want)
     zero_dots = (0,) * len(bottom[0])
     degs = [comp.alg.diagram_degree(bottom, w, zero_dots) for w in connecting_perms(comp.alg, bottom, top)]
     assert comp.min_degree(bottom, top) == min(degs, default=None)
@@ -785,8 +784,8 @@ def test_split_strands_dimension_match():
     e2 = idem_key((0, 0), (0, 0))
     e1 = idem_key((0, 0), (0,))
     for deg in range(-4, 8):
-        b2_ = basis_enumerate(alg2, e2, e2, deg, deg)
-        b1_ = basis_enumerate(alg1, e1, e1, deg, deg)
+        b2_ = basis_enumerate(alg2, e2, e2, deg)
+        b1_ = basis_enumerate(alg1, e1, e1, deg)
         assert len(b2_) == len(b1_), deg
 
 
@@ -811,7 +810,7 @@ def test_split_strands_preserves_products():
             out[merge_key(key)] = c
         return Element(alg1, out)
 
-    pool = basis_enumerate(alg2, e2, e2, -4, 6)
+    pool = [k for d in range(-4, 7) for k in basis_enumerate(alg2, e2, e2, d)]
     rng = random.Random(3)
     for _ in range(30):
         k1, k2 = rng.choice(pool), rng.choice(pool)

@@ -235,8 +235,8 @@ def test_x_spectra_is_the_minimal_polynomial_of_left_multiplication():
         assert roots == sorted(roots)
         # reference L_{x_k}: column j is x_k · b_j
         x = H.gen_x(k)
-        cols = [H.to_vector(H.multiply(x, {b: Fraction(1)})) for b in H.basis]
-        mat = [[cols[j][i] for j in range(H.dim())] for i in range(H.dim())]
+        cols = [H.coords(H.multiply(x, {b: Fraction(1)})) for b in H.basis]
+        mat = [[cols[j].get(i, Fraction(0)) for j in range(H.dim())] for i in range(H.dim())]
         assert not any(any(row) for row in _apply_poly(mat, roots))
         # no proper monic divisor annihilates: drop one factor of each root
         for t, (r, m) in enumerate(roots):

@@ -9,7 +9,6 @@ from tensoralg.linalg import (
     IncrementalRREF,
     add_multiple,
     laurent_rank,
-    min_poly,
     nullspace,
     rank,
     rational_roots,
@@ -300,16 +299,19 @@ def test_rational_roots_rejects_a_polynomial_that_does_not_split():
     assert rational_roots(_times_linear([F(-2), F(0), F(1)], F(1))) is None
 
 
-def test_min_poly_of_a_diagonal_action():
+def test_spectral_idempotents_of_a_diagonal_action():
     diag = [F(1), F(1), F(2)]
 
     def times_diag(v):
         return {c: diag[c] * x for c, x in v.items()}
 
-    mp = min_poly(sparse([F(1)] * 3), times_diag)
-    assert mp == _times_linear(_times_linear([F(1)], F(1)), F(2))
+    # minimal polynomial (t - 1)(t - 2): two simple roots
+    split = spectral_idempotents(sparse([F(1)] * 3), times_diag)
+    assert [(r, m) for r, m, _e in split] == [(F(1), 1), (F(2), 1)]
+    assert [e for _r, _m, e in split] == [sparse([F(1), F(1), F(0)]), sparse([F(0), F(0), F(1)])]
     # the cyclic space of (1, 1, 0) only sees the eigenvalue 1
-    assert min_poly(sparse([F(1), F(1), F(0)]), times_diag) == [F(-1), F(1)]
+    start = sparse([F(1), F(1), F(0)])
+    assert spectral_idempotents(start, times_diag) == [(F(1), 1, start)]
 
 
 def _mat_mul(a, b):

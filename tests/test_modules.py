@@ -7,6 +7,7 @@ from tensoralg.cartan import default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, IntegrityError, QuotientBlock
 from tensoralg.linalg import nullspace, row_reduce, solve, transpose
 from tensoralg.modules import (
+    FinDimModule,
     SemisimpleQuotient,
     UnsupportedCharacteristicError,
     central_primitive_idempotents,
@@ -14,6 +15,7 @@ from tensoralg.modules import (
     crystal_e,
     crystal_f,
     hom_dim,
+    identify_simple,
     induce,
     radical,
     regular_module,
@@ -122,6 +124,63 @@ def test_adjunction_dims(sl2_setup):
     FM = induce(M, 0, blocks[2])
     EN = restrict(N, 0, blocks[1])
     assert hom_dim(FM, N) == hom_dim(M, EN)
+
+
+def test_restrict_keeps_only_the_image_of_the_unit(sl2_setup):
+    """E_0 L = L·ν_0(1) is 0 for the content-1 simple of sl2 (ω, ω) with
+    tag 0, which no idempotent ending in a strand labelled 0 reaches;
+    the other simple restricts to the content-0 simple."""
+    d, comp11, _ = sl2_setup
+    b0, b1 = (QuotientBlock(comp11, d.root((n,))) for n in (0, 1))
+    L0, L1 = simples(b1)
+    assert L0.tag == 0 and L0.dim == 1
+    assert restrict(L0, 0, b0).dim == 0
+    assert crystal_e(L0, 0, b0, simples(b0)) is None
+    assert restrict(L1, 0, b0).dim == 1
+
+
+def test_the_source_unit_acts_as_the_identity_on_restrictions(sl2_setup):
+    d, comp11, comp2 = sl2_setup
+    checked = 0
+    for comp in (comp11, comp2):
+        blocks = [QuotientBlock(comp, d.root((n,))) for n in range(3)]
+        for src, dst in zip(blocks, blocks[1:]):
+            if not dst.dim:
+                continue
+            for N in [regular_module(dst), cosocle(regular_module(dst))] + simples(dst):
+                EN = restrict(N, 0, src)
+                one = src.identity_vector()
+                for r in range(EN.dim):
+                    assert EN.act_vec({r: ONE}, one) == {r: ONE}
+                checked += EN.dim
+    assert checked
+
+
+def _direct_sum(M, N):
+    """M ⊕ N, with M's basis first."""
+
+    def act(i):
+        return M.action(i) + [{M.dim + c: x for c, x in row.items()} for row in N.action(i)]
+
+    return FinDimModule(M.block, M.dim + N.dim, act)
+
+
+def test_identify_simple_reads_the_primitive_idempotents(sl2_setup):
+    d, comp11, _ = sl2_setup
+    blk = QuotientBlock(comp11, d.root((1,)))
+    sims = simples(blk)
+    for S in sims:
+        assert identify_simple(S, sims) is S
+        assert identify_simple(_direct_sum(S, S), sims) is S
+    # the cosocle of the regular module is S_0 ⊕ S_1: not one simple
+    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
+        identify_simple(cosocle(regular_module(blk)), sims)
+    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
+        identify_simple(_direct_sum(sims[0], sims[1]), sims)
+    # a part that no listed simple accounts for
+    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
+        identify_simple(_direct_sum(sims[0], sims[1]), sims[:1])
+    assert identify_simple(FinDimModule(blk, 0, lambda i: []), sims) is None
 
 
 def test_crystal_string_b2(sl2_setup):

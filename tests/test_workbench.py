@@ -91,6 +91,52 @@ def test_crystal_task(capsys):
     assert payload["edges"], "expected at least one crystal edge"
 
 
+def _crystal_strings(payload):
+    """Lengths, in edges, of the strings of the crystal graph: every node
+    (content, simple) has at most one edge in and one out, and each string
+    starts at a node with no edge in."""
+    nodes = {(c, s["tag"]) for c, ss in payload["simples"].items() for s in ss}
+    succ = {}
+    for e in payload["edges"]:
+        src = (str(e["from"]["content"]), e["from"]["simple"])
+        dst = (str(e["to"]["content"]), e["to"]["simple"])
+        assert src in nodes and dst in nodes and src not in succ
+        succ[src] = dst
+    assert len(set(succ.values())) == len(succ)
+    lengths = []
+    for node in nodes - set(succ.values()):
+        n = 0
+        while node in succ:
+            node, n = succ[node], n + 1
+        lengths.append(n)
+    assert sum(lengths) + len(lengths) == len(nodes)
+    return sorted(lengths)
+
+
+@pytest.mark.parametrize(
+    "lambdas,strands,counts,strings",
+    [
+        # B(2) ⊗ B(1) = B(3) ⊕ B(1)
+        ("2;1", "3", [1, 2, 2, 1], [1, 3]),
+        # B(1) ⊗ B(1) = B(2) ⊕ B(0)
+        ("1;1", "2", [1, 2, 1], [0, 2]),
+    ],
+    ids=["B(2)xB(1)", "B(1)xB(1)"],
+)
+def test_crystal_task_matches_the_tensor_product_crystal(capsys, lambdas, strands, counts, strings):
+    """The crystal task reproduces the sl2 tensor-product crystal worked
+    by hand: the number of simples per content is the weight multiplicity,
+    and the i-strings have the lengths of the summands' strings."""
+    code, out = run_main(
+        ["--datum", "sl2", "--lambda", lambdas, "--task", "crystal", "--max-strands", strands], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [len(payload["simples"][str([n])]) for n in range(len(counts))] == counts
+    assert len(payload["simples"]) == len(counts)
+    assert _crystal_strings(payload) == strings
+
+
 def test_hecke_task(capsys):
     code, out = run_main(
         ["--datum", "sl2", "--lambda", "2", "--task", "hecke-check", "--max-strands", "2"], capsys
