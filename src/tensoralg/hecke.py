@@ -22,19 +22,21 @@ so ``multiply`` memoizes the normal form of (x^{e_A} w_A)·x^e for each
 basis key A and exponent e (|basis|·N^d entries), and ·w_B composes
 permutations only.  Elements handed out (``one``, ``gen_x``, ``gen_s``,
 ``add``, ``scale``, ``multiply``) and their coordinates (``coords``, a
-sparse ``linalg`` row) are exact over Q, and ``multiply`` is the one
-field boundary: it clears the denominators of each factor, sums over ℤ
-against the memo, and divides once per output key.  Those sums keep the
-zeros that cancel and drop them in the one pass that divides, since they
-are the hot loop of the module theory; every other sum of terms is
-``linalg.add_multiple``.
+sparse ``linalg`` row) are exact over Q: each coefficient is an ``int``,
+or a ``Fraction`` where it has a real denominator (``scalars``).
+``multiply`` is the one field boundary: it clears the denominators of
+each factor, sums over ℤ against the memo, and divides once per output
+key, giving an ``int`` where the sum divides exactly and a ``Fraction``
+otherwise.  Those sums keep the zeros that cancel and drop them in the
+one pass that divides, since they are the hot loop of the module theory;
+every other sum of terms is ``linalg.add_multiple``.
 
 Weight idempotents come from simultaneous generalized eigenprojections of
 the commuting x_k.  ``linalg.spectral_idempotents`` splits each x_k once:
 it reads the minimal polynomial off the Krylov sequence 1, x_k, x_k², ...
-in H, splits it over the integers, and writes each eigenprojection as a
-combination of those powers with coefficients from polynomial arithmetic
-over Q, so no product is formed to build a projector.  e(I) is then
+in H, splits it over the integers, and writes each eigenprojection as an
+integer combination of those powers divided by one integer, so no
+product is formed to build a projector.  e(I) is then
 refined one prefix at a time.  The bridge certificate checks
 the images of the dot relations plus ungraded block-dimension equality
 against the diagram side.
@@ -98,33 +100,33 @@ class HeckeAlgebra:
 
     # -- normal form sums --------------------------------------------------------
 
-    def zero(self) -> dict[HKey, Fraction]:
+    def zero(self) -> dict[HKey, int]:
         return {}
 
-    def one(self) -> dict[HKey, Fraction]:
-        return {((0,) * self.d, _perm_id(self.d)): Fraction(1)}
+    def one(self) -> dict[HKey, int]:
+        return {((0,) * self.d, _perm_id(self.d)): 1}
 
-    def gen_x(self, k: int) -> dict[HKey, Fraction]:
+    def gen_x(self, k: int) -> dict[HKey, int]:
         e = [0] * self.d
         e[k] = 1
-        return {key: Fraction(c) for key, c in self.reduce({(tuple(e), _perm_id(self.d)): 1}).items()}
+        return self.reduce({(tuple(e), _perm_id(self.d)): 1})
 
-    def gen_s(self, i: int) -> dict[HKey, Fraction]:
-        return {((0,) * self.d, _s(self.d, i)): Fraction(1)}
+    def gen_s(self, i: int) -> dict[HKey, int]:
+        return {((0,) * self.d, _s(self.d, i)): 1}
 
     @staticmethod
     def add(a: dict, b: dict) -> dict:
         return add_multiple(dict(a), 1, b)
 
     @staticmethod
-    def scale(a: dict, c: Fraction) -> dict:
+    def scale(a: dict, c) -> dict:
         if not c:
             return {}
         return {k: c * v for k, v in a.items()}
 
     # -- multiplication ----------------------------------------------------------------
 
-    def multiply(self, a: dict, b: dict) -> dict[HKey, Fraction]:
+    def multiply(self, a: dict, b: dict) -> dict:
         """a·b over Q by the right monomial action
         a·b = Σ_B c_B·(a·x^{e_B})·w_B.
 
@@ -132,7 +134,8 @@ class HeckeAlgebra:
         b's terms are grouped by exponent e; a·x^e is summed once per group
         over ℤ against the memo of (x^{e_A} w_A)·x^e, and ·w_B only
         composes permutations.  Each output coefficient is divided by the
-        two scales once."""
+        product of the two scales once: an ``int`` where it divides exactly,
+        otherwise a ``Fraction``."""
         ia, da = _clear_denominators(a)
         ib, db = _clear_denominators(b)
         groups: dict[tuple[int, ...], list[tuple[Perm, int]]] = {}
@@ -156,7 +159,7 @@ class HeckeAlgebra:
                     k = (f, times_w[u])
                     out[k] = get(k, 0) + cb * v
         den = da * db
-        return {k: Fraction(v, den) for k, v in out.items() if v}
+        return {k: v // den if not v % den else Fraction(v, den) for k, v in out.items() if v}
 
     def multiply_raw(self, a: dict, b: dict) -> dict:
         """Multiplication without cyclotomic reduction (exponents free):
@@ -257,9 +260,9 @@ class HeckeAlgebra:
 
     # -- vectors ------------------------------------------------------------------------
 
-    def coords(self, a: dict) -> dict[int, Fraction]:
+    def coords(self, a: dict) -> dict:
         """``a`` as a sparse row over the basis."""
-        return {self.index[k]: Fraction(c) for k, c in a.items() if c}
+        return {self.index[k]: c for k, c in a.items() if c}
 
     def dim(self) -> int:
         return len(self.basis)
@@ -267,12 +270,13 @@ class HeckeAlgebra:
     def regular_rank(self) -> int:
         """Rank of the span of all pairwise basis products; equals the
         basis count N^d d! when the rewriting is consistent."""
-        elements = [{b: Fraction(1)} for b in self.basis]
+        elements = [{b: 1} for b in self.basis]
         return rank([self.coords(self.multiply(b1, b2)) for b1 in elements for b2 in elements], QQ)
 
 
 def _clear_denominators(a: dict) -> tuple[dict, int]:
-    """(a·m over ℤ, m) for m the lcm of the denominators of a's coefficients."""
+    """(a·m over ℤ, m) for m the lcm of the denominators of a's coefficients
+    (an ``int`` has denominator 1)."""
     m = math.lcm(*(c.denominator for c in a.values()))
     return {k: c.numerator * (m // c.denominator) for k, c in a.items()}, m
 
@@ -305,7 +309,7 @@ def _reduced_word(w: Perm) -> list[int]:
 # -- weight idempotents -------------------------------------------------------------------
 
 
-def _x_splits(H: HeckeAlgebra) -> list[list[tuple[Fraction, int, dict]]]:
+def _x_splits(H: HeckeAlgebra) -> list[list[tuple[int, int, dict]]]:
     """``linalg.spectral_idempotents`` of each x_k, sorted by root.
 
     H is unital and acts faithfully on itself, so x_k and its left
@@ -316,13 +320,13 @@ def _x_splits(H: HeckeAlgebra) -> list[list[tuple[Fraction, int, dict]]]:
     for k in range(H.d):
         x = H.gen_x(k)
         split = spectral_idempotents(H.one(), lambda p: H.multiply(p, x), H.coords)
-        if split is None or any(r.denominator != 1 for r, _m, _e in split):
+        if split is None or any(type(r) is not int for r, _m, _e in split):
             raise RuntimeError("non-integer eigenvalue in cyclotomic dAHA spectrum")
         out.append(sorted(split, key=lambda s: s[0]))
     return out
 
 
-def x_spectra(H: HeckeAlgebra) -> list[list[tuple[Fraction, int]]]:
+def x_spectra(H: HeckeAlgebra) -> list[list[tuple[int, int]]]:
     """Integer spectra, with minimal-polynomial multiplicities, of the x_k."""
     return [[(r, m) for r, m, _e in split] for split in _x_splits(H)]
 
@@ -343,7 +347,7 @@ def weight_idempotents(H: HeckeAlgebra) -> dict[tuple[int, ...], dict]:
             for v, _m, ev in split:
                 f = H.multiply(e, ev) if k else ev
                 if f:
-                    nxt[seq + (int(v),)] = f
+                    nxt[seq + (v,)] = f
         prefixes = nxt
     return prefixes
 
@@ -354,7 +358,7 @@ def block_dimension(H: HeckeAlgebra, eI: dict, eJ: dict) -> int:
     add rank to that span; only those are multiplied by e(J)."""
     span, rows = IncrementalRREF(QQ), []
     for bk in H.basis:
-        el = H.multiply(eI, {bk: Fraction(1)})
+        el = H.multiply(eI, {bk: 1})
         if span.add(H.coords(el)):
             rows.append(H.coords(H.multiply(el, eJ)))
     return rank(rows, QQ)
@@ -391,7 +395,7 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         e = idems[seq]
         # cyclotomic relation: (x_1 - i_1)^{λ^{i_1}} e(I) = 0
         i1 = seq[0] - 1
-        f = H.add(xs[0], H.scale(H.one(), Fraction(-seq[0])))
+        f = H.add(xs[0], H.scale(H.one(), -seq[0]))
         p = e
         for _ in range(lam.coords[i1]):
             p = H.multiply(p, f)
@@ -403,8 +407,8 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         ex = [H.multiply(e, x) for x in xs]
         # nilpotency of every dot image
         for j in range(H.d):
-            g = H.add(xs[j], H.scale(H.one(), Fraction(-seq[j])))
-            nil = H.add(ex[j], H.scale(e, Fraction(-seq[j])))  # e(I)·g
+            g = H.add(xs[j], H.scale(H.one(), -seq[j]))
+            nil = H.add(ex[j], H.scale(e, -seq[j]))  # e(I)·g
             steps = 0
             while nil and steps <= H.dim():
                 nil = H.multiply(nil, g)
@@ -416,7 +420,7 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         for j in range(H.d):
             for k in range(j + 1, H.d):
                 gj, gk = ex[j], ex[k]
-                comm = H.add(H.multiply(gj, gk), H.scale(H.multiply(gk, gj), Fraction(-1)))
+                comm = H.add(H.multiply(gj, gk), H.scale(H.multiply(gk, gj), -1))
                 if comm:
                     report["relations"][f"dots commute on e{seq}"] = False
                     report["ok"] = False

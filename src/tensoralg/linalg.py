@@ -2,18 +2,21 @@
 rational roots that split idempotents, plus fraction-free rank over
 Z[q,q^-1].
 
-A row is sparse: a ``{column: value}`` dict over the field (Fraction or
-GFElement) that stores no zero value, so the empty dict is the zero row.
+A row is sparse: a ``{column: value}`` dict over the field that stores no
+zero value, so the empty dict is the zero row.  Over Q a value is an
+``int``, or a ``Fraction`` where it has a real denominator (see
+``scalars``); over GF(p) it is a ``GFElement``.
 The rows are coordinates that the integer straightening engine produced
 and ``BlockComputer.element_coords`` mapped into the field, and they are
 almost empty (a few percent of their columns are nonzero), so the
 elimination only ever touches stored entries.  Gauss–Jordan elimination
 lives in one place, ``IncrementalRREF.add``: a new row is reduced by
-``reduce_against`` and then eliminated from the held rows that have an
-entry in its pivot column, so the space stays in reduced row echelon
-form after every row and callers can stop as soon as the rank
-saturates.  ``row_reduce`` feeds a whole matrix through it, and
-``rank``, ``nullspace`` and ``solve`` read the (unique) reduced form.
+``reduce_against``, scaled by the field's inverse of its pivot entry and
+then eliminated from the held rows that have an entry in its pivot
+column, so the space stays in reduced row echelon form after every row
+and callers can stop as soon as the rank saturates.  ``row_reduce``
+feeds a whole matrix through it, and ``rank``, ``nullspace`` and
+``solve`` read the (unique) reduced form.
 The Laurent-entry rank uses Bareiss elimination, whose intermediate
 divisions are exact.
 
@@ -21,9 +24,9 @@ divisions are exact.
 linear dependency of a Krylov sequence start, start·x, start·x², ...
 over Q, splits it by the rational root theorem (``rational_roots``), and
 writes each generalized-eigenspace idempotent as a combination of the
-Krylov powers whose coefficients come from polynomial arithmetic over Q;
-the Hecke referee and the module theory both split their idempotents
-this way.
+Krylov powers whose coefficients come from polynomial arithmetic with no
+division, divided by one common denominator at the end; the Hecke
+referee and the module theory both split their idempotents this way.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from bisect import bisect
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .scalars import QQ
+from .scalars import QQ, exact
 
 
 def row_reduce(rows, field):
@@ -52,7 +55,8 @@ class IncrementalRREF:
     ``rows`` are sorted by pivot column, ``pivots`` lists those columns and
     ``pivot_rows`` maps each pivot column to its row.  A held row is never
     modified in place (elimination replaces it), so copies of the state
-    may share rows.
+    may share rows.  Over Q every held value is ``exact``: an ``int``, or
+    a ``Fraction`` with a denominator above 1.
     """
 
     def __init__(self, field):
@@ -89,13 +93,14 @@ class IncrementalRREF:
         if not v:
             return False
         pc = min(v)
-        inv = self.field.one() / v[pc]
-        v = {k: x * inv for k, x in v.items()}
+        inv = self.field.inv(v[pc])
+        v = {k: exact(x * inv) for k, x in v.items()}
         # Only the held rows with an entry in the new pivot column change.
         new = {pc: v}
         for i, r in enumerate(self.rows):
             if pc in r:
-                self.rows[i] = self.pivot_rows[self.pivots[i]] = reduce_against(r, new)
+                r = {k: exact(x) for k, x in reduce_against(r, new).items()}
+                self.rows[i] = self.pivot_rows[self.pivots[i]] = r
         at = bisect(self.pivots, pc)
         self.rows.insert(at, v)
         self.pivots.insert(at, pc)
@@ -230,7 +235,7 @@ def _krylov(start, times_x, coords):
         vec = coords(cur)
         sol = solve(vecs, vec, QQ)
         if sol is not None:
-            return [-sol.get(k, Fraction(0)) for k in range(len(vecs))] + [Fraction(1)], powers
+            return [-sol.get(k, 0) for k in range(len(vecs))] + [1], powers
         powers.append(cur)
         vecs.append(vec)
 
@@ -248,8 +253,15 @@ def spectral_idempotents(start, times_x, coords=dict):
     (t − u)^{m_u} divides P_v, so c_v ≡ 0 mod every other factor.  The
     c_v(x) are therefore the exact generalized-eigenspace idempotents:
     pairwise orthogonal, summing to ``start``, with (x − v)^m·c_v(x) = 0.
-    Only coefficient lists over Q are multiplied; no algebra product is
-    formed beyond the Krylov powers.
+
+    No division is made until the end.  P_v = N/D with N = Π_{u≠v}
+    (t − u)^{m_u} and D = Π_{u≠v} (v − u)^{m_u}, so
+    c_v = (D^m − (D − N)^m)/D^m, and D^m·c_v(x) is formed from the
+    numerator's coefficients alone.  With integer roots μ, N and D are
+    integral, so that numerator is an integer combination of the Krylov
+    powers; each of its coefficients is divided by D^m once.  Rational
+    roots take the same steps over Q.  Only coefficient lists are
+    multiplied; no algebra product is formed beyond the Krylov powers.
     """
     mu, powers = _krylov(start, times_x, coords)
     roots = rational_roots(mu)
@@ -257,30 +269,32 @@ def spectral_idempotents(start, times_x, coords=dict):
         return None
     out = []
     for v, m in roots:
-        p = q = [Fraction(1)]
+        n, d = [1], 1
         for u, mu_u in roots:
             if u != v:
                 for _ in range(mu_u):
-                    p = _mul_mod(p, [-u / (v - u), 1 / (v - u)], mu)
+                    n = _mul_mod(n, [-u, 1], mu)
+                    d *= v - u
+        # (D − N)^m, then D^m − (D − N)^m
+        d_minus_n = [d - n[0]] + [-c for c in n[1:]]
+        q = [1]
         for _ in range(m):
-            q = _mul_mod(q, _one_minus(p), mu)
+            q = _mul_mod(q, d_minus_n, mu)
+        dm = d**m
+        num = [dm - q[0]] + [-c for c in q[1:]]
         e: dict = {}
-        for cj, pj in zip(_one_minus(q), powers):
+        for cj, pj in zip(num, powers):
             add_multiple(e, cj, pj)
-        out.append((v, m, e))
+        inv = QQ.inv(dm)
+        out.append((v, m, {k: exact(x * inv) for k, x in e.items()}))
     return out
-
-
-def _one_minus(p):
-    """1 − p, on a coefficient list low to high."""
-    return [1 - p[0]] + [-c for c in p[1:]]
 
 
 def _mul_mod(a, b, mu):
     """a·b mod the monic μ, on coefficient lists low to high (the result
     has deg μ entries)."""
     D = len(mu) - 1
-    prod = [Fraction(0)] * max(len(a) + len(b) - 1, D)
+    prod = [0] * max(len(a) + len(b) - 1, D)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -293,13 +307,14 @@ def _mul_mod(a, b, mu):
     return prod
 
 
-def rational_roots(coeffs) -> list[tuple[Fraction, int]] | None:
+def rational_roots(coeffs) -> list[tuple[int | Fraction, int]] | None:
     """Roots with multiplicity of a polynomial over Q (coefficients low to
-    high), in the order the rational root theorem finds them; None when
-    the polynomial does not split into linear factors over Q.
+    high), in the order the rational root theorem finds them, each root
+    ``exact``; None when the polynomial does not split into linear factors
+    over Q.
     """
     work = [Fraction(c) for c in coeffs]
-    roots: dict[Fraction, int] = {}
+    roots: dict = {}
     while len(work) > 1:
         if not work[0]:
             r, work = Fraction(0), work[1:]
@@ -315,6 +330,7 @@ def rational_roots(coeffs) -> list[tuple[Fraction, int]] | None:
                     break
             else:
                 return None
+        r = exact(r)
         roots[r] = roots.get(r, 0) + 1
     return list(roots.items())
 

@@ -13,8 +13,9 @@ of A/rad that ``simples`` split it off with.  On a module M that rad
 kills, f_S kills every other simple and S·f_S is one-dimensional, so
 rank M·f_S is the multiplicity of S in M (``identify_simple``).
 
-Vectors and matrix rows are sparse ``{index: Fraction}`` dicts, the row
-type of ``linalg``.
+Vectors and matrix rows are sparse ``{index: value}`` dicts, the row
+type of ``linalg``: over Q a value is an ``int``, or a ``Fraction`` where
+it has a real denominator (``scalars``).
 
 The base field must have characteristic 0 here: the radical is computed
 by the Dickson criterion (radical of the trace form of the regular
@@ -22,8 +23,6 @@ representation), which fails in positive characteristic.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .cyclotomic import IntegrityError, QuotientBlock
 from .diagrams import Element, idem_key
@@ -39,9 +38,6 @@ from .linalg import (
 )
 from .scalars import QQ
 
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
-
 
 class UnsupportedCharacteristicError(RuntimeError):
     pass
@@ -54,7 +50,7 @@ def _require_char0(block: QuotientBlock):
         )
 
 
-Vec = dict[int, Fraction]
+Vec = dict[int, object]
 
 
 class FinDimModule:
@@ -162,7 +158,7 @@ def regular_module(block: QuotientBlock) -> FinDimModule:
     return FinDimModule(block, n, act, degrees=block.degrees())
 
 
-def trace_form(block: QuotientBlock) -> list[list[Fraction]]:
+def trace_form(block: QuotientBlock) -> list[list]:
     """The trace form tr(L_{b_i} L_{b_j}) of the regular representation.
 
     Only the entries with deg b_i + deg b_j = 0 and i <= j are summed.
@@ -174,13 +170,13 @@ def trace_form(block: QuotientBlock) -> list[list[Fraction]]:
     n = block.dim
     mult = block._mult
     deg = block.degrees()
-    tr = [[Fraction(0)] * n for _ in range(n)]
+    tr = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if deg[i] + deg[j]:
                 continue
             # trace(L_{b_i} L_{b_j}) = sum_k (b_i (b_j b_k))_k
-            acc = Fraction(0)
+            acc = 0
             for k in range(n):
                 for l, c in mult.get((j, k), {}).items():
                     v = mult.get((i, l), {}).get(k)
@@ -255,7 +251,7 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[Vec]:
     for b in range(n):
         # z is central iff Σ_i z_i (u_i·u_b − u_b·u_i) = 0 for every b
         comms = [
-            add_multiple(S.multiply({i: ONE}, {b: ONE}), MINUS_ONE, S.multiply({b: ONE}, {i: ONE}))
+            add_multiple(S.multiply({i: 1}, {b: 1}), -1, S.multiply({b: 1}, {i: 1}))
             for i in range(n)
         ]
         cons.extend(transpose(comms).values())
@@ -300,7 +296,7 @@ def _split_primitive(S: SemisimpleQuotient, e: Vec) -> Vec:
 
 
 def _corner_basis(S: SemisimpleQuotient, e: Vec) -> list[Vec]:
-    rows = [S.multiply(S.multiply(e, {i: ONE}), e) for i in range(S.dim)]
+    rows = [S.multiply(S.multiply(e, {i: 1}), e) for i in range(S.dim)]
     return row_reduce(rows, QQ)[0]
 
 
@@ -310,13 +306,13 @@ def simples(block: QuotientBlock) -> list[FinDimModule]:
     S = SemisimpleQuotient(block)
     if S.dim == 0:
         return []
-    images = [S.project({i: ONE}) for i in range(block.dim)]
+    images = [S.project({i: 1}) for i in range(block.dim)]
     out = []
     for ci, c in enumerate(central_primitive_idempotents(S)):
         f = _split_primitive(S, c)
         # L = f S as a right block-module; f has degree 0, so f S is
         # spanned by homogeneous rows and its reduced basis is homogeneous
-        rows = [S.multiply(f, {i: ONE}) for i in range(S.dim)]
+        rows = [S.multiply(f, {i: 1}) for i in range(S.dim)]
         L = _submodule(block, rows, lambda v, i: S.multiply(v, images[i]), "simple module", S.is_homogeneous)
         L.tag = ci
         L.idem = S.lift(f)
@@ -332,7 +328,7 @@ def nu_map(i: int, block_src: QuotientBlock, block_dst: QuotientBlock):
     strand labeled i at the far right and reduce in the target block."""
     src, dst = block_src.comp.alg, block_dst.comp.alg
 
-    def nu(vi: int) -> dict[int, Fraction]:
+    def nu(vi: int) -> Vec:
         bottom, top, d, key = block_src.basis[vi]
         idem, w, dots = key
         I, kappa = idem
@@ -362,18 +358,18 @@ def induce(M: FinDimModule, i: int, block_dst: QuotientBlock) -> FinDimModule:
     for a in range(block_src.dim):
         amat = M.action(a)
         na = nu(a)
-        nab = [block_dst.multiply_vectors(na, {b: ONE}) for b in range(dn)]
+        nab = [block_dst.multiply_vectors(na, {b: 1}) for b in range(dn)]
         for r in range(dm):
             for b in range(dn):
                 # (m_r · a) ⊗ b − m_r ⊗ ν(a)·b
                 row = {c * dn + b: x for c, x in amat[r].items()}
-                add_multiple(row, MINUS_ONE, {r * dn + k: v for k, v in nab[b].items()})
+                add_multiple(row, -1, {r * dn + k: v for k, v in nab[b].items()})
                 if row:
                     rel_rows.append(row)
 
     def image(c: int, j: int) -> Vec:
         r, b = divmod(c, dn)
-        return {r * dn + k: v for k, v in block_dst.multiply_vectors({b: ONE}, {j: ONE}).items()}
+        return {r * dn + k: v for k, v in block_dst.multiply_vectors({b: 1}, {j: 1}).items()}
 
     return _quotient_module(block_dst, dm * dn, rel_rows, image)
 
@@ -395,7 +391,7 @@ def restrict(N: FinDimModule, i: int, block_src: QuotientBlock) -> FinDimModule:
     unit: Vec = {}
     for j, c in block_src.identity_vector().items():
         add_multiple(unit, c, images[j])
-    rows = [N.act_vec({r: ONE}, unit) for r in range(N.dim)]
+    rows = [N.act_vec({r: 1}, unit) for r in range(N.dim)]
     return _submodule(block_src, rows, lambda v, j: N.act_vec(v, images[j]), "E_i N")
 
 
@@ -413,7 +409,7 @@ def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
         for r in range(nm):
             for c in range(nl):
                 row = {k * nl + c: x for k, x in ma[r].items()}
-                add_multiple(row, MINUS_ONE, {r * nl + k: x for k, x in la_cols.get(c, {}).items()})
+                add_multiple(row, -1, {r * nl + k: x for k, x in la_cols.get(c, {}).items()})
                 if row:
                     rows.append(row)
     return nm * nl - len(row_reduce(rows, QQ)[1])
@@ -425,7 +421,7 @@ def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
 def cosocle(M: FinDimModule) -> FinDimModule:
     """M / M·rad(A) as a module."""
     rad = radical(M.block)
-    rows = [M.act_vec({r: ONE}, x) for r in range(M.dim) for x in rad]
+    rows = [M.act_vec({r: 1}, x) for r in range(M.dim) for x in rad]
     return _quotient_module(M.block, M.dim, rows, lambda c, i: M.action(i)[c])
 
 
@@ -434,8 +430,8 @@ def socle(M: FinDimModule) -> FinDimModule:
     cons = []
     for x in radical(M.block):
         # act_vec is linear in the vector: m ↦ Σ_r m_r (e_r · x)
-        cons.extend(transpose([M.act_vec({r: ONE}, x) for r in range(M.dim)]).values())
-    return _submodule(M.block, nullspace(cons, M.dim, QQ), lambda v, i: M.act_vec(v, {i: ONE}), "socle")
+        cons.extend(transpose([M.act_vec({r: 1}, x) for r in range(M.dim)]).values())
+    return _submodule(M.block, nullspace(cons, M.dim, QQ), lambda v, i: M.act_vec(v, {i: 1}), "socle")
 
 
 def identify_simple(M: FinDimModule, simples_list):
@@ -452,7 +448,7 @@ def identify_simple(M: FinDimModule, simples_list):
         return None
     found = []
     for S in simples_list:
-        m = rank([M.act_vec({r: ONE}, S.idem) for r in range(M.dim)], QQ)
+        m = rank([M.act_vec({r: 1}, S.idem) for r in range(M.dim)], QQ)
         if m:
             found.append((S, m))
     if len(found) == 1:

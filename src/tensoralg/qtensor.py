@@ -19,7 +19,6 @@ family.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
@@ -460,8 +459,8 @@ class TensorSpace:
 def _root_coords(datum: CartanDatum, wt: Weight) -> tuple[int, ...] | None:
     """Express wt as an integral combination of simple roots, if possible."""
     n = datum.rank
-    rows = [{j: Fraction(a) for j, a in enumerate(datum.cartan[i]) if a} for i in range(n)]
-    rhs = {j: Fraction(c) for j, c in enumerate(wt.coords) if c}
+    rows = [{j: a for j, a in enumerate(datum.cartan[i]) if a} for i in range(n)]
+    rhs = {j: c for j, c in enumerate(wt.coords) if c}
     x = solve(rows, rhs, QQ)
     if x is None or any(v.denominator != 1 for v in x.values()):
         return None

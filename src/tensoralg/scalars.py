@@ -4,9 +4,17 @@ The straightening engine computes over ℤ and never sees these; integer
 coordinates enter a field once, through ``from_int`` in
 ``BlockComputer.element_coords``.  Everything downstream (row reduction,
 quotient bases, structure constants) uses the small field protocol
-``zero``, ``one``, ``from_int`` plus arithmetic on the elements
-themselves.  Rationals are ``fractions.Fraction``; prime fields get a tiny
-wrapper class.
+``zero``, ``one``, ``from_int`` and ``inv`` plus ``+``, ``-`` and ``*`` on
+the elements themselves; every division goes through ``inv``.
+
+A rational is a plain ``int`` unless it has a real denominator, and then
+a ``fractions.Fraction``.  Python's numeric tower makes an ``int`` equal to
+the ``Fraction`` of the same number, with the same hash, and ``int``
+arithmetic costs a small fraction of ``Fraction`` arithmetic.  ``int``
+arithmetic stays ``int``; a ``Fraction`` result whose denominator cancels
+is turned back into its numerator by ``exact`` where a value is stored (a
+reduced row, a Hecke product, a spectral idempotent).  Prime fields get a
+tiny wrapper class.
 """
 
 from __future__ import annotations
@@ -47,10 +55,6 @@ class GFElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inv()
-
     def inv(self) -> "GFElement":
         if self.v == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
@@ -74,20 +78,37 @@ class GFElement:
         return f"{self.v} (mod {self.p})"
 
 
+def exact(x):
+    """A rational as an ``int`` when its denominator is 1 (a ``Fraction``
+    that cancelled to an integer becomes its numerator); any other value,
+    a prime-field element included, as it is."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 class RationalField:
+    """Q, with a value an ``int`` unless it has a real denominator."""
+
     characteristic = 0
 
     @staticmethod
     def zero():
-        return Fraction(0)
+        return 0
 
     @staticmethod
     def one():
-        return Fraction(1)
+        return 1
 
     @staticmethod
     def from_int(n: int):
-        return Fraction(n)
+        return n
+
+    @staticmethod
+    def inv(x):
+        """1/x, ``exact``: an ``int`` when x is 1/n for an integer n,
+        otherwise a ``Fraction``; ``ZeroDivisionError`` for 0."""
+        return exact(Fraction(1) / x)
 
 
 class PrimeField:
@@ -105,6 +126,10 @@ class PrimeField:
 
     def from_int(self, n: int):
         return GFElement(n, self.p)
+
+    @staticmethod
+    def inv(x: GFElement) -> GFElement:
+        return x.inv()
 
 
 QQ = RationalField()

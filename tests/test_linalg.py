@@ -77,7 +77,7 @@ def _reference_rref(rows, field):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.one() / m[r][c]
+        inv = field.inv(m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
