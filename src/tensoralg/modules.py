@@ -1,17 +1,19 @@
 """Finite-dimensional module theory over computed quotient blocks:
-radical, simple modules with graded characters, induction/restriction
-along the add-a-strand map, and the crystal operators.
+radical, simple modules with graded characters, restriction along the
+add-a-strand map, and the crystal operators.
 
-Every module is built by one of three constructions: ``regular_module``;
-a submodule (``_submodule``: the simples f·S, the socle, and the
+Every module is built by one of two constructions: ``regular_module``,
+and a submodule (``_submodule``: the simples f·S, the socle, and the
 restriction E_i N = N·ν_i(1)), whose action matrices are read off the
-reduced row space of its basis; and a quotient (``_quotient_module``:
-the cosocle M/M·rad and the induced module (M ⊗ A′)/relations).
+reduced row space of its basis.  The one quotient is the semisimple
+algebra A/rad (``SemisimpleQuotient``).  Induction is never built: the
+crystal's f̃_i L = cosoc(F_i L) is read off the adjunction
+Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′) (``crystal_f``).
 
-Every simple is identified in one way: by the primitive idempotent f_S
-of A/rad that ``simples`` split it off with.  On a module M that rad
-kills, f_S kills every other simple and S·f_S is one-dimensional, so
-rank M·f_S is the multiplicity of S in M (``identify_simple``).
+A socle is identified by the primitive idempotents f_S of A/rad that
+``simples`` split the simples off with.  On a module M that rad kills,
+f_S kills every other simple and S·f_S is one-dimensional, so rank M·f_S
+is the multiplicity of S in M (``identify_simple``).
 
 Vectors and matrix rows are sparse ``{index: value}`` dicts, the row
 type of ``linalg``: over Q a value is an ``int``, or a ``Fraction`` where
@@ -96,21 +98,6 @@ class FinDimModule:
         return LaurentPoly((d, 1) for d in self.degrees)
 
 
-def _quotient(rows, n: int):
-    """Representative columns of K^n / span(rows), and the projection of
-    a vector onto them: its remainder modulo the span, indexed by
-    position among the representative columns."""
-    rref, pivots = row_reduce(rows, QQ)
-    pivot_rows = dict(zip(pivots, rref))
-    rep_cols = [c for c in range(n) if c not in pivot_rows]
-    position = {c: i for i, c in enumerate(rep_cols)}
-
-    def project(v: Vec) -> Vec:
-        return {position[c]: x for c, x in reduce_against(v, pivot_rows).items()}
-
-    return rep_cols, project
-
-
 def _submodule(block: QuotientBlock, rows, image, what: str, degree=None) -> FinDimModule:
     """The submodule spanned by ``rows``, on the basis of their reduced
     row space, where the block basis element i sends a basis vector v to
@@ -135,18 +122,6 @@ def _submodule(block: QuotientBlock, rows, image, what: str, degree=None) -> Fin
 
     degrees = [degree(v) for v in basis] if degree else None
     return FinDimModule(block, len(basis), act, degrees)
-
-
-def _quotient_module(block: QuotientBlock, n: int, rows, image) -> FinDimModule:
-    """K^n / span(rows) as a module, on the representative columns of
-    ``_quotient``, where the block basis element i sends the unit vector
-    of column c to ``image(c, i)``."""
-    rep_cols, project = _quotient(rows, n)
-
-    def act(i: int):
-        return [project(image(c, i)) for c in rep_cols]
-
-    return FinDimModule(block, len(rep_cols), act)
 
 
 def regular_module(block: QuotientBlock) -> FinDimModule:
@@ -203,13 +178,25 @@ def radical(block: QuotientBlock) -> list[Vec]:
 
 
 class SemisimpleQuotient:
-    """A/rad with an explicit basis and multiplication, kept graded."""
+    """A/rad with an explicit basis and multiplication, kept graded.
+
+    Its basis is the block basis elements that are not pivots of the
+    reduced radical, the representative columns ``rep_cols``.
+    """
 
     def __init__(self, block: QuotientBlock):
-        _require_char0(block)
         self.block = block
-        self.rep_cols, self.project = _quotient(radical(block), block.dim)
+        rref, pivots = row_reduce(radical(block), QQ)
+        self._pivot_rows = dict(zip(pivots, rref))
+        self.rep_cols = [c for c in range(block.dim) if c not in self._pivot_rows]
+        self._position = {c: i for i, c in enumerate(self.rep_cols)}
         self.dim = len(self.rep_cols)
+
+    def project(self, v: Vec) -> Vec:
+        """The image of a block vector: its remainder modulo rad, indexed
+        by position among the representative columns."""
+        position = self._position
+        return {position[c]: x for c, x in reduce_against(v, self._pivot_rows).items()}
 
     def lift(self, v: Vec) -> Vec:
         return {self.rep_cols[i]: c for i, c in v.items()}
@@ -320,7 +307,7 @@ def simples(block: QuotientBlock) -> list[FinDimModule]:
     return out
 
 
-# -- induction and restriction ---------------------------------------------------------
+# -- restriction ---------------------------------------------------------------------
 
 
 def nu_map(i: int, block_src: QuotientBlock, block_dst: QuotientBlock):
@@ -345,35 +332,6 @@ def nu_map(i: int, block_src: QuotientBlock, block_dst: QuotientBlock):
     return nu
 
 
-def induce(M: FinDimModule, i: int, block_dst: QuotientBlock) -> FinDimModule:
-    """F_i M = M ⊗_{A} A' along the add-a-strand map ν_i.
-
-    Computed as (M ⊗ A')/span{(m·a) ⊗ b − m ⊗ ν(a)b}, with m_c ⊗ b_k at
-    column c·dn + k.
-    """
-    block_src = M.block
-    nu = nu_map(i, block_src, block_dst)
-    dm, dn = M.dim, block_dst.dim
-    rel_rows = []
-    for a in range(block_src.dim):
-        amat = M.action(a)
-        na = nu(a)
-        nab = [block_dst.multiply_vectors(na, {b: 1}) for b in range(dn)]
-        for r in range(dm):
-            for b in range(dn):
-                # (m_r · a) ⊗ b − m_r ⊗ ν(a)·b
-                row = {c * dn + b: x for c, x in amat[r].items()}
-                add_multiple(row, -1, {r * dn + k: v for k, v in nab[b].items()})
-                if row:
-                    rel_rows.append(row)
-
-    def image(c: int, j: int) -> Vec:
-        r, b = divmod(c, dn)
-        return {r * dn + k: v for k, v in block_dst.multiply_vectors({b: 1}, {j: 1}).items()}
-
-    return _quotient_module(block_dst, dm * dn, rel_rows, image)
-
-
 def restrict(N: FinDimModule, i: int, block_src: QuotientBlock) -> FinDimModule:
     """E_i N = N·ν_i(1), acted on through ν_i.
 
@@ -381,8 +339,8 @@ def restrict(N: FinDimModule, i: int, block_src: QuotientBlock) -> FinDimModule:
     idempotents of N's block that end in a strand labelled i.  It is an
     idempotent and ν_i(a) = ν_i(1)·ν_i(a)·ν_i(1), so N·ν_i(1) is a
     submodule on which the source block's unit acts as the identity; the
-    part of N that ν_i(1) kills is not in E_i N.  Like F_i M, the module
-    is ungraded: the categorical grading shift <μ,α_i> − d_i is a
+    part of N that ν_i(1) kills is not in E_i N.  The module is
+    ungraded: the categorical grading shift <μ,α_i> − d_i is a
     bookkeeping shift on characters, recorded in docs rather than applied
     here.
     """
@@ -415,14 +373,7 @@ def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
     return nm * nl - len(row_reduce(rows, QQ)[1])
 
 
-# -- socle / cosocle and crystal operators -----------------------------------------------
-
-
-def cosocle(M: FinDimModule) -> FinDimModule:
-    """M / M·rad(A) as a module."""
-    rad = radical(M.block)
-    rows = [M.act_vec({r: 1}, x) for r in range(M.dim) for x in rad]
-    return _quotient_module(M.block, M.dim, rows, lambda c, i: M.action(i)[c])
+# -- socle and crystal operators ---------------------------------------------------------
 
 
 def socle(M: FinDimModule) -> FinDimModule:
@@ -437,7 +388,7 @@ def socle(M: FinDimModule) -> FinDimModule:
 def identify_simple(M: FinDimModule, simples_list):
     """The simple S of which M is a sum of copies, or None for M = 0.
 
-    M is a module that rad(A) kills (a socle or a cosocle), so the lift
+    M is a module that rad(A) kills (a socle), so the lift
     f_S = ``S.idem`` acts on it as the primitive idempotent of A/rad that
     split S off: it kills every other simple, and S·f_S = f_S·(A/rad)·f_S
     is one-dimensional.  The rank m_S of M·f_S is therefore exactly the
@@ -458,12 +409,23 @@ def identify_simple(M: FinDimModule, simples_list):
     raise IntegrityError("module is not a sum of copies of one simple")
 
 
-def crystal_f(L: FinDimModule, i: int, block_dst: QuotientBlock, dst_simples) -> FinDimModule | None:
-    """cosoc(F_i L): several copies of one simple, returned once (or None)."""
-    FM = induce(L, i, block_dst)
-    if FM.dim == 0:
-        return None
-    return identify_simple(cosocle(FM), dst_simples)
+def crystal_f(L: FinDimModule, i: int, dst_simples) -> FinDimModule | None:
+    """f̃_i L = cosoc(F_i L), read off the adjunction
+    Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′): the one S′ in ``dst_simples``
+    with Hom_A(L, E_i S′) ≠ 0, or None.
+
+    F_i L = L ⊗_A ν_i(1)A′, and Hom_{A′}(ν_i(1)A′, S′) = S′·ν_i(1) with a
+    acting through ν_i(a), which is ``restrict``.  End(S′) is the base
+    field (``_split_primitive`` stops at a one-dimensional corner), so the
+    Hom dimension is the multiplicity of S′ in cosoc(F_i L).  A nonzero
+    F_i L has a nonzero cosocle, so "no S′" means F_i L = 0 only when
+    ``dst_simples`` lists every simple of their block.  More than one S′
+    is an ``IntegrityError``.
+    """
+    found = [S for S in dst_simples if hom_dim(L, restrict(S, i, L.block))]
+    if len(found) > 1:
+        raise IntegrityError("cosoc(F_i L) is not a sum of copies of one simple")
+    return found[0] if found else None
 
 
 def crystal_e(L: FinDimModule, i: int, block_src: QuotientBlock, src_simples) -> FinDimModule | None:

@@ -35,7 +35,6 @@ TEST_FACING = {
     "is_bar_invariant",
     # modules.py
     "crystal_e",
-    "hom_dim",
     "regular_module",
     # polyrep.py
     "one_poly",

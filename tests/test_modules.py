@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tensoralg import modules
-from tensoralg.cartan import default_q_matrix, sl2
+from tensoralg.cartan import PRESETS, default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, IntegrityError, QuotientBlock
 from tensoralg.linalg import nullspace, row_reduce, solve, transpose
 from tensoralg.modules import (
@@ -11,12 +11,10 @@ from tensoralg.modules import (
     SemisimpleQuotient,
     UnsupportedCharacteristicError,
     central_primitive_idempotents,
-    cosocle,
     crystal_e,
     crystal_f,
     hom_dim,
     identify_simple,
-    induce,
     radical,
     regular_module,
     restrict,
@@ -25,6 +23,7 @@ from tensoralg.modules import (
     trace_form,
 )
 from tensoralg.scalars import QQ, PrimeField
+from tensoralg.workbench import block_contents
 
 ONE = Fraction(1)
 
@@ -79,9 +78,49 @@ def test_zero_block(sl2_setup):
     assert simples(blk) == []
 
 
-def test_simple_count_matches_weight_dim(sl2_setup):
+# (datum, red labels, strands): the hand-worked crystals of the crystal task's
+# test in tests/test_workbench.py, and sl2 (ω, ω, ω) to two strands
+CRYSTAL_CASES = [
+    ("sl2", ((2,), (1,)), 3),
+    ("sl2", ((1,), (1,)), 2),
+    ("sl2", ((1,), (1,), (1,)), 2),
+    ("a2", ((1, 0), (0, 1)), 3),
+    ("b2", ((1, 0),), 4),
+    ("b2", ((0, 1),), 3),
+]
+
+
+# The number of crystal edges of each case, the sum of its hand-worked
+# string lengths: B(3) ⊕ B(1) has 3 + 1; B(2) ⊕ B(0) has 2; B(3) ⊕ 2·B(1)
+# cut at two strands has 2 + 1 + 1; the a2 case 3 per node; the b2 vector
+# representation 2 + 2 and the spin representation 1 + 2.
+EDGES = dict(zip(CRYSTAL_CASES, [4, 2, 4, 6, 4, 3]))
+
+
+@pytest.fixture(scope="module")
+def crystal_cases():
+    """Per case, the block computer, Σλ and {content: (block, simples)}
+    for every content up to the strand bound that has an idempotent, as
+    the crystal task builds them."""
+    out = {}
+    for name, lambdas, strands in CRYSTAL_CASES:
+        d = PRESETS[name]()
+        lams = tuple(d.weight(lam) for lam in lambdas)
+        comp = BlockComputer(d, default_q_matrix(d), lams, max_strands=strands)
+        blocks = {}
+        for alpha in block_contents(d, strands):
+            if comp.idems(alpha):
+                blk = QuotientBlock(comp, alpha)
+                blocks[alpha] = (blk, simples(blk) if blk.dim else [])
+        out[name, lambdas, strands] = (comp, sum(lams, d.zero_weight()), blocks)
+    return out
+
+
+def test_simple_count_matches_weight_dim(sl2_setup, crystal_cases):
+    """The simples of block α are as many as the dimension of the weight
+    space Σλ − α of the tensor product, so ``simples`` lists every simple,
+    which ``crystal_f`` relies on."""
     d, comp11, comp2 = sl2_setup
-    total11 = d.weight((2,))
     for comp, lamsum, nmax in ((comp11, 2, 2), (comp2, 2, 2)):
         for n in range(nmax + 1):
             blk = QuotientBlock(comp, d.root((n,)))
@@ -89,6 +128,11 @@ def test_simple_count_matches_weight_dim(sl2_setup):
             want = comp.space.weight_dim(mu)
             got = len(simples(blk)) if blk.dim else 0
             assert got == want, (n, got, want)
+    for case, (comp, total, blocks) in crystal_cases.items():
+        for alpha in block_contents(comp.datum, case[2]):
+            want = comp.space.weight_dim(total - alpha.to_weight())
+            got = len(blocks[alpha][1]) if alpha in blocks else 0
+            assert got == want, (case, alpha.coords, got, want)
 
 
 def test_prime_field_radical_unsupported():
@@ -98,32 +142,6 @@ def test_prime_field_radical_unsupported():
     blk = QuotientBlock(comp, d.root((1,)))
     with pytest.raises(UnsupportedCharacteristicError):
         radical(blk)
-
-
-def test_induce_zero_and_dims(sl2_setup):
-    d, _, comp2 = sl2_setup
-    blocks = {n: QuotientBlock(comp2, d.root((n,))) for n in range(4)}
-    # F on the zero module is zero
-    M0 = regular_module(blocks[3])
-    assert M0.dim == 0
-    # F applied to the 1-dim top module of T^{2ω}
-    top = regular_module(blocks[0])
-    FM = induce(top, 0, blocks[1])
-    assert FM.dim == 2  # the weight-0 projective of T^{2ω}
-    # beyond integrability depth the target block is zero
-    M2 = regular_module(blocks[2])
-    F3 = induce(M2, 0, blocks[3])
-    assert F3.dim == 0
-
-
-def test_adjunction_dims(sl2_setup):
-    d, _, comp2 = sl2_setup
-    blocks = {n: QuotientBlock(comp2, d.root((n,))) for n in range(3)}
-    M = regular_module(blocks[1])
-    N = regular_module(blocks[2])
-    FM = induce(M, 0, blocks[2])
-    EN = restrict(N, 0, blocks[1])
-    assert hom_dim(FM, N) == hom_dim(M, EN)
 
 
 def test_restrict_keeps_only_the_image_of_the_unit(sl2_setup):
@@ -147,7 +165,7 @@ def test_the_source_unit_acts_as_the_identity_on_restrictions(sl2_setup):
         for src, dst in zip(blocks, blocks[1:]):
             if not dst.dim:
                 continue
-            for N in [regular_module(dst), cosocle(regular_module(dst))] + simples(dst):
+            for N in [regular_module(dst)] + simples(dst):
                 EN = restrict(N, 0, src)
                 one = src.identity_vector()
                 for r in range(EN.dim):
@@ -172,9 +190,6 @@ def test_identify_simple_reads_the_primitive_idempotents(sl2_setup):
     for S in sims:
         assert identify_simple(S, sims) is S
         assert identify_simple(_direct_sum(S, S), sims) is S
-    # the cosocle of the regular module is S_0 ⊕ S_1: not one simple
-    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
-        identify_simple(cosocle(regular_module(blk)), sims)
     with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
         identify_simple(_direct_sum(sims[0], sims[1]), sims)
     # a part that no listed simple accounts for
@@ -190,7 +205,7 @@ def test_crystal_string_b2(sl2_setup):
     chain = [sims[0][0]]
     n = 0
     while n + 1 < 4 and blocks[n + 1].dim:
-        nxt = crystal_f(chain[-1], 0, blocks[n + 1], sims[n + 1])
+        nxt = crystal_f(chain[-1], 0, sims[n + 1])
         if nxt is None:
             break
         chain.append(nxt)
@@ -214,7 +229,7 @@ def test_crystal_e_inverts_crystal_f_on_every_edge(sl2_setup):
             if not blocks[n + 1].dim:
                 continue
             for L in sims[n]:
-                img = crystal_f(L, 0, blocks[n + 1], sims[n + 1])
+                img = crystal_f(L, 0, sims[n + 1])
                 if img is not None:
                     f_edges.add((n, L.tag, img.tag))
             for L in sims[n + 1]:
@@ -223,6 +238,47 @@ def test_crystal_e_inverts_crystal_f_on_every_edge(sl2_setup):
                     e_edges.add((n, pre.tag, L.tag))
         assert len(f_edges) == 2
         assert e_edges == f_edges
+
+
+def _case_id(case):
+    name, lambdas, _ = case
+    return name + "-" + ";".join(",".join(map(str, lam)) for lam in lambdas)
+
+
+@pytest.mark.parametrize("case", CRYSTAL_CASES, ids=_case_id)
+def test_crystal_f_is_the_one_simple_with_a_hom_into_its_restriction(crystal_cases, case):
+    """h(L, S′) = dim Hom_A(L, E_i S′) is 0 or 1, each L and each S′ has at
+    most one nonzero h, and f̃_i L is the S′ with h = 1 (None if there is
+    none), on every pair of blocks α, α + α_i."""
+    comp, _, blocks = crystal_cases[case]
+    edges = 0
+    for alpha, (src, sims) in blocks.items():
+        for i in range(comp.datum.rank):
+            target = comp.datum.root([c + (j == i) for j, c in enumerate(alpha.coords)])
+            if target not in blocks:
+                continue
+            dst_sims = blocks[target][1]
+            h = {(L.tag, S.tag): hom_dim(L, restrict(S, i, src)) for L in sims for S in dst_sims}
+            assert set(h.values()) <= {0, 1}
+            for L in sims:
+                assert sum(h[L.tag, S.tag] for S in dst_sims) <= 1
+                img = crystal_f(L, i, dst_sims)
+                assert [S for S in dst_sims if h[L.tag, S.tag]] == ([] if img is None else [img])
+                edges += img is not None
+            for S in dst_sims:
+                assert sum(h[L.tag, S.tag] for L in sims) <= 1
+    assert edges == EDGES[case]
+
+
+def test_crystal_f_rejects_a_simple_listed_twice(sl2_setup):
+    """A target listed twice has two nonzero Homs: ``IntegrityError``."""
+    d, _, comp2 = sl2_setup
+    b0, b1 = (QuotientBlock(comp2, d.root((n,))) for n in (0, 1))
+    (L,) = simples(b0)
+    (S,) = simples(b1)
+    assert crystal_f(L, 0, [S]) is S
+    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
+        crystal_f(L, 0, [S, S])
 
 
 def _reference_action(basis, image, i):
@@ -283,8 +339,7 @@ def test_socle_cosocle_of_projective(sl2_setup):
     d, comp11, _ = sl2_setup
     blk = QuotientBlock(comp11, d.root((1,)))
     reg = regular_module(blk)
-    top = cosocle(reg)
-    assert top.dim == 2  # two simples, one copy each in A/rad of the regular
+    assert SemisimpleQuotient(blk).dim == 2  # two one-dimensional simples, one copy each in A/rad
     soc = socle(reg)
     assert 1 <= soc.dim <= blk.dim
 
@@ -327,7 +382,7 @@ def test_radical_is_computed_once_per_block(sl2_setup, monkeypatch):
     monkeypatch.setattr(modules, "trace_form", lambda blk: calls.append(blk) or original(blk))
     blk = QuotientBlock(comp11, d.root((1,)))
     rad = radical(blk)
-    top = cosocle(regular_module(blk))
+    top = SemisimpleQuotient(blk)
     socle(regular_module(blk))
     simples(blk)
     assert radical(blk) is rad

@@ -92,47 +92,76 @@ def test_crystal_task(capsys):
 
 
 def _crystal_strings(payload):
-    """Lengths, in edges, of the strings of the crystal graph: every node
-    (content, simple) has at most one edge in and one out, and each string
-    starts at a node with no edge in."""
+    """Lengths, in edges, of the i-strings of the crystal graph, sorted, per
+    node label i: for each i, every node (content, simple) has at most one
+    i-edge in and one out, and each i-string starts at a node with no
+    i-edge in."""
     nodes = {(c, s["tag"]) for c, ss in payload["simples"].items() for s in ss}
-    succ = {}
+    succ = {}  # node label -> {source node: target node}
     for e in payload["edges"]:
         src = (str(e["from"]["content"]), e["from"]["simple"])
         dst = (str(e["to"]["content"]), e["to"]["simple"])
-        assert src in nodes and dst in nodes and src not in succ
-        succ[src] = dst
-    assert len(set(succ.values())) == len(succ)
-    lengths = []
-    for node in nodes - set(succ.values()):
-        n = 0
-        while node in succ:
-            node, n = succ[node], n + 1
-        lengths.append(n)
-    assert sum(lengths) + len(lengths) == len(nodes)
-    return sorted(lengths)
+        step = succ.setdefault(e["node"], {})
+        assert src in nodes and dst in nodes and src not in step
+        step[src] = dst
+    strings = {}
+    for label, step in succ.items():
+        assert len(set(step.values())) == len(step)
+        lengths = []
+        for node in nodes - set(step.values()):
+            n = 0
+            while node in step:
+                node, n = step[node], n + 1
+            lengths.append(n)
+        assert sum(lengths) + len(lengths) == len(nodes)
+        strings[label] = sorted(lengths)
+    return strings
 
 
 @pytest.mark.parametrize(
-    "lambdas,strands,counts,strings",
+    "datum,lambdas,strands,counts,strings",
     [
         # B(2) ⊗ B(1) = B(3) ⊕ B(1)
-        ("2;1", "3", [1, 2, 2, 1], [1, 3]),
+        ("sl2", "2;1", "3", {(0,): 1, (1,): 2, (2,): 2, (3,): 1}, {"1": [1, 3]}),
         # B(1) ⊗ B(1) = B(2) ⊕ B(0)
-        ("1;1", "2", [1, 2, 1], [0, 2]),
+        ("sl2", "1;1", "2", {(0,): 1, (1,): 2, (2,): 1}, {"1": [0, 2]}),
+        # B(ω1) ⊗ B(ω2) = B(θ) ⊕ B(0) of sl3, cut at three strands
+        (
+            "a2",
+            "1,0;0,1",
+            "3",
+            {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 1, (1, 2): 1},
+            {"1": [0, 0, 0, 1, 2], "2": [0, 0, 0, 1, 2]},
+        ),
+        # the 5-dimensional vector representation of so5
+        (
+            "b2",
+            "1,0",
+            "4",
+            {(0, 0): 1, (1, 0): 1, (1, 1): 1, (1, 2): 1, (2, 2): 1},
+            {"1": [0, 1, 1], "2": [0, 0, 2]},
+        ),
+        # the 4-dimensional spin representation of so5
+        (
+            "b2",
+            "0,1",
+            "3",
+            {(0, 0): 1, (0, 1): 1, (1, 1): 1, (1, 2): 1},
+            {"1": [0, 0, 1], "2": [1, 1]},
+        ),
     ],
-    ids=["B(2)xB(1)", "B(1)xB(1)"],
+    ids=["B(2)xB(1)", "B(1)xB(1)", "a2-B(w1)xB(w2)", "b2-vector", "b2-spin"],
 )
-def test_crystal_task_matches_the_tensor_product_crystal(capsys, lambdas, strands, counts, strings):
-    """The crystal task reproduces the sl2 tensor-product crystal worked
-    by hand: the number of simples per content is the weight multiplicity,
-    and the i-strings have the lengths of the summands' strings."""
+def test_crystal_task_matches_the_tensor_product_crystal(capsys, datum, lambdas, strands, counts, strings):
+    """The crystal task reproduces crystals worked by hand: the number of
+    simples per content is the weight multiplicity, and the i-strings of
+    each node i have the lengths of the summands' strings."""
     code, out = run_main(
-        ["--datum", "sl2", "--lambda", lambdas, "--task", "crystal", "--max-strands", strands], capsys
+        ["--datum", datum, "--lambda", lambdas, "--task", "crystal", "--max-strands", strands], capsys
     )
     assert code == 0
     payload = json.loads(out)
-    assert [len(payload["simples"][str([n])]) for n in range(len(counts))] == counts
+    assert {c: len(payload["simples"][str(list(c))]) for c in counts} == counts
     assert len(payload["simples"]) == len(counts)
     assert _crystal_strings(payload) == strings
 
@@ -148,8 +177,8 @@ def test_hecke_task(capsys):
 
 def test_module_and_hecke_runs_match_the_benchmark_golden(capsys):
     """The two CLI runs of the modules-hecke benchmark workload (block
-    structure constants, radicals, simples, induction, the crystal and the
-    Hecke bridge) reproduce its golden items: the crystal's simples per
+    structure constants, radicals, simples, restriction, the crystal and
+    the Hecke bridge) reproduce its golden items: the crystal's simples per
     content and its edges, and one Hecke report per d."""
     golden = json.loads((GOLDEN / "modules-hecke.json").read_text())["items"]
     items = {}
