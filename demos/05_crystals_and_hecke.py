@@ -22,7 +22,7 @@ while node is not None:
     print(f"   weight {2 - 2 * n}: simple of dim {node.dim}")
     if n + 1 >= 4 or not blocks[n + 1].dim:
         break
-    node = crystal_f(node, 0, sims[n + 1])
+    node = crystal_f([node], 0, sims[n + 1])[0]
     n += 1
 
 # The cyclotomic degenerate affine Hecke algebra at level 2.

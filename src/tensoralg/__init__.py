@@ -10,7 +10,7 @@ The package computes, at desk scale and in exact arithmetic:
 * the quantum-group side (tensor products of highest-weight modules,
   coproduct actions, the move-across inner product) used as the
   independent prediction for every graded dimension;
-* module theory over computed blocks (radical, simples, induction,
+* module theory over computed blocks (radical, simples, restriction,
   crystal operators) and the degenerate cyclotomic Hecke comparison in
   type A.
 """

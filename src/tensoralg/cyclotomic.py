@@ -717,6 +717,17 @@ class QuotientBlock:
                     add_multiple(out, ci * cj, prod)
         return out
 
+    def pairing(self, t: dict[int, object]) -> list[dict[int, object]]:
+        """The sparse rows of the bilinear form (b_i, b_j) ↦ t(b_i·b_j) for
+        a functional t, given as its ``{basis index: value}`` vector, read
+        off the structure constants in one pass."""
+        rows: list[dict[int, object]] = [{} for _ in range(self.dim)]
+        for (i, j), prod in self._mult.items():
+            acc = sum(c * t[k] for k, c in prod.items() if k in t)
+            if acc:
+                rows[i][j] = acc
+        return rows
+
     def identity_vector(self) -> dict[int, object]:
         """The sum of the idempotent vectors, in basis order."""
         return {i: c for idem in self.idems for i, c in self.idem_vector(idem).items()}
@@ -878,8 +889,9 @@ def frobenius_certificate(block: QuotientBlock) -> dict:
 
     The functional is supported on one degree D; symmetry t(ab) = t(ba)
     cuts a linear subspace, and nondegeneracy of the Gram matrix
-    G[a][b] = t(a·b) is checked by exact rank.  Returns the first
-    (D, functional) that works, scanning degrees from the top down.
+    G[a][b] = t(a·b), which is ``QuotientBlock.pairing(t)``, is checked
+    by exact rank.  Returns the first (D, functional) that works,
+    scanning degrees from the top down.
     """
     field = block.comp.field
     degs = sorted(set(block.degrees()), reverse=True)
@@ -918,18 +930,7 @@ def frobenius_certificate(block: QuotientBlock) -> dict:
             t = {bi: tvec[col] for col, bi in enumerate(support) if col in tvec}
             if not t:
                 continue
-            gram = []
-            for i in range(n):
-                row = {}
-                for j in range(n):
-                    acc = field.zero()
-                    for k, c in block._mult.get((i, j), {}).items():
-                        if k in t:
-                            acc = acc + c * t[k]
-                    if acc:
-                        row[j] = acc
-                gram.append(row)
-            if rank(gram, field) == n:
+            if rank(block.pairing(t), field) == n:
                 return {
                     "ok": True,
                     "degree": D,

@@ -20,8 +20,12 @@ type of ``linalg``: over Q a value is an ``int``, or a ``Fraction`` where
 it has a real denominator (``scalars``).
 
 The base field must have characteristic 0 here: the radical is computed
-by the Dickson criterion (radical of the trace form of the regular
-representation), which fails in positive characteristic.
+by the Dickson criterion, rad A = {a : τ(a·b) = 0 for every b} for τ the
+trace of the regular representation, which fails in positive
+characteristic.  Since L_a L_b = L_{ab}, the trace form tr(L_a L_b) is
+the pairing τ(a·b) of the one functional τ (``regular_trace``), and
+``QuotientBlock.pairing`` reads it off the structure constants, as it
+does the Frobenius Gram of ``cyclotomic.frobenius_certificate``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class UnsupportedCharacteristicError(RuntimeError):
 
 
 def _require_char0(block: QuotientBlock):
-    if getattr(block.comp.field, "characteristic", 0) != 0:
+    if block.comp.field.characteristic != 0:
         raise UnsupportedCharacteristicError(
             "radical computations need characteristic 0 (Dickson criterion)"
         )
@@ -133,47 +137,32 @@ def regular_module(block: QuotientBlock) -> FinDimModule:
     return FinDimModule(block, n, act, degrees=block.degrees())
 
 
-def trace_form(block: QuotientBlock) -> list[list]:
-    """The trace form tr(L_{b_i} L_{b_j}) of the regular representation.
+def regular_trace(block: QuotientBlock) -> Vec:
+    """τ(b_l) = tr(L_{b_l}) = Σ_k (b_l·b_k)_k, the trace of the left
+    regular representation, as a ``{basis index: value}`` vector.
 
-    Only the entries with deg b_i + deg b_j = 0 and i <= j are summed.
-    The structure constants are graded, so L_{b_i} L_{b_j} raises degree
-    by deg b_i + deg b_j and its diagonal in the homogeneous basis, hence
-    its trace, vanishes unless that sum is 0; and tr(L_i L_j) = tr(L_j L_i),
-    so the form is symmetric.
+    L_{b_l} is graded of degree deg b_l, so its diagonal, hence τ, is
+    zero off the degree-0 basis elements.
     """
-    n = block.dim
-    mult = block._mult
-    deg = block.degrees()
-    tr = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if deg[i] + deg[j]:
-                continue
-            # trace(L_{b_i} L_{b_j}) = sum_k (b_i (b_j b_k))_k
-            acc = 0
-            for k in range(n):
-                for l, c in mult.get((j, k), {}).items():
-                    v = mult.get((i, l), {}).get(k)
-                    if v:
-                        acc += c * v
-            tr[i][j] = tr[j][i] = acc
-    return tr
+    tau: Vec = {}
+    for (l, k), prod in block._mult.items():
+        c = prod.get(k)
+        if c:
+            tau[l] = tau.get(l, 0) + c
+    return {l: c for l, c in tau.items() if c}
 
 
 def radical(block: QuotientBlock) -> list[Vec]:
-    """Basis of rad(A), the radical of the trace form (Dickson criterion),
+    """Basis of rad(A) = {a : τ(a·b) = 0 for every b} (Dickson criterion),
     computed once per block; the returned list is shared and must not be
     mutated.
 
-    The form is summed only where deg b_i + deg b_j = 0, for i <= j: the
-    trace of the graded map L_{b_i} L_{b_j} is zero off degree 0, and the
-    form is symmetric (see ``trace_form``).
+    tr(L_a L_b) = tr(L_{ab}) = τ(a·b), so the trace form is the pairing
+    of the functional ``regular_trace``.
     """
     _require_char0(block)
     if block.radical is None:
-        rows = [{j: x for j, x in enumerate(row) if x} for row in trace_form(block)]
-        block.radical = nullspace(rows, block.dim, QQ)
+        block.radical = nullspace(block.pairing(regular_trace(block)), block.dim, QQ)
     return block.radical
 
 
@@ -207,9 +196,6 @@ class SemisimpleQuotient:
     def one(self) -> Vec:
         return self.project(self.block.identity_vector())
 
-    def degree_of_col(self, c: int) -> int:
-        return self.block.basis_degree(c)
-
     def is_homogeneous(self, v: Vec) -> int:
         """The degree of a nonzero homogeneous v.
 
@@ -217,7 +203,7 @@ class SemisimpleQuotient:
         of a space spanned by homogeneous rows (see ``_split_primitive``),
         so any other v is an ``IntegrityError``.
         """
-        degs = {self.degree_of_col(self.rep_cols[i]) for i in v}
+        degs = {self.block.basis_degree(self.rep_cols[i]) for i in v}
         if len(degs) != 1:
             raise IntegrityError("element is not nonzero and homogeneous")
         return degs.pop()
@@ -409,10 +395,11 @@ def identify_simple(M: FinDimModule, simples_list):
     raise IntegrityError("module is not a sum of copies of one simple")
 
 
-def crystal_f(L: FinDimModule, i: int, dst_simples) -> FinDimModule | None:
-    """f̃_i L = cosoc(F_i L), read off the adjunction
+def crystal_f(sims, i: int, dst_simples) -> list:
+    """f̃_i L = cosoc(F_i L) for each simple L of ``sims`` (all of one
+    block), in order, read off the adjunction
     Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′): the one S′ in ``dst_simples``
-    with Hom_A(L, E_i S′) ≠ 0, or None.
+    with Hom_A(L, E_i S′) ≠ 0, or None.  Each E_i S′ is built once.
 
     F_i L = L ⊗_A ν_i(1)A′, and Hom_{A′}(ν_i(1)A′, S′) = S′·ν_i(1) with a
     acting through ν_i(a), which is ``restrict``.  End(S′) is the base
@@ -422,10 +409,14 @@ def crystal_f(L: FinDimModule, i: int, dst_simples) -> FinDimModule | None:
     ``dst_simples`` lists every simple of their block.  More than one S′
     is an ``IntegrityError``.
     """
-    found = [S for S in dst_simples if hom_dim(L, restrict(S, i, L.block))]
-    if len(found) > 1:
-        raise IntegrityError("cosoc(F_i L) is not a sum of copies of one simple")
-    return found[0] if found else None
+    restricted = [(S, restrict(S, i, sims[0].block)) for S in dst_simples] if sims else []
+    out = []
+    for L in sims:
+        found = [S for S, ES in restricted if hom_dim(L, ES)]
+        if len(found) > 1:
+            raise IntegrityError("cosoc(F_i L) is not a sum of copies of one simple")
+        out.append(found[0] if found else None)
+    return out
 
 
 def crystal_e(L: FinDimModule, i: int, block_src: QuotientBlock, src_simples) -> FinDimModule | None:

@@ -227,8 +227,8 @@ def task_crystal(args, comp: BlockComputer) -> int:
             target = tuple(c + (1 if j == i else 0) for j, c in enumerate(coords))
             if target not in blocks:
                 continue
-            for L in simples_by_alpha[coords]:
-                img = crystal_f(L, i, simples_by_alpha[target])
+            sims = simples_by_alpha[coords]
+            for L, img in zip(sims, crystal_f(sims, i, simples_by_alpha[target])):
                 if img is not None:
                     edges.append(
                         {

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from tensoralg.cyclotomic import (
 from tensoralg import diagrams
 from tensoralg.diagrams import Element, idem_key
 from tensoralg.laurent import ONE, ZERO, LaurentPoly
-from tensoralg.linalg import IncrementalRREF, reduce_against
+from tensoralg.linalg import IncrementalRREF, rank, reduce_against
 from tensoralg.qtensor import GradedHomTable, arrangements
 from tensoralg.scalars import QQ, PrimeField
 from tensoralg.workbench import block_contents
@@ -206,7 +207,11 @@ def test_double_centralizer(sl2_11):
 
 
 def test_frobenius_sl2():
+    """Each block's certificate has the degree found before its Gram went
+    through ``QuotientBlock.pairing``, and the Gram t(b_i·b_j) of the
+    returned functional, summed here over every (i, j), has full rank."""
     d = sl2()
+    degrees = {(1, 0): 0, (1, 1): 0, (2, 0): 0, (2, 1): 2, (2, 2): 0}
     for lam, nmax in [(1, 1), (2, 2)]:
         comp = BlockComputer(d, default_q_matrix(d), (d.weight((lam,)),))
         for n in range(nmax + 1):
@@ -215,6 +220,17 @@ def test_frobenius_sl2():
                 continue
             cert = frobenius_certificate(blk)
             assert cert["ok"], (lam, n)
+            assert cert["degree"] == degrees[lam, n]
+            t = {int(k): Fraction(v) for k, v in cert["functional"].items()}
+            gram = []
+            for i in range(blk.dim):
+                row = {}
+                for j in range(blk.dim):
+                    x = sum(c * t.get(k, 0) for k, c in blk.multiply_vectors({i: 1}, {j: 1}).items())
+                    if x:
+                        row[j] = x
+                gram.append(row)
+            assert rank(gram, QQ) == blk.dim, (lam, n)
 
 
 def test_integrity_error_on_wrong_oracle(sl2_11):

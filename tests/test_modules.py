@@ -17,10 +17,10 @@ from tensoralg.modules import (
     identify_simple,
     radical,
     regular_module,
+    regular_trace,
     restrict,
     simples,
     socle,
-    trace_form,
 )
 from tensoralg.scalars import QQ, PrimeField
 from tensoralg.workbench import block_contents
@@ -205,7 +205,7 @@ def test_crystal_string_b2(sl2_setup):
     chain = [sims[0][0]]
     n = 0
     while n + 1 < 4 and blocks[n + 1].dim:
-        nxt = crystal_f(chain[-1], 0, sims[n + 1])
+        (nxt,) = crystal_f([chain[-1]], 0, sims[n + 1])
         if nxt is None:
             break
         chain.append(nxt)
@@ -228,8 +228,7 @@ def test_crystal_e_inverts_crystal_f_on_every_edge(sl2_setup):
         for n in range(nmax):
             if not blocks[n + 1].dim:
                 continue
-            for L in sims[n]:
-                img = crystal_f(L, 0, sims[n + 1])
+            for L, img in zip(sims[n], crystal_f(sims[n], 0, sims[n + 1])):
                 if img is not None:
                     f_edges.add((n, L.tag, img.tag))
             for L in sims[n + 1]:
@@ -260,9 +259,10 @@ def test_crystal_f_is_the_one_simple_with_a_hom_into_its_restriction(crystal_cas
             dst_sims = blocks[target][1]
             h = {(L.tag, S.tag): hom_dim(L, restrict(S, i, src)) for L in sims for S in dst_sims}
             assert set(h.values()) <= {0, 1}
-            for L in sims:
+            imgs = crystal_f(sims, i, dst_sims)
+            assert len(imgs) == len(sims)
+            for L, img in zip(sims, imgs):
                 assert sum(h[L.tag, S.tag] for S in dst_sims) <= 1
-                img = crystal_f(L, i, dst_sims)
                 assert [S for S in dst_sims if h[L.tag, S.tag]] == ([] if img is None else [img])
                 edges += img is not None
             for S in dst_sims:
@@ -276,9 +276,10 @@ def test_crystal_f_rejects_a_simple_listed_twice(sl2_setup):
     b0, b1 = (QuotientBlock(comp2, d.root((n,))) for n in (0, 1))
     (L,) = simples(b0)
     (S,) = simples(b1)
-    assert crystal_f(L, 0, [S]) is S
+    assert crystal_f([L], 0, [S]) == [S]
+    assert crystal_f([], 0, [S]) == []
     with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
-        crystal_f(L, 0, [S, S])
+        crystal_f([L], 0, [S, S])
 
 
 def _reference_action(basis, image, i):
@@ -357,29 +358,34 @@ def _full_trace_form(blk):
     return tr
 
 
-def test_pruned_trace_form_equals_the_full_form(sl2_setup):
+def test_regular_trace_pairing_equals_the_full_trace_form(sl2_setup, crystal_cases):
+    """The pairing τ(b_i·b_j) of the regular trace is the trace form, on
+    sl2 (ω, ω, ω) and (2ω) to two strands, A2 (ω1, ω2) to three and B2
+    (ω1) to four; τ lives on degree-0 basis elements and the form is
+    symmetric."""
     d, _, comp2 = sl2_setup
     comp111 = BlockComputer(d, default_q_matrix(d), (d.weight((1,)),) * 3)
+    blocks = [QuotientBlock(comp, d.root((n,))) for comp in (comp111, comp2) for n in range(3)]
+    for case in (("a2", ((1, 0), (0, 1)), 3), ("b2", ((1, 0),), 4)):
+        blocks.extend(blk for blk, _ in crystal_cases[case][2].values())
     checked = 0
-    for comp in (comp111, comp2):
-        for n in range(3):
-            blk = QuotientBlock(comp, d.root((n,)))
-            full = _full_trace_form(blk)
-            assert trace_form(blk) == full
-            deg = blk.degrees()
-            for i in range(blk.dim):
-                for j in range(blk.dim):
-                    if deg[i] + deg[j]:
-                        assert full[i][j] == 0
-            checked += any(any(row) for row in full)
-    assert checked  # the comparison saw nonzero forms
+    for blk in blocks:
+        tau = regular_trace(blk)
+        assert all(blk.basis_degree(l) == 0 for l in tau)
+        form = blk.pairing(tau)
+        assert form == [{j: x for j, x in enumerate(row) if x} for row in _full_trace_form(blk)]
+        for i, row in enumerate(form):
+            for j, x in row.items():
+                assert form[j].get(i) == x
+        checked += any(form)
+    assert checked >= 10  # the comparison saw nonzero forms
 
 
 def test_radical_is_computed_once_per_block(sl2_setup, monkeypatch):
     d, comp11, _ = sl2_setup
     calls = []
-    original = modules.trace_form
-    monkeypatch.setattr(modules, "trace_form", lambda blk: calls.append(blk) or original(blk))
+    original = QuotientBlock.pairing
+    monkeypatch.setattr(QuotientBlock, "pairing", lambda blk, t: calls.append(blk) or original(blk, t))
     blk = QuotientBlock(comp11, d.root((1,)))
     rad = radical(blk)
     top = SemisimpleQuotient(blk)

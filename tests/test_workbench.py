@@ -15,6 +15,7 @@ from tensoralg.qtensor import TensorSpace
 from tensoralg.workbench import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+CRYSTAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "crystal"
 
 BASE = ["--datum", "sl2", "--lambda", "1;1"]
 
@@ -195,6 +196,25 @@ def test_module_and_hecke_runs_match_the_benchmark_golden(capsys):
     assert code == 0
     items.update({f"hecke-check:{k}": v for k, v in json.loads(out)["reports"].items()})
     assert items == golden
+
+
+@pytest.mark.parametrize(
+    "golden, datum, lambdas, strands",
+    [
+        ("a2_10_01_3", "a2", "1,0;0,1", "3"),
+        ("b2_10_01_2", "b2", "1,0;0,1", "2"),
+        ("sl2_3_3", "sl2", "3", "3"),
+        ("a3_100_3", "a3", "1,0,0", "3"),
+    ],
+)
+def test_crystal_output_matches_its_golden_byte_for_byte(capsys, golden, datum, lambdas, strands):
+    """The crystal task's stdout (simples, characters and edges) equals a
+    recorded run, byte for byte."""
+    code, out = run_main(
+        ["--datum", datum, "--lambda", lambdas, "--task", "crystal", "--max-strands", strands], capsys
+    )
+    assert code == 0
+    assert out == (CRYSTAL_GOLDEN / f"{golden}.json").read_text()
 
 
 def test_config_errors(capsys):
