@@ -1,6 +1,6 @@
-"""The crystal operator f̃_i, read off the adjunction between induction
-and restriction, and the degenerate cyclotomic Hecke algebra as an
-independent type-A referee.
+"""The crystal operator f̃_i, read off the socles of restrictions by the
+adjunction between induction and restriction, and the degenerate
+cyclotomic Hecke algebra as an independent type-A referee.
 """
 
 from tensoralg.cartan import default_q_matrix, sl2
@@ -22,7 +22,7 @@ while node is not None:
     print(f"   weight {2 - 2 * n}: simple of dim {node.dim}")
     if n + 1 >= 4 or not blocks[n + 1].dim:
         break
-    node = crystal_f([node], 0, sims[n + 1])[0]
+    node = crystal_f(sims[n], 0, sims[n + 1])[0]
     n += 1
 
 # The cyclotomic degenerate affine Hecke algebra at level 2.

@@ -11,8 +11,8 @@ The package computes, at desk scale and in exact arithmetic:
   coproduct actions, the move-across inner product) used as the
   independent prediction for every graded dimension;
 * module theory over computed blocks (radical, simples, restriction,
-  crystal operators) and the degenerate cyclotomic Hecke comparison in
-  type A.
+  the crystal operator f̃_i) and the degenerate cyclotomic Hecke
+  comparison in type A.
 """
 
 from .cartan import CartanDatum, QMatrix, Weight, RootVector, default_q_matrix

@@ -894,26 +894,15 @@ def frobenius_certificate(block: QuotientBlock) -> dict:
     scanning degrees from the top down.
     """
     field = block.comp.field
-    degs = sorted(set(block.degrees()), reverse=True)
     n = block.dim
-    for D in degs:
+    # symmetry: t(b_i b_j − b_j b_i) = 0 for every pair with a stored
+    # product (a pair with neither stored gives 0, and (j, i) repeats (i, j))
+    comms = [add_multiple(dict(pij), -1, block._mult.get((j, i), {})) for (i, j), pij in block._mult.items()]
+    for D in sorted(set(block.degrees()), reverse=True):
         support = [i for i in range(n) if block.basis_degree(i) == D]
-        if not support:
-            continue
-        # symmetry constraints: for all basis pairs, t(b_i b_j - b_j b_i) = 0
-        cons = []
-        for i in range(n):
-            for j in range(n):
-                pij = block._mult.get((i, j), {})
-                pji = block._mult.get((j, i), {})
-                row = {}
-                for col, bi in enumerate(support):
-                    v = pij.get(bi, field.zero()) - pji.get(bi, field.zero())
-                    if v:
-                        row[col] = v
-                if row:
-                    cons.append(row)
-        tspace = nullspace(cons, len(support), field)
+        position = {bi: col for col, bi in enumerate(support)}
+        cons = [{position[k]: v for k, v in c.items() if k in position} for c in comms]
+        tspace = nullspace([row for row in cons if row], len(support), field)
         if not tspace:
             continue
         # Deterministic search through the T-space for a nondegenerate Gram.

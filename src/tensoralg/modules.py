@@ -1,14 +1,15 @@
 """Finite-dimensional module theory over computed quotient blocks:
 radical, simple modules with graded characters, restriction along the
-add-a-strand map, and the crystal operators.
+add-a-strand map, and the crystal operator f̃_i.
 
 Every module is built by one of two constructions: ``regular_module``,
 and a submodule (``_submodule``: the simples f·S, the socle, and the
 restriction E_i N = N·ν_i(1)), whose action matrices are read off the
 reduced row space of its basis.  The one quotient is the semisimple
-algebra A/rad (``SemisimpleQuotient``).  Induction is never built: the
-crystal's f̃_i L = cosoc(F_i L) is read off the adjunction
-Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′) (``crystal_f``).
+algebra A/rad (``SemisimpleQuotient``).  Induction is never built: by
+the adjunction Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′) and Schur's lemma,
+S′ is in cosoc(F_i L) exactly when L is in soc(E_i S′), so the crystal's
+f̃_i is read off the socles of restrictions (``crystal_f``).
 
 A socle is identified by the primitive idempotents f_S of A/rad that
 ``simples`` split the simples off with.  On a module M that rad kills,
@@ -339,27 +340,7 @@ def restrict(N: FinDimModule, i: int, block_src: QuotientBlock) -> FinDimModule:
     return _submodule(block_src, rows, lambda v, j: N.act_vec(v, images[j]), "E_i N")
 
 
-def hom_dim(M: FinDimModule, L: FinDimModule) -> int:
-    """dim Hom_A(M, L) by solving the intertwiner equations exactly."""
-    A = M.block
-    nm, nl = M.dim, L.dim
-    if nm == 0 or nl == 0:
-        return 0
-    rows = []
-    for i in range(A.dim):
-        ma = M.action(i)
-        la_cols = transpose(L.action(i))
-        # φ: nm x nl unknowns, φ_{r,c} at column r·nl + c; constraint φ(m·a) = φ(m)·a
-        for r in range(nm):
-            for c in range(nl):
-                row = {k * nl + c: x for k, x in ma[r].items()}
-                add_multiple(row, -1, {r * nl + k: x for k, x in la_cols.get(c, {}).items()})
-                if row:
-                    rows.append(row)
-    return nm * nl - len(row_reduce(rows, QQ)[1])
-
-
-# -- socle and crystal operators ---------------------------------------------------------
+# -- socle and the crystal operator ------------------------------------------------------
 
 
 def socle(M: FinDimModule) -> FinDimModule:
@@ -396,33 +377,26 @@ def identify_simple(M: FinDimModule, simples_list):
 
 
 def crystal_f(sims, i: int, dst_simples) -> list:
-    """f̃_i L = cosoc(F_i L) for each simple L of ``sims`` (all of one
-    block), in order, read off the adjunction
-    Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′): the one S′ in ``dst_simples``
-    with Hom_A(L, E_i S′) ≠ 0, or None.  Each E_i S′ is built once.
+    """f̃_i L = cosoc(F_i L) for each simple L of ``sims``, in order: the
+    S′ in ``dst_simples`` with L = soc(E_i S′), or None.
 
-    F_i L = L ⊗_A ν_i(1)A′, and Hom_{A′}(ν_i(1)A′, S′) = S′·ν_i(1) with a
-    acting through ν_i(a), which is ``restrict``.  End(S′) is the base
+    By adjunction, Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′), with
+    E_i S′ = S′·ν_i(1) (``restrict``).  End(L) and End(S′) are the base
     field (``_split_primitive`` stops at a one-dimensional corner), so the
-    Hom dimension is the multiplicity of S′ in cosoc(F_i L).  A nonzero
-    F_i L has a nonzero cosocle, so "no S′" means F_i L = 0 only when
-    ``dst_simples`` lists every simple of their block.  More than one S′
-    is an ``IntegrityError``.
+    multiplicity of S′ in cosoc(F_i L) is dim Hom_A(L, soc(E_i S′)), the
+    multiplicity of L in the socle, which ``identify_simple`` reads.
+    ``sims`` must list every simple of the source block, or a socle is an
+    ``IntegrityError``; "no S′" means F_i L = 0 only when ``dst_simples``
+    lists every simple of theirs.  Two S′ reaching one L is an
+    ``IntegrityError``.
     """
-    restricted = [(S, restrict(S, i, sims[0].block)) for S in dst_simples] if sims else []
-    out = []
-    for L in sims:
-        found = [S for S, ES in restricted if hom_dim(L, ES)]
-        if len(found) > 1:
+    if not sims:
+        return []
+    image = {}
+    for S in dst_simples:
+        L = identify_simple(socle(restrict(S, i, sims[0].block)), sims)
+        if L in image:
             raise IntegrityError("cosoc(F_i L) is not a sum of copies of one simple")
-        out.append(found[0] if found else None)
-    return out
-
-
-def crystal_e(L: FinDimModule, i: int, block_src: QuotientBlock, src_simples) -> FinDimModule | None:
-    """soc(E_i L): several copies of one simple, returned once (or None
-    when E_i L = 0)."""
-    EM = restrict(L, i, block_src)
-    if EM.dim == 0:
-        return None
-    return identify_simple(socle(EM), src_simples)
+        if L is not None:
+            image[L] = S
+    return [image.get(L) for L in sims]

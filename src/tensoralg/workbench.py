@@ -16,7 +16,7 @@ import random
 import sys
 from itertools import combinations_with_replacement
 
-from .cartan import PRESETS, CartanDatum, default_q_matrix, load_datum_file
+from .cartan import PRESETS, CartanDatum, default_q_matrix, load_datum_file, type_a
 from .cyclotomic import DEFAULT_MAX_STRANDS, BlockComputer, IntegrityError, QuotientBlock
 from .diagrams import Element
 from .hecke import HeckeAlgebra, bk_check
@@ -80,8 +80,13 @@ def load_configuration(args):
     field = parse_field(args.field)
     if args.tail < 0:
         raise ValueError("--tail must be non-negative")
-    if args.task == "hecke-check" and len(lambdas) != 1:
-        raise ValueError("hecke-check needs a single red label")
+    if args.task == "hecke-check":
+        if len(lambdas) != 1:
+            raise ValueError("hecke-check needs a single red label")
+        if sum(lambdas[0].coords) == 0:
+            raise ValueError("hecke-check needs a red label of positive level")
+        if datum.cartan != type_a(datum.rank).cartan:
+            raise ValueError("hecke-check needs a type A datum: the degenerate Hecke comparison holds only for A_n")
     if args.task == "crystal" and field.characteristic != 0:
         raise ValueError("crystal needs characteristic 0: the radical uses the Dickson criterion")
     return datum, q, lambdas, field

@@ -34,7 +34,6 @@ TEST_FACING = {
     # laurent.py
     "is_bar_invariant",
     # modules.py
-    "crystal_e",
     "regular_module",
     # polyrep.py
     "one_poly",

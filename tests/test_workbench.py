@@ -205,6 +205,7 @@ def test_module_and_hecke_runs_match_the_benchmark_golden(capsys):
         ("b2_10_01_2", "b2", "1,0;0,1", "2"),
         ("sl2_3_3", "sl2", "3", "3"),
         ("a3_100_3", "a3", "1,0,0", "3"),
+        ("a2_11_3", "a2", "1,1", "3"),
     ],
 )
 def test_crystal_output_matches_its_golden_byte_for_byte(capsys, golden, datum, lambdas, strands):
@@ -244,6 +245,21 @@ def test_hecke_check_with_two_reds_is_a_configuration_error(capsys):
     code = main(["--datum", "sl2", "--lambda", "1;1", "--task", "hecke-check", "--max-strands", "2"])
     assert code == 2
     assert "configuration error: hecke-check needs a single red label" in capsys.readouterr().err
+
+
+def test_hecke_check_at_level_zero_is_a_configuration_error(capsys):
+    for datum, lam in (("sl2", "0"), ("a2", "0,0")):
+        code = main(["--datum", datum, "--lambda", lam, "--task", "hecke-check", "--max-strands", "2"])
+        assert code == 2
+        assert "configuration error: hecke-check needs a red label of positive level" in capsys.readouterr().err
+
+
+def test_hecke_check_outside_type_a_is_a_configuration_error(capsys):
+    # the degenerate cyclotomic Hecke comparison holds only for A_n
+    for datum, lam in (("b2", "1,0"), ("a1xa1", "1,1")):
+        code = main(["--datum", datum, "--lambda", lam, "--task", "hecke-check", "--max-strands", "2"])
+        assert code == 2
+        assert "configuration error: hecke-check needs a type A datum" in capsys.readouterr().err
 
 
 def test_crystal_over_a_prime_field_is_a_configuration_error(capsys):
