@@ -82,9 +82,10 @@ tilde basis, and one routine builds them all: ``BlockComputer.saturate``
 right-multiplies a stream of left factors by the basis of each
 (mid T~ top)_{d'}, adds the nonzero products' coordinates to an
 ``IncrementalRREF`` and stops once the rank fills the component.  That
-basis comes in runs by word: the diagrams e·ψ_w·y^a of one w carry their
-dots at the top, so l·ψ_w is straightened once per run and each
-l·ψ_w·y^a is read off it by adding dots, and a zero l·ψ_w skips the
+basis comes in runs by word, read off the engine's memos of each Hom
+component (``DiagramAlgebra.runs``): the diagrams e·ψ_w·y^a of one w
+carry their dots at the top, so l·ψ_w is straightened once per run and
+each l·ψ_w·y^a is read off it by adding dots, and a zero l·ψ_w skips the
 whole run.  The kernel (basis diagrams into violating idempotents), the
 standard-module space (kernel rows plus the x_φ) and the classical
 cyclotomic ideal (basis diagrams times y_1^{λ^{i_1}} e(I)) differ only
@@ -101,8 +102,6 @@ on.
 from __future__ import annotations
 
 import math
-from itertools import groupby
-from operator import itemgetter
 from typing import Sequence
 
 from .cartan import CartanDatum, QMatrix, RootVector, Weight
@@ -425,18 +424,11 @@ class BlockComputer:
                         return inc
         return inc
 
-    def word_runs(self, bottom: IdemKey, top: IdemKey, d: int) -> list[tuple[Element, list]]:
+    def word_runs(self, bottom: IdemKey, top: IdemKey, d: int) -> list[tuple[Element, tuple]]:
         """The basis of (bottom T~ top)_d as runs by word, in basis order:
-        ``(e·ψ_w, [a, ...])`` for the diagrams e·ψ_w·y^a, which
-        ``basis_enumerate`` lists consecutively for each w."""
-        dmin = self.min_degree(bottom, top)
-        if dmin is None or d < dmin:
-            return []
+        ``(e·ψ_w, (a, ...))`` for the diagrams e·ψ_w·y^a (``DiagramAlgebra.runs``)."""
         zero_dots = (0,) * len(bottom[0])
-        return [
-            (Element(self.alg, {(bottom, w, zero_dots): 1}), [dots for _, _, dots in run])
-            for w, run in groupby(self.tilde_basis(bottom, top, d), key=itemgetter(1))
-        ]
+        return [(Element(self.alg, {(bottom, w, zero_dots): 1}), vs) for w, vs in self.alg.runs(bottom, top, d)]
 
     def coset_reps(self, bottom: IdemKey, top: IdemKey, d: int) -> list:
         """The basis diagrams of (bottom T~ top)_d off the kernel's pivot

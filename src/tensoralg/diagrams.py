@@ -7,10 +7,10 @@ two reds, and a vector of dots on the black strands at the top boundary.
 Products are computed by stacking and rewriting back to this basis with
 the local relations:
 
-* quiver Hecke relations between black strands (dot slides with ±1
-  corrections at equal labels, double crossings collapsing to 0 or to
-  Q_ij on the dots, braid moves with a divided-difference correction in
-  the i-j-i pattern);
+* quiver Hecke relations between black strands (dots sliding through a
+  crossing in one step, adding the nilHecke divided difference at equal
+  labels, double crossings collapsing to 0 or to Q_ij on the dots, braid
+  moves with a divided-difference correction in the i-j-i pattern);
 * black dots and black crossings pass red strands, a black/black
   crossing passing a red of weight λ costing δ_{ij} Σ_{a+b+1=λ^i} dots;
 * a black strand crossing a red and returning costs λ^i dots.
@@ -22,10 +22,10 @@ over and over, and so is the strand geometry they consult: the
 canonical word of each permutation, the top idempotent of each
 (idempotent, permutation) pair and the boundary of each idempotent.
 Basis enumeration reads two more memos, one per Hom component and one
-per dot budget, so each degree of a component is listed without walking
-its permutations again (``DiagramAlgebra.component``, ``dot_vectors``),
-and ``basis_dim`` counts the diagrams of a degree from the same memos
-without listing them.
+per dot budget, so each degree of a component is listed as runs by word
+without walking its permutations again (``DiagramAlgebra.runs`` over
+``component`` and ``dot_vectors``): ``basis_enumerate`` flattens the
+runs, and ``basis_dim`` counts their diagrams without listing them.
 
 A combination of basis diagrams times one crossing is the sum of its
 terms' products (``DiagramAlgebra.acc_times_s``, beside ``_acc_dot`` for a
@@ -310,6 +310,13 @@ class DiagramAlgebra:
             self._dots[key] = hit
         return hit
 
+    def runs(self, bottom: IdemKey, top: IdemKey, d: int) -> list:
+        """The basis of the Hom component (bottom, top) in degree d as runs
+        by word, in basis order: ``[(w, (a, ...)), ...]`` for the diagrams
+        e·ψ_w·y^a, over the words with at least one such a."""
+        weights = tuple(2 * self.datum.sym[i] for i in top[0])
+        return [(w, vs) for w, base in self.component(bottom, top) if (vs := self.dot_vectors(weights, d - base))]
+
     # -- the rewriting core ------------------------------------------------------------
 
     def eval_word(self, idem: IdemKey, events: Sequence[tuple[str, int]]):
@@ -366,38 +373,34 @@ class DiagramAlgebra:
         return out
 
     def term_times_s(self, idem: IdemKey, w: tuple[int, ...], dots: tuple[int, ...], p: int):
-        """(e ψ_w y^dots) · ψ_p in the basis, sliding dots off slots p, p+1
-        first (with same-label corrections) and then crossing."""
+        """(e ψ_w y^dots) · ψ_p in the basis.  Dots ride along with their
+        strands, so at a black/black crossing the exponents (a, b) of the
+        crossed strands k, k+1 swap (a red passing a black keeps the black
+        indexing).  At equal labels the nilHecke relation y_k ψ − ψ y_{k+1}
+        = e, applied a times, adds the crossing-free divided difference
+        (y_k^a y_{k+1}^b − y_k^b y_{k+1}^a)/(y_k − y_{k+1})."""
         if not (0 <= p < len(w) - 1):
             raise WordError(f"crossing at slot {p} out of range")
+        cross = self.crossing_on_basis(idem, w, p)
         if not any(dots):
-            return self.crossing_on_basis(idem, w, p)
+            return cross
         _, labels, black = self.boundary(self.top_idem(idem, w))
         la, lb = labels[p], labels[p + 1]
-        if la[0] == "r" and lb[0] == "r":
-            raise RedCrossingError("red strands never cross")
         moved = dots
-        if la[0] == "b" and lb[0] == "b":
-            ka = black[p]
-            if la[1] == lb[1] and (dots[ka] or dots[ka + 1]):
-                # slide one dot off the crossed pair, with a ±1 correction
-                k, slot, sign = (ka, p + 1, 1) if dots[ka] else (ka + 1, p, -1)
-                nd = list(dots)
-                nd[k] -= 1
-                nd = tuple(nd)
-                out = self._acc_dot(idem, self.term_times_s(idem, w, nd, p), slot)
-                return add_multiple(out, sign, {(w, nd): 1})
-            # Dots ride along with their strands: the pair's entries swap
-            # (a red passing a black keeps the black indexing).
-            if dots[ka] != dots[ka + 1]:
-                nd = list(dots)
-                nd[ka], nd[ka + 1] = nd[ka + 1], nd[ka]
-                moved = tuple(nd)
-        cross = self.crossing_on_basis(idem, w, p)
-        if not any(moved):
-            return cross
+        if la[0] == lb[0] == "b":
+            k = black[p]
+            a, b = dots[k], dots[k + 1]
+            moved = dots[:k] + (b, a) + dots[k + 2 :]
         # Adding a fixed dot vector is injective, so no terms merge.
-        return {(w2, tuple(map(add, d2, moved))): c for (w2, d2), c in cross.items()}
+        out = {(w2, tuple(map(add, d2, moved))): c for (w2, d2), c in cross.items()}
+        if la == lb:
+            # ±y_k^t y_{k+1}^{a+b-1-t} for t between b and a.  No term of
+            # ``cross`` is on w: its degree deg ψ_w − 2d_i is below theirs.
+            sign = 1 if a > b else -1
+            for t in range(min(a, b), max(a, b)):
+                pair = (t, a + b - 1 - t) if a > b else (a + b - 1 - t, t)
+                out[(w, dots[:k] + pair + dots[k + 2 :])] = sign
+        return out
 
     def crossing_on_basis(self, idem: IdemKey, w: tuple[int, ...], p: int):
         """e ψ_w · ψ_p for a dot-free basis element; the memoized core."""
@@ -603,11 +606,6 @@ class Element:
         terms = {(idem, w, tuple(map(add, d, dots))): c for (idem, w, d), c in self.terms.items()}
         return Element(self.algebra, terms)
 
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return self.multiply(other)
-        return NotImplemented
-
     def flip(self) -> "Element":
         """The anti-automorphism reflecting diagrams top to bottom."""
         alg = self.algebra
@@ -794,24 +792,14 @@ def connecting_perms(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey):
 def basis_enumerate(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, d: int):
     """All basis diagrams of degree d in the Hom component, in basis
     order: by connecting permutation, then by dot vector in lexicographic
-    order."""
-    weights = _dot_weights(alg, top)
-    out = []
-    for w, base in alg.component(bottom, top):
-        out += [(bottom, w, dots) for dots in alg.dot_vectors(weights, d - base)]
-    return out
+    order (``DiagramAlgebra.runs`` flattened)."""
+    return [(bottom, w, dots) for w, vectors in alg.runs(bottom, top, d) for dots in vectors]
 
 
 def basis_dim(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, d: int) -> int:
     """The number of basis diagrams of degree d in the Hom component,
-    counted from its geometry without listing them."""
-    weights = _dot_weights(alg, top)
-    return sum(len(alg.dot_vectors(weights, d - base)) for _, base in alg.component(bottom, top))
-
-
-def _dot_weights(alg: DiagramAlgebra, top: IdemKey) -> tuple[int, ...]:
-    """The degree of a dot on each black strand of ``top``."""
-    return tuple(2 * alg.datum.sym[i] for i in top[0])
+    counted from its runs without listing them."""
+    return sum(len(vectors) for _, vectors in alg.runs(bottom, top, d))
 
 
 def _dot_vectors(weights: tuple[int, ...], total: int) -> list[tuple[int, ...]]:

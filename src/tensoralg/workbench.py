@@ -78,8 +78,9 @@ def load_configuration(args):
         if not lam.is_dominant():
             raise ValueError(f"red label {lam.coords} is not dominant")
     field = parse_field(args.field)
-    if args.tail < 0:
-        raise ValueError("--tail must be non-negative")
+    for flag, value in (("--tail", args.tail), ("--max-strands", args.max_strands), ("--samples", args.samples)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative")
     if args.task == "hecke-check":
         if len(lambdas) != 1:
             raise ValueError("hecke-check needs a single red label")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +30,7 @@ from tensoralg.polyrep import (
     one_poly,
     random_poly,
 )
+from tensoralg.linalg import add_multiple
 from tensoralg.scalars import QQ, GFElement, PrimeField
 
 
@@ -383,6 +385,57 @@ def _flip_pool(name):
         pool = {(x, y): [k for d in range(-6, 7) for k in basis_enumerate(alg, x, y, d)] for x in idems for y in idems}
         _FLIP_POOLS[name] = (alg, idems, pool)
     return _FLIP_POOLS[name]
+
+
+def _peeled_times_s(alg, idem, w, dots, p):
+    """The dot slide one dot at a time: at equal labels, peel a dot off
+    the crossed pair by y_k ψ = ψ y_{k+1} + e (or y_{k+1} ψ = ψ y_k − e),
+    recurse, and put the dot back above the crossing; then cross, the
+    pair's dots swapped."""
+    if not any(dots):
+        return alg.crossing_on_basis(idem, w, p)
+    _, labels, black = alg.boundary(alg.top_idem(idem, w))
+    la, lb = labels[p], labels[p + 1]
+    moved = dots
+    if la[0] == "b" and lb[0] == "b":
+        ka = black[p]
+        if la[1] == lb[1] and (dots[ka] or dots[ka + 1]):
+            k, slot, sign = (ka, p + 1, 1) if dots[ka] else (ka + 1, p, -1)
+            nd = list(dots)
+            nd[k] -= 1
+            nd = tuple(nd)
+            out = alg._acc_dot(idem, _peeled_times_s(alg, idem, w, nd, p), slot)
+            return add_multiple(out, sign, {(w, nd): 1})
+        nd = list(dots)
+        nd[ka], nd[ka + 1] = nd[ka + 1], nd[ka]
+        moved = tuple(nd)
+    return {(w2, tuple(map(add, d2, moved))): c for (w2, d2), c in alg.crossing_on_basis(idem, w, p).items()}
+
+
+@pytest.mark.parametrize("case", sorted(FLIP_CASES))
+def test_the_closed_form_dot_slide_matches_the_peeled_one(case):
+    # sl2 (ω, 2ω) crosses two strands of one label, A2 (ω1, ω2) two of
+    # different labels; the terms come in the same order too, so every
+    # sum downstream is formed alike
+    alg, idems, _ = _flip_pool(case)
+    seen = set()
+    for x, y in itertools.product(idems, idems):
+        for w, _ in alg.component(x, y):
+            _, labels, black = alg.boundary(y)
+            for p in range(len(w) - 1):
+                if labels[p][0] != "b" or labels[p + 1][0] != "b":
+                    continue
+                seen.add(labels[p][1] == labels[p + 1][1])
+                k = black[p]
+                for a, b in itertools.product(range(7), range(7)):
+                    if a + b > 6:
+                        continue
+                    dots = [0] * len(x[0])
+                    dots[k], dots[k + 1] = a, b
+                    got = alg.term_times_s(x, w, tuple(dots), p)
+                    want = _peeled_times_s(alg, x, w, tuple(dots), p)
+                    assert list(got.items()) == list(want.items()), (x, w, dots, p)
+    assert seen == {case.startswith("sl2")}
 
 
 @st.composite
@@ -753,6 +806,9 @@ def test_basis_enumerate_keeps_the_basis_order(case):
     assert basis_enumerate(comp.alg, bottom, top, d) == want
     assert comp.tilde_basis(bottom, top, d) == want
     assert basis_dim(comp.alg, bottom, top, d) == len(want)
+    runs = comp.alg.runs(bottom, top, d)
+    assert [(bottom, w, a) for w, vectors in runs for a in vectors] == want
+    assert all(vectors for _, vectors in runs) and len({w for w, _ in runs}) == len(runs)
     zero_dots = (0,) * len(bottom[0])
     degs = [comp.alg.diagram_degree(bottom, w, zero_dots) for w in connecting_perms(comp.alg, bottom, top)]
     assert comp.min_degree(bottom, top) == min(degs, default=None)

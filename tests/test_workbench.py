@@ -206,6 +206,7 @@ def test_module_and_hecke_runs_match_the_benchmark_golden(capsys):
         ("sl2_3_3", "sl2", "3", "3"),
         ("a3_100_3", "a3", "1,0,0", "3"),
         ("a2_11_3", "a2", "1,1", "3"),
+        ("sl2_21_3", "sl2", "2;1", "3"),
     ],
 )
 def test_crystal_output_matches_its_golden_byte_for_byte(capsys, golden, datum, lambdas, strands):
@@ -232,6 +233,25 @@ def test_a_negative_tail_is_a_configuration_error(capsys):
     d = sl2()
     with pytest.raises(ValueError, match="tail must be non-negative"):
         BlockComputer(d, default_q_matrix(d), (d.weight((1,)),), tail=-1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        BASE + ["--task", "dims", "--max-strands", "-1"],
+        BASE + ["--task", "verify-euler", "--max-strands", "-1"],
+        ["--datum", "sl2", "--lambda", "2", "--task", "hecke-check", "--max-strands", "-1"],
+    ],
+)
+def test_a_negative_strand_bound_is_a_configuration_error(capsys, args):
+    # no block would be checked, and the certificates would read ok
+    assert main(args) == 2
+    assert "configuration error: --max-strands must be non-negative" in capsys.readouterr().err
+
+
+def test_a_negative_sample_count_is_a_configuration_error(capsys):
+    assert main(BASE + ["--task", "multiply", "--max-strands", "2", "--samples", "-1"]) == 2
+    assert "configuration error: --samples must be non-negative" in capsys.readouterr().err
 
 
 def test_an_integrity_error_exits_3(monkeypatch, capsys):
