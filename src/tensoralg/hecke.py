@@ -16,20 +16,24 @@ moves past a monomial, so reduce(x^e w) = reduce(x^e)·w, and the normal
 form of each monomial x^e is memoized.  For the same reason a product
 only ever rewrites a·x^e:
 
-    a·b = Σ_B c_B·(a·x^{e_B})·w_B,
+    a·b = Σ_B c_B·(a·x^{e_B})·w_B.
 
-so ``multiply`` memoizes the normal form of (x^{e_A} w_A)·x^e for each
-basis key A and exponent e (|basis|·N^d entries), and ·w_B composes
-permutations only.  Elements handed out (``one``, ``gen_x``, ``gen_s``,
-``add``, ``scale``, ``multiply``) and their coordinates (``coords``, a
-sparse ``linalg`` row) are exact over Q: each coefficient is an ``int``,
-or a ``Fraction`` where it has a real denominator (``scalars``).
-``multiply`` is the one field boundary: it clears the denominators of
-each factor, sums over ℤ against the memo, and divides once per output
-key, giving an ``int`` where the sum divides exactly and a ``Fraction``
-otherwise.  Those sums keep the zeros that cancel and drop them in the
-one pass that divides, since they are the hot loop of the module theory;
-every other sum of terms is ``linalg.add_multiple``.
+Inside a product a basis key is its index in ``basis``: (exponent
+index)·d! + (permutation index), the exponent index reading e in base N.
+``_times_idx[w]`` maps the index of x^f u to that of x^f (u w), so ·w_B
+is a table lookup.  The memo slot A·N^d + e holds (x^{e_A} w_A)·x^e as
+[(index, int)]; the x_k commute, so it is (A·x^{e-ε_k})·x_k for the
+first k with e_k > 0, summed from the slot of e - ε_k and the unit slots
+(B, ε_k).  Only the unit slots call ``multiply_raw`` and ``reduce``, at
+most |basis|·d of them.  Elements handed out (``one``, ``gen_x``,
+``gen_s``, ``add``, ``scale``, ``multiply``) and their coordinates
+(``coords``, a sparse ``linalg`` row) are exact over Q: each coefficient
+is an ``int``, or a ``Fraction`` where it has a real denominator
+(``scalars``).  ``multiply`` is the one field boundary: it clears the
+denominators of each factor, sums over ℤ in dense lists against the
+memo, and divides once per nonzero output entry, giving an ``int`` where
+the sum divides exactly and a ``Fraction`` otherwise; every other sum of
+terms is ``linalg.add_multiple``.
 
 Weight idempotents come from simultaneous generalized eigenprojections of
 the commuting x_k.  ``linalg.spectral_idempotents`` splits each x_k once:
@@ -89,14 +93,17 @@ class HeckeAlgebra:
             for _ in range(m):
                 coeffs = _poly_shift_mul(coeffs, i + 1)
         self.cyc = coeffs  # monic, degree = level
-        self._right_x: dict[tuple[HKey, tuple[int, ...]], dict[HKey, int]] = {}
         self._monomial_nf: dict[tuple[int, ...], dict[HKey, int]] = {}
         self._xk_reduction: dict[int, dict[HKey, int]] = {}
         perms = sorted(permutations(range(d)))
-        # _times[w][u] = u w: right multiplication by w on permutations
-        self._times = {w: {u: _perm_mul(u, w) for u in perms} for w in perms}
         self.basis = [(e, w) for e in product(range(self.level), repeat=d) for w in perms]
         self.index = {k: i for i, k in enumerate(self.basis)}
+        pos = {u: i for i, u in enumerate(perms)}
+        self._times_idx = {
+            w: [k + pos[_perm_mul(u, w)] for k in range(0, len(self.basis), len(perms)) for u in perms] for w in perms
+        }
+        self._units = [self.level ** (d - 1 - k) for k in range(d)]  # exponent index of x_k
+        self._right_x: dict[int, list[tuple[int, int]]] = {}
 
     # -- normal form sums --------------------------------------------------------
 
@@ -132,34 +139,53 @@ class HeckeAlgebra:
 
         Each factor is scaled to integers by the lcm of its denominators.
         b's terms are grouped by exponent e; a·x^e is summed once per group
-        over ℤ against the memo of (x^{e_A} w_A)·x^e, and ·w_B only
-        composes permutations.  Each output coefficient is divided by the
-        product of the two scales once: an ``int`` where it divides exactly,
-        otherwise a ``Fraction``."""
+        into a dense integer list from the memo slots of a's keys, and ·w_B
+        maps its indices through ``_times_idx``.  Each output coefficient is
+        divided by the product of the two scales once: an ``int`` where it
+        divides exactly, otherwise a ``Fraction``."""
         ia, da = _clear_denominators(a)
         ib, db = _clear_denominators(b)
-        groups: dict[tuple[int, ...], list[tuple[Perm, int]]] = {}
-        for (e, w), c in ib.items():
-            groups.setdefault(e, []).append((w, c))
-        memo = self._right_x
-        out: dict[HKey, int] = {}
-        get = out.get
+        index, dim = self.index, len(self.basis)
+        groups: dict[int, list[tuple[list[int], int]]] = {}
+        for B, c in ib.items():
+            groups.setdefault(index[B] // len(self._times_idx), []).append((self._times_idx[B[1]], c))
+        ia = [(index[A], c) for A, c in ia.items()]
+        out = [0] * dim
         for e, terms in groups.items():
-            ae: dict[HKey, int] = {}
-            aget = ae.get
-            for A, ca in ia.items():
-                t = memo.get((A, e))
-                if t is None:
-                    t = memo[A, e] = self.reduce(self.multiply_raw({A: 1}, {(e, _perm_id(self.d)): 1}))
-                for k, v in t.items():
-                    ae[k] = aget(k, 0) + ca * v
-            for w, cb in terms:
-                times_w = self._times[w]
-                for (f, u), v in ae.items():
-                    k = (f, times_w[u])
-                    out[k] = get(k, 0) + cb * v
+            ae = self._times_x(ia, e)
+            for times_w, cb in terms:
+                for k, v in ae:
+                    out[times_w[k]] += cb * v
         den = da * db
-        return {k: v // den if not v % den else Fraction(v, den) for k, v in out.items() if v}
+        return {self.basis[k]: v // den if not v % den else Fraction(v, den) for k, v in enumerate(out) if v}
+
+    def _times_x(self, terms: list[tuple[int, int]], e: int) -> list[tuple[int, int]]:
+        """(Σ c·B)·x^e as [(index, int)] for terms [(B, c)] over basis
+        indices and exponent index e, summed in one dense list."""
+        memo, slot, stride = self._right_x, self._right_x_slot, self.level**self.d
+        acc = [0] * len(self.basis)
+        for B, c in terms:
+            for k, v in memo.get(B * stride + e) or slot(B, e):
+                acc[k] += c * v
+        return [(k, v) for k, v in enumerate(acc) if v]
+
+    def _right_x_slot(self, A: int, e: int) -> list[tuple[int, int]]:
+        """(x^{e_A} w_A)·x^e as [(index, int)] for basis index A and exponent
+        index e, memoized in slot A·N^d + e: a unit e = ε_k is rewritten,
+        any other e is (A·x^{e-ε_k})·x_k for the first k with e_k > 0."""
+        if not e:
+            return [(A, 1)]
+        slot = A * self.level**self.d + e
+        t = self._right_x.get(slot)
+        if t is None:
+            unit = next(p for p in self._units if e >= p)
+            if e == unit:
+                x_k = {self.basis[unit * len(self._times_idx)]: 1}
+                t = [(self.index[k], v) for k, v in self.reduce(self.multiply_raw({self.basis[A]: 1}, x_k)).items()]
+            else:
+                t = self._times_x(self._right_x_slot(A, e - unit), unit)
+            self._right_x[slot] = t
+        return t
 
     def multiply_raw(self, a: dict, b: dict) -> dict:
         """Multiplication without cyclotomic reduction (exponents free):
@@ -201,7 +227,8 @@ class HeckeAlgebra:
         (normal form of x^e)·w."""
         out: dict = {}
         for (e, w), c in terms.items():
-            add_multiple(out, c, {(f, _perm_mul(u, w)): v for (f, u), v in self._reduce_monomial(e).items()})
+            times_w = self._times_idx[w]
+            add_multiple(out, c, {self.basis[times_w[self.index[k]]]: v for k, v in self._reduce_monomial(e).items()})
         return out
 
     def _reduce_monomial(self, e: tuple[int, ...]) -> dict[HKey, int]:

@@ -152,13 +152,13 @@ def add_multiple(v: dict, f, row: dict) -> dict:
     Hecke terms, polynomials, tensor vectors.  The sums of this module,
     the diagram engine, the polynomial representation, the Hecke
     rewriter, the quotient blocks and the tensor space all go through
-    it, except for three inlined copies: ``reduce_against``
-    (the hot loop of elimination, where the call cost about 20%),
-    ``LaurentPoly`` (this module imports ``laurent``) and
-    ``HeckeAlgebra.multiply`` (unpruned integer sums, a·x^e per exponent e
-    of the right factor and then their ·w images, filtered once while it
-    divides).  ``polyrep._apply_term`` walks its own operators, since it
-    is the engine's independent oracle.
+    it, except for two inlined copies, ``reduce_against`` (the hot loop
+    of elimination, where the call cost about 20%) and ``LaurentPoly``
+    (this module imports ``laurent``), and ``HeckeAlgebra.multiply`` with
+    its right x-action memo, which sum over ℤ into dense lists indexed by
+    basis position and drop zeros in one pass at the end.
+    ``polyrep._apply_term`` walks its own operators, since it is the
+    engine's independent oracle.
     """
     if f:
         for k, x in row.items():

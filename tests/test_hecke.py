@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -132,13 +133,29 @@ def _sl2_level2(dd):
 
 
 @pytest.mark.parametrize("dd,entries", [(1, 4), (2, 32), (3, 384)])
-def test_bk_check_fills_one_product_per_basis_key_and_exponent(dd, entries):
-    # the right-action memo holds (x^{e_A} w_A)·x^e for every basis key A and
-    # exponent e, |basis|·N^d entries; a pairwise table would fill |basis|²
+def test_bk_check_fills_one_product_per_basis_key_and_exponent(dd, entries, monkeypatch):
+    # the right-action memo holds (x^{e_A} w_A)·x^e in at most one slot per
+    # basis key A and exponent e, |basis|·N^d; only a unit exponent e = ε_k
+    # is rewritten, once per (A, k), and every other slot is built from
+    # those, so outside the normal forms of x_k^N multiply_raw sees at most
+    # |basis|·d products A·x_k; a pairwise table would fill |basis|²
     d, lam, H, dims = _sl2_level2(dd)
+    units = {((0,) * k + (1,) + (0,) * (dd - 1 - k), tuple(range(dd))) for k in range(dd)}
+    rewrites = []
+    multiply_raw = H.multiply_raw
+
+    def counted(a, b):
+        if sys._getframe(1).f_code.co_name not in ("_reduce_monomial", "_xk_power_reduction", "_mixed_power"):
+            rewrites.append((tuple(a.items()), tuple(b.items())))
+        return multiply_raw(a, b)
+
+    monkeypatch.setattr(H, "multiply_raw", counted)
     rep = bk_check(H, d, lam, dims)
     assert rep["ok"], rep
-    assert len(H._right_x) == len(H.basis) * H.level**dd == entries
+    assert all(len(a) == 1 and a[0][0] in H.index and a[0][1] == 1 for a, _b in rewrites)
+    assert {b for _a, b in rewrites} <= {((x, 1),) for x in units}
+    assert 0 < len(set(rewrites)) == len(rewrites) <= len(H.basis) * dd
+    assert 0 < len(H._right_x) <= len(H.basis) * H.level**dd == entries
 
 
 def test_bk_certificate_fails_on_a_doubled_idempotent(monkeypatch):
@@ -249,6 +266,7 @@ def test_x_spectra_is_the_minimal_polynomial_of_left_multiplication():
 TABLE_CASES = {
     "sl2 (2), d=3": (sl2, (2,), 3),
     "A2 (1,1), d=2": (lambda: type_a(2), (1, 1), 2),
+    "sl2 (3), d=2": (sl2, (3,), 2),
 }
 _TABLE_ALGEBRAS: dict = {}
 
@@ -339,4 +357,4 @@ def test_multiply_matches_the_reference_rewriting(name, data):
     assert all(v and (type(v) is int or (type(v) is Fraction and v.denominator > 1)) for v in ab.values())
     assert ab == _reference_reduce(H, H.multiply_raw(a, b), _reference_xk_power(H))
     assert H.multiply(ab, c) == H.multiply(a, H.multiply(b, c))
-    assert all(type(v) is int for terms in H._right_x.values() for v in terms.values())
+    assert H._right_x and all(type(v) is int for terms in H._right_x.values() for _k, v in terms)

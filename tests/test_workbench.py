@@ -16,6 +16,7 @@ from tensoralg.workbench import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 CRYSTAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "crystal"
+HECKE_GOLDEN = Path(__file__).resolve().parent / "golden" / "hecke"
 
 BASE = ["--datum", "sl2", "--lambda", "1;1"]
 
@@ -217,6 +218,21 @@ def test_crystal_output_matches_its_golden_byte_for_byte(capsys, golden, datum, 
     )
     assert code == 0
     assert out == (CRYSTAL_GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, datum, lam, strands",
+    [
+        ("a2_11_3", "a2", "1,1", "3"),
+        ("sl2_3_2", "sl2", "3", "2"),
+    ],
+)
+def test_hecke_check_output_matches_its_golden_byte_for_byte(capsys, golden, datum, lam, strands):
+    """The hecke-check task's stdout (relations, block dimensions and
+    algebra dimensions per d) equals a recorded run, byte for byte."""
+    code, out = run_main(["--datum", datum, "--lambda", lam, "--task", "hecke-check", "--max-strands", strands], capsys)
+    assert code == 0
+    assert out == (HECKE_GOLDEN / f"{golden}.json").read_text()
 
 
 def test_config_errors(capsys):
