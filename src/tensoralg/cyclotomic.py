@@ -102,6 +102,7 @@ on.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Sequence
 
 from .cartan import CartanDatum, QMatrix, RootVector, Weight
@@ -543,12 +544,10 @@ class BlockComputer:
         each with its top idempotent and degree."""
         I, kappa = idem_key(*key)
         bottom = (I, kappa)
-        blocks = self.space.letter_blocks(kappa, len(I))
         zero_dots = (0,) * len(I)
         out = []
-        for assign, top, _deg in self.space.phi_set(I, kappa):
-            if list(assign) == blocks:
-                continue
+        # the first φ is the identity, which is not a generator
+        for assign, top, _deg in islice(self.space.phi_set(I, kappa), 1, None):
             # black t goes to its place, by (block, t), among the top blacks
             order = sorted(range(len(I)), key=lambda t: (assign[t], t))
             black_to = [0] * len(I)

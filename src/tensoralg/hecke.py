@@ -26,10 +26,9 @@ is a table lookup.  The memo slot A·N^d + e holds (x^{e_A} w_A)·x^e as
 first k with e_k > 0, summed from the slot of e - ε_k and the unit slots
 (B, ε_k).  Only the unit slots call ``multiply_raw`` and ``reduce``, at
 most |basis|·d of them.  Elements handed out (``one``, ``gen_x``,
-``gen_s``, ``add``, ``scale``, ``multiply``) and their coordinates
-(``coords``, a sparse ``linalg`` row) are exact over Q: each coefficient
-is an ``int``, or a ``Fraction`` where it has a real denominator
-(``scalars``).  ``multiply`` is the one field boundary: it clears the
+``gen_s``, ``multiply``) and their coordinates (``coords``, a sparse
+``linalg`` row) are exact over Q: each coefficient is an ``int``, or a
+``Fraction`` where it has a real denominator (``scalars``).  ``multiply`` is the one field boundary: it clears the
 denominators of each factor, sums over ℤ in dense lists against the
 memo, and divides once per nonzero output entry, giving an ``int`` where
 the sum divides exactly and a ``Fraction`` otherwise; every other sum of
@@ -43,7 +42,8 @@ integer combination of those powers divided by one integer, so no
 product is formed to build a projector.  e(I) is then
 refined one prefix at a time.  The bridge certificate checks
 the images of the dot relations plus ungraded block-dimension equality
-against the diagram side.
+against the diagram side; a block dimension dim e(I) H e(J) is the trace
+of the idempotent a ↦ e(I)·a·e(J) of H, so it takes no row reduction.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .cartan import CartanDatum, Weight
-from .linalg import IncrementalRREF, add_multiple, rank, spectral_idempotents
-from .scalars import QQ
+from .linalg import add_multiple, rank, spectral_idempotents
+from .scalars import QQ, exact
 
 Perm = tuple[int, ...]  # one-line: w[i] = image of i (0-based)
 HKey = tuple[tuple[int, ...], Perm]  # (exponents, permutation)
@@ -107,9 +107,6 @@ class HeckeAlgebra:
 
     # -- normal form sums --------------------------------------------------------
 
-    def zero(self) -> dict[HKey, int]:
-        return {}
-
     def one(self) -> dict[HKey, int]:
         return {((0,) * self.d, _perm_id(self.d)): 1}
 
@@ -120,16 +117,6 @@ class HeckeAlgebra:
 
     def gen_s(self, i: int) -> dict[HKey, int]:
         return {((0,) * self.d, _s(self.d, i)): 1}
-
-    @staticmethod
-    def add(a: dict, b: dict) -> dict:
-        return add_multiple(dict(a), 1, b)
-
-    @staticmethod
-    def scale(a: dict, c) -> dict:
-        if not c:
-            return {}
-        return {k: c * v for k, v in a.items()}
 
     # -- multiplication ----------------------------------------------------------------
 
@@ -380,15 +367,20 @@ def weight_idempotents(H: HeckeAlgebra) -> dict[tuple[int, ...], dict]:
 
 
 def block_dimension(H: HeckeAlgebra, eI: dict, eJ: dict) -> int:
-    """dim e(I) H e(J) by exact rank.  The rows e(I)·b over the basis keys
-    b span e(I)H, so e(I)H e(J) is spanned by r·e(J) for the rows r that
-    add rank to that span; only those are multiplied by e(J)."""
-    span, rows = IncrementalRREF(QQ), []
-    for bk in H.basis:
-        el = H.multiply(eI, {bk: 1})
-        if span.add(H.coords(el)):
-            rows.append(H.coords(H.multiply(el, eJ)))
-    return rank(rows, QQ)
+    """dim e(I) H e(J) as the trace of P(a) = e(I)·a·e(J) on H, that is
+    Σ_{b,k} (e(I)·b)_k · (k·e(J))_b over the basis keys b and k.
+
+    e(I) and e(J) are idempotent (``bk_check`` checks it in the same
+    report), so P is, and over Q the trace of an idempotent is its rank.
+    The sum is exact rational arithmetic, so it is that integer, returned
+    as an ``int`` by ``scalars.exact``.
+    """
+    right = [H.coords(H.multiply({k: 1}, eJ)) for k in H.basis]
+    total = 0
+    for b, bk in enumerate(H.basis):
+        for k, c in H.coords(H.multiply(eI, {bk: 1})).items():
+            total += c * right[k].get(b, 0)
+    return exact(total)
 
 
 def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> dict:
@@ -408,9 +400,9 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
     gamma_seqs = [seq for seq in idems if all(1 <= v <= n for v in seq)]
     xs = [H.gen_x(j) for j in range(H.d)]
     # orthogonal idempotents summing to the component identity
-    total = H.zero()
+    total = {}
     for seq, e in idems.items():
-        total = H.add(total, e)
+        add_multiple(total, 1, e)
         ee = H.multiply(e, e)
         if ee != e:
             report["relations"][f"e{seq} idempotent"] = False
@@ -419,7 +411,7 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         e = idems[seq]
         # cyclotomic relation: (x_1 - i_1)^{λ^{i_1}} e(I) = 0
         i1 = seq[0] - 1
-        f = H.add(xs[0], H.scale(H.one(), -seq[0]))
+        f = add_multiple(dict(xs[0]), -seq[0], H.one())
         p = e
         for _ in range(lam.coords[i1]):
             p = H.multiply(p, f)
@@ -429,8 +421,8 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         ex = [H.multiply(e, x) for x in xs]
         # nilpotency of every dot image
         for j in range(H.d):
-            g = H.add(xs[j], H.scale(H.one(), -seq[j]))
-            nil = H.add(ex[j], H.scale(e, -seq[j]))  # e(I)·g
+            g = add_multiple(dict(xs[j]), -seq[j], H.one())
+            nil = add_multiple(dict(ex[j]), -seq[j], e)  # e(I)·g
             steps = 0
             while nil and steps <= H.dim():
                 nil = H.multiply(nil, g)
@@ -440,7 +432,7 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         for j in range(H.d):
             for k in range(j + 1, H.d):
                 gj, gk = ex[j], ex[k]
-                comm = H.add(H.multiply(gj, gk), H.scale(H.multiply(gk, gj), -1))
+                comm = add_multiple(H.multiply(gj, gk), -1, H.multiply(gk, gj))
                 if comm:
                     report["relations"][f"dots commute on e{seq}"] = False
     # block dimension match
@@ -448,8 +440,8 @@ def bk_check(H: HeckeAlgebra, datum: CartanDatum, lam: Weight, diagram_dims) -> 
         want = diagram_dims[(I, J)]
         seqI = tuple(i + 1 for i in I)
         seqJ = tuple(j + 1 for j in J)
-        eI = idems.get(seqI, H.zero())
-        eJ = idems.get(seqJ, H.zero())
+        eI = idems.get(seqI, {})
+        eJ = idems.get(seqJ, {})
         got = block_dimension(H, eI, eJ) if eI and eJ else 0
         report["dims"][f"{seqI}|{seqJ}"] = {"hecke": got, "diagram": want, "match": got == want}
     report["ok"] = all(report["relations"].values()) and all(v["match"] for v in report["dims"].values())

@@ -13,8 +13,9 @@ f̃_i is read off the socles of restrictions (``crystal_f``).
 
 A socle is identified by the primitive idempotents f_S of A/rad that
 ``simples`` split the simples off with.  On a module M that rad kills,
-f_S kills every other simple and S·f_S is one-dimensional, so rank M·f_S
-is the multiplicity of S in M (``identify_simple``).
+m ↦ m·f_S is idempotent, it kills every other simple and S·f_S is
+one-dimensional, so its trace on M is the multiplicity of S in M
+(``identify_simple``).
 
 Vectors and matrix rows are sparse ``{index: value}`` dicts, the row
 type of ``linalg``: over Q a value is an ``int``, or a ``Fraction`` where
@@ -37,7 +38,6 @@ from .laurent import LaurentPoly
 from .linalg import (
     add_multiple,
     nullspace,
-    rank,
     reduce_against,
     row_reduce,
     spectral_idempotents,
@@ -357,16 +357,18 @@ def identify_simple(M: FinDimModule, simples_list):
 
     M is a module that rad(A) kills (a socle), so the lift
     f_S = ``S.idem`` acts on it as the primitive idempotent of A/rad that
-    split S off: it kills every other simple, and S·f_S = f_S·(A/rad)·f_S
-    is one-dimensional.  The rank m_S of M·f_S is therefore exactly the
-    multiplicity of S.  Exactly one m_S must be positive, with
-    m_S·dim S = dim M; otherwise ``IntegrityError``.
+    split S off (f_S² − f_S lies in rad): m ↦ m·f_S is idempotent on M,
+    it kills every other simple, and S·f_S = f_S·(A/rad)·f_S is
+    one-dimensional.  Over Q the rank of an idempotent is its trace, so
+    m_S = Σ_r (e_r·f_S)_r is exactly the multiplicity of S.  Exactly one
+    m_S must be nonzero, with m_S·dim S = dim M; otherwise
+    ``IntegrityError``.
     """
     if M.dim == 0:
         return None
     found = []
     for S in simples_list:
-        m = rank([M.act_vec({r: 1}, S.idem) for r in range(M.dim)], QQ)
+        m = sum(M.act_vec({r: 1}, S.idem).get(r, 0) for r in range(M.dim))
         if m:
             found.append((S, m))
     if len(found) == 1:

@@ -43,9 +43,6 @@ class LabeledPoly:
             return False
         return not self.poly or self.idem == other.idem
 
-    def is_zero(self):
-        return not self.poly
-
     def __repr__(self):
         return f"LabeledPoly({self.idem}, {self.poly})"
 

@@ -19,7 +19,7 @@ family.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Iterator, Sequence
 
 from .cartan import CartanDatum, RootVector, Weight
@@ -341,8 +341,9 @@ class TensorSpace:
         """Left-moving block assignments φ with their top idempotent and degree.
 
         Yields ``(assignment, (I_φ, κ_φ), deg x_φ)``; the identity assignment
-        comes first.  deg x_φ adds <α_i, λ_j> for each red line crossed and
-        -<α_i, α_i'> for each black/black inversion.
+        comes first (``s_in_v`` and ``x_phi_elements`` skip it by place).
+        deg x_φ adds <α_i, λ_j> for each red line crossed and -<α_i, α_i'>
+        for each black/black inversion.
         """
         I = tuple(I)
         n = len(I)
@@ -393,9 +394,8 @@ class TensorSpace:
         if key in memo:
             return memo[key]
         out: dict[VKey, LaurentPoly] = {key: ONE}
-        for assign, idem, deg in self.phi_set(*key):
-            if all(c == b for c, b in zip(assign, self.letter_blocks(key[1], len(key[0])))):
-                continue
+        # the first φ is the identity, the term s^κ_I itself
+        for _assign, idem, deg in islice(self.phi_set(*key), 1, None):
             add_multiple(out, LaurentPoly.q_power(-deg, -1), self.s_in_v(*idem))
         memo[key] = out
         return out
@@ -475,9 +475,6 @@ class GradedHomTable:
 
     def set(self, row: VKey, col: VKey, val: LaurentPoly):
         self.entries[(row, col)] = val
-
-    def get(self, row: VKey, col: VKey) -> LaurentPoly:
-        return self.entries.get((row, col), ZERO)
 
     def total_at_1(self) -> int:
         return sum(v.eval_at_1() for v in self.entries.values())

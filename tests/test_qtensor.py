@@ -193,6 +193,24 @@ def test_e_expand_matches_apply_e():
                 assert direct.terms == expanded.terms, (key, i)
 
 
+def test_phi_set_yields_the_identity_assignment_first():
+    # s_in_v and x_phi_elements skip the first φ as the identity
+    checked = 0
+    for datum, lams, contents in [
+        (sl2(), ((1,), (2,)), [(1,), (2,), (3,)]),
+        (type_a(2), ((1, 0), (0, 1)), [(1, 1), (2, 1)]),
+        (b2(), ((1, 0), (0, 1)), [(1, 1), (1, 2)]),
+    ]:
+        sp = TensorSpace(datum, tuple(datum.weight(l) for l in lams))
+        for content in contents:
+            for I, kappa in sp.spanning_keys(datum.root(content)):
+                first, (I_phi, k_phi), deg = next(sp.phi_set(I, kappa))
+                assert list(first) == sp.letter_blocks(kappa, len(I))
+                assert (I_phi, k_phi, deg) == (I, kappa, 0)
+                checked += 1
+    assert checked >= 30
+
+
 def test_isometry_under_appending_highest_factor():
     d = sl2()
     sp2 = TensorSpace(d, (d.weight((1,)), d.weight((2,))))

@@ -225,6 +225,7 @@ def test_crystal_output_matches_its_golden_byte_for_byte(capsys, golden, datum, 
     [
         ("a2_11_3", "a2", "1,1", "3"),
         ("sl2_3_2", "sl2", "3", "2"),
+        ("sl2_3_3", "sl2", "3", "3"),
     ],
 )
 def test_hecke_check_output_matches_its_golden_byte_for_byte(capsys, golden, datum, lam, strands):
