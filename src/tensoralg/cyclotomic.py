@@ -40,11 +40,14 @@ coordinate of the label of red j:
   "run" otherwise.
 The last rule acts on the last red only, since the prefix cut hands every
 earlier red, with the run up to the next red, to the prefix.
-``BlockComputer._vanishes`` proves e(x) ∈ K by ``_proven`` or by one of
-two rules that look at products:
+``BlockComputer._in_K`` decides e(x) ∈ K exactly, once per x: by
+``_proven``, or by one of two rules that look at products:
 (a) x ends in a black strand and e(x′) ∈ K for its prefix
 x′ = (I[:-1], κ), by the algebra map of the prefix cut;
-(b) K fills the degree-0 diagonal (x T~ x)_0, which holds e(x).
+(b) K fills the degree-0 diagonal (x T~ x)_0.  That space holds e(x), and
+K is a two-sided ideal, so (b) holds exactly when e(x) ∈ K.
+The kernels, the window check and the structure constants all ask
+``_in_K``, so they give one answer for each idempotent.
 
 The red bigon with λ_j^i = 0 is also an isomorphism.  Let x′ be x with a
 black strand of label i moved across an adjacent red j with λ_j^i = 0, and
@@ -110,7 +113,6 @@ from .diagrams import (
     DiagramAlgebra,
     Element,
     IdemKey,
-    basis_dim,
     basis_enumerate,
     idem_key,
     slot_perm,
@@ -156,7 +158,7 @@ class BlockComputer:
         self.max_strands = max_strands
         self._tilde_cache: dict = {}  # (bottom, top, d) -> see _tilde_entry
         self._kernel_cache: dict = {}
-        self._vanish_cache: dict = {}  # (x, n) -> _vanishes(x, n)
+        self._member_cache: dict = {}  # x -> _in_K(x)
         self._proof_cache: dict = {}  # x -> _proven(x)
         self._bounds_cache: dict = {}  # x -> _dot_bounds(x)
         self._mids_cache: dict = {}  # content coords -> _violating_mids
@@ -165,7 +167,7 @@ class BlockComputer:
     # -- idempotent universes -------------------------------------------------
 
     def idems(self, alpha: RootVector) -> list[IdemKey]:
-        """All nonzero idempotents of the α block (κ(1) = 0)."""
+        """All non-violating idempotents of the α block (κ(1) = 0)."""
         if len(alpha.letters()) > self.max_strands:
             raise ValueError("block exceeds the configured strand bound")
         return self.space.spanning_keys(alpha)
@@ -217,21 +219,13 @@ class BlockComputer:
         """Row-reduced basis of K ∩ (bottom T~ top)_d, as (rows, pivot_rows):
         the sparse rows in pivot order and the pivot → row map.
 
-        When e(bottom) ∈ K or e(top) ∈ K, every diagram D of the
-        component is e(bottom)·D = D·e(top) ∈ K, so the kernel is the whole
-        component, its unit rows, and no product is formed.  With
-        n = dim (bottom T~ top)_d, ``_vanishes(x, n)`` proves e(x) ∈ K by
-        ``_proven(x)`` (the rules of the module docstring, which read x
-        alone) or by one of two rules:
-        (a) x ends in a black strand and e(x′) ∈ K for x′ = (I[:-1], κ):
-            adding a black strand on the right is an algebra map T~ -> T~
-            that keeps a violating idempotent violating, so it maps K into
-            K and e(x′) to e(x);
-        (b) n0 = dim (x T~ x)_0 ≤ n and K fills (x T~ x)_0, which holds
-            e(x); that diagonal is assembled by products.
-        A degree-0 diagonal (x, x, 0) is filled only by ``_proven(x)``
-        and is otherwise assembled by products, which ends the recursion
-        of (b).
+        When ``_in_K`` holds for the bottom or the top, every diagram D of
+        the component is e(bottom)·D = D·e(top) ∈ K, so the kernel is the
+        whole component, its unit rows, and no product is formed; so is an
+        empty component.  A degree-0 diagonal (x, x, 0), which rule (b)
+        of ``_in_K`` reads, is filled that way only when ``_proven(x)``
+        holds, which forms no product, and is otherwise assembled by
+        products; that ends the recursion.
 
         Otherwise the dot bounds of ``top`` come first: a basis diagram
         e·ψ_w·y^a with a_k ≥ N_k (``_dot_bounds``) is D·y_k^{N_k}·e(top)
@@ -246,15 +240,13 @@ class BlockComputer:
         inc = self._kernel_cache.get(key)
         if inc is None:
             basis = self.tilde_basis(bottom, top, d)
-            n = len(basis)
             if bottom == top and not d:
+                # rule (b) of ``_in_K`` reads this diagonal
                 filled = self._proven(bottom)
             else:
-                filled = n and (self._vanishes(bottom, n) or self._vanishes(top, n))
+                filled = not basis or self._in_K(bottom) or self._in_K(top)
             if filled:
-                inc = IncrementalRREF.units(self.field, range(n))
-            elif not n:
-                inc = IncrementalRREF(self.field)
+                inc = IncrementalRREF.units(self.field, range(len(basis)))
             else:
                 bounds = [(k, b) for k, b in enumerate(self._dot_bounds(top)) if b is not None]
                 seeds = [i for i, (_, _, a) in enumerate(basis) if any(a[k] >= b for k, b in bounds)] if bounds else []
@@ -264,26 +256,29 @@ class BlockComputer:
             self._kernel_cache[key] = inc
         return inc.rows, inc.pivot_rows
 
-    def _vanishes(self, x: IdemKey, n: int) -> bool:
-        """Whether ``_proven`` or rule (a) or (b) of ``kernel_space``
-        proves e(x) ∈ K, assembling only degree-0 diagonals of at most n
-        basis diagrams (n0 is counted, so a larger diagonal is never
-        listed).  The answer depends on (x, n) alone, never on what is
-        cached, so which components are assembled by products, and so
-        every product count, does not depend on the order of requests;
-        that also makes it safe to memoize per (x, n)."""
-        key = (x, n)
-        hit = self._vanish_cache.get(key)
+    def _in_K(self, x: IdemKey) -> bool:
+        """Whether e(x) ∈ K, decided exactly and memoized per x, by the
+        first rule that holds:
+        - ``_proven(x)`` (the rules of the module docstring, which read x
+          alone);
+        - (a) x ends in a black strand and e(x′) ∈ K for its prefix
+          x′ = (I[:-1], κ): adding a black strand on the right is an
+          algebra map T~ -> T~ that keeps a violating idempotent
+          violating, so it maps K into K and e(x′) to e(x);
+        - (b) K fills the degree-0 diagonal (x T~ x)_0, assembled by
+          products; it holds e(x), so (b) holds exactly when e(x) ∈ K.
+        The answer is the truth over the field, whatever was asked or
+        cached before, so which components are assembled by products, and
+        every product count, does not depend on the order of requests."""
+        hit = self._member_cache.get(x)
         if hit is None:
             I, kappa = x
-            if self._proven(x):
-                hit = True
-            elif I and max(kappa, default=0) < len(I) and self._vanishes((I[:-1], kappa), n):
-                hit = True
-            else:
-                n0 = basis_dim(self.alg, x, x, 0)
-                hit = n0 <= n and len(self.kernel_space(x, x, 0)[1]) == n0
-            self._vanish_cache[key] = hit
+            hit = bool(
+                self._proven(x)
+                or (I and max(kappa, default=0) < len(I) and self._in_K((I[:-1], kappa)))
+                or len(self.kernel_space(x, x, 0)[1]) == len(self.tilde_basis(x, x, 0))
+            )
+            self._member_cache[x] = hit
         return hit
 
     def _proven(self, x: IdemKey) -> str | None:
@@ -486,12 +481,12 @@ class BlockComputer:
     def certified_through(self, row: VKey, col: VKey, entry: LaurentPoly) -> float:
         """The degree through which ``entry = graded_hom(row, col)`` is a
         checked dimension of the quotient: every degree (``math.inf``) when
-        the component is empty or the ``_free_rep`` of an end is proven,
-        and otherwise the last degree of ``checked_window``, below which
-        the component is empty.  The entry equals its prediction, so the
-        window is read off the entry itself."""
+        the component is empty or the ``_free_rep`` of an end lies in K
+        (``_in_K``), and otherwise the last degree of ``checked_window``,
+        below which the component is empty.  The entry equals its
+        prediction, so the window is read off the entry itself."""
         bottom, top = self._free_rep(idem_key(*row)), self._free_rep(idem_key(*col))
-        window = None if self._proven(bottom) or self._proven(top) else self.checked_window(bottom, top, entry)
+        window = None if self._in_K(bottom) or self._in_K(top) else self.checked_window(bottom, top, entry)
         return math.inf if window is None else window.stop - 1
 
     def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> LaurentPoly:
@@ -500,11 +495,11 @@ class BlockComputer:
         every degree of ``checked_window``; ``what`` names the component
         in the ``IntegrityError`` a mismatch raises.  A coefficient of
         ``pred`` below the window, where the component is empty, is a
-        mismatch too.  When ``_proven`` proves the bottom or the top
+        mismatch too.  When ``_in_K`` holds for the bottom or the top
         idempotent, the component lies in K, so its quotient by K, or by
         K + L ⊇ K, is zero in every degree: ``pred`` must be zero, and no
         basis, geometry or kernel is built."""
-        if self._proven(bottom) or self._proven(top):
+        if self._in_K(bottom) or self._in_K(top):
             # the component lies in K, so its quotient is zero in every degree
             window = range(0)
         else:

@@ -24,8 +24,7 @@ canonical word of each permutation, the top idempotent of each
 Basis enumeration reads two more memos, one per Hom component and one
 per dot budget, so each degree of a component is listed as runs by word
 without walking its permutations again (``DiagramAlgebra.runs`` over
-``component`` and ``dot_vectors``): ``basis_enumerate`` flattens the
-runs, and ``basis_dim`` counts their diagrams without listing them.
+``component`` and ``dot_vectors``), which ``basis_enumerate`` flattens.
 
 A combination of basis diagrams times one crossing is the sum of its
 terms' products (``DiagramAlgebra.acc_times_s``, beside ``_acc_dot`` for a
@@ -794,12 +793,6 @@ def basis_enumerate(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, d: int):
     order: by connecting permutation, then by dot vector in lexicographic
     order (``DiagramAlgebra.runs`` flattened)."""
     return [(bottom, w, dots) for w, vectors in alg.runs(bottom, top, d) for dots in vectors]
-
-
-def basis_dim(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, d: int) -> int:
-    """The number of basis diagrams of degree d in the Hom component,
-    counted from its runs without listing them."""
-    return sum(len(vectors) for _, vectors in alg.runs(bottom, top, d))
 
 
 def _dot_vectors(weights: tuple[int, ...], total: int) -> list[tuple[int, ...]]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tensoralg.cartan import default_q_matrix, sl2, type_a
+from tensoralg.cartan import a1_x_a1, b2, default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import (
     BlockComputer,
     IntegrityError,
@@ -377,12 +377,12 @@ def _a2_w1_w2():
 def test_kernel_assembly_order_is_pinned(monkeypatch):
     """Products formed and rows offered while filling every entry of the
     A2 (ω1, ω2) contents (1,1) and (2,1) on a fresh computer: the kernel
-    assembler fills a component whose bottom or top idempotent provably
-    vanishes without a product, puts the basis diagrams past a dot bound
+    assembler fills a component whose bottom or top idempotent lies in K
+    (``_in_K``) without a product, puts the basis diagrams past a dot bound
     in as unit rows without offering them, forms one crossing product per
     left factor and run by word elsewhere, offers its rows in a fixed
-    order and stops at saturation.  An entry with a proven end forms no
-    product at all, and the others read the kernels of their
+    order and stops at saturation.  An entry with an end in K forms no
+    product of its own, and the others read the kernels of their
     ``_free_rep`` representatives, assembled through one violating
     idempotent per class."""
     d, comp = _a2_w1_w2()
@@ -392,7 +392,7 @@ def test_kernel_assembly_order_is_pinned(monkeypatch):
         for a in keys:
             for b in keys:
                 comp.graded_hom(a, b)
-    assert seen == {"products": 154, "zero": 26, "offered": 162, "independent": 46}
+    assert seen == {"products": 152, "zero": 26, "offered": 160, "independent": 44}
 
 
 def test_assembly_counts_do_not_depend_on_the_entry_order(monkeypatch):
@@ -442,9 +442,9 @@ def _pairwise_saturate(comp, inc, bottom, top, d, lefts):
 
 def _certificate_off(monkeypatch, comp):
     """Make ``comp`` assemble every kernel component by products alone:
-    no vanishing end, no dot bound, no entry zeroed by a proven end, each
-    entry on its own idempotents and every violating idempotent a mid."""
-    monkeypatch.setattr(comp, "_vanishes", lambda x, n: False)
+    no end in K (so no entry zeroed by one), no dot bound, each entry on
+    its own idempotents and every violating idempotent a mid."""
+    monkeypatch.setattr(comp, "_in_K", lambda x: False)
     monkeypatch.setattr(comp, "_proven", lambda x: None)
     monkeypatch.setattr(comp, "_dot_bounds", lambda x: (None,) * len(x[0]))
     monkeypatch.setattr(comp, "_free_rep", lambda x: x)
@@ -546,7 +546,7 @@ def _ends_black(x):
     return bool(I) and kappa[-1] < len(I)
 
 
-# more contents per case for the test below: rule (a) of ``_vanishes``
+# more contents per case for the test below: rule (a) of ``_in_K``
 # proves e((0, 1, 0, 0), (0, 2)) of A2 (ω1, ω2) from its prefix
 # e((0, 1, 0), (0, 2)), which rule (b) proves and ``_proven`` does not
 VANISHING_CONTENTS = {"A2 (w1,w2)": [(1, 2), (3, 1)]}
@@ -556,8 +556,8 @@ def test_vanishing_idempotents_keep_every_space(monkeypatch):
     """On every component of the ``PAIRWISE_CASES`` blocks, over the graded
     Hom window, the kernel and the standard-module space equal those of a
     computer that assembles every kernel by products; ``_proven``, rules
-    (a) and (b) of ``_vanishes`` and the dot bounds each fill or seed
-    some component."""
+    (a) and (b) of ``_in_K`` and the dot bounds each fill or seed some
+    component."""
     fired: Counter = Counter()
     for case in sorted(PAIRWISE_CASES):
         d, comp, contents = _case_computer(case)
@@ -565,13 +565,13 @@ def test_vanishing_idempotents_keep_every_space(monkeypatch):
         _certificate_off(monkeypatch, ref)
         contents = contents + VANISHING_CONTENTS.get(case, [])
         proven: dict = {}
-        vanishes = comp._vanishes
+        in_K = comp._in_K
 
-        def logged(x, n):
-            proven[x, n] = vanishes(x, n)
-            return proven[x, n]
+        def logged(x):
+            proven[x] = in_K(x)
+            return proven[x]
 
-        monkeypatch.setattr(comp, "_vanishes", logged)
+        monkeypatch.setattr(comp, "_in_K", logged)
         for coords in contents:
             keys = comp.idems(d.root(coords))
             for key in keys:
@@ -582,8 +582,7 @@ def test_vanishing_idempotents_keep_every_space(monkeypatch):
                         assert got == ref.kernel_space(bottom, top, deg), (case, key, col, deg)
                         got = comp.standard_space(key, col, deg)
                         assert got == ref.standard_space(key, col, deg), (case, key, col, deg)
-                        n = len(comp.tilde_basis(bottom, top, deg))
-                        if proven.get((bottom, n)) or proven.get((top, n)):
+                        if proven.get(bottom) or proven.get(top):
                             continue
                         bounds = comp._dot_bounds(top)
                         fired["dot bound"] += any(
@@ -591,10 +590,10 @@ def test_vanishing_idempotents_keep_every_space(monkeypatch):
                             for _, _, a in comp.tilde_basis(bottom, top, deg)
                             for k, b in enumerate(bounds)
                         )
-        for (x, n), ok in proven.items():
+        for x, ok in proven.items():
             if ok and comp._proven(x):
                 fired["proven"] += 1
-            elif ok and _ends_black(x) and proven.get(((x[0][:-1], x[1]), n)):
+            elif ok and _ends_black(x) and proven.get((x[0][:-1], x[1])):
                 fired["rule (a)"] += 1
             elif ok:
                 fired["rule (b)"] += 1
@@ -620,6 +619,39 @@ def test_a_vanishing_prefix_kills_the_idempotent(monkeypatch):
                     premises += 1
                     assert full((I, kappa)), (case, I, kappa)
     assert premises >= 5
+
+
+# name: (datum, red labels) of the exactness test below
+MEMBERSHIP_CASES = {
+    "sl2 (w,2w)": (sl2, ((1,), (2,))),
+    "sl2 (3w)": (sl2, ((3,),)),
+    "sl2 (w,w)": (sl2, ((1,), (1,))),
+    "A2 (w1,w2)": (lambda: type_a(2), ((1, 0), (0, 1))),
+    "A2 (w1)": (lambda: type_a(2), ((1, 0),)),
+    "B2 (w1,w2)": (b2, ((1, 0), (0, 1))),
+    "a1xa1 (w1+w2,w1)": (a1_x_a1, ((1, 1), (1, 0))),
+}
+
+
+def test_membership_is_decided_exactly(monkeypatch):
+    """``_in_K(x)`` is the truth: for every idempotent x of at most three
+    strands of the ``MEMBERSHIP_CASES`` data, over Q and GF(2), it holds
+    exactly when the kernel of a computer that assembles every kernel by
+    products fills (x T~ x)_0.  Proven ends, ends in K by rule (a) or (b)
+    only, and ends not in K each occur."""
+    seen: Counter = Counter()
+    for case, (datum_f, lams) in sorted(MEMBERSHIP_CASES.items()):
+        d = datum_f()
+        weights = tuple(d.weight(l) for l in lams)
+        for field in (QQ, PrimeField(2)):
+            comp, ref = (BlockComputer(d, default_q_matrix(d), weights, field) for _ in range(2))
+            _certificate_off(monkeypatch, ref)
+            for alpha in block_contents(d, 3):
+                for x in comp.idems(alpha):
+                    want = len(ref.kernel_space(x, x, 0)[1]) == len(ref.tilde_basis(x, x, 0))
+                    assert comp._in_K(x) == want, (case, field, x)
+                    seen["proven" if comp._proven(x) else "rule (a) or (b)" if want else "not in K"] += 1
+    assert min(seen[outcome] for outcome in ("proven", "rule (a) or (b)", "not in K")) >= 1
 
 
 # more red labels for the soundness test below: the cyclotomic nilHecke
@@ -845,11 +877,11 @@ def _pairwise_mult(block):
 
 def _certified_zero(comp, row, col, deg):
     """Whether the quotient (row T~ col)_deg is zero by a check that
-    ``graded_hom`` made: a proven end of the representatives, or a degree of
+    ``graded_hom`` made: an end of the representatives in K, or a degree of
     its window where the entry is 0, or a degree below it, where the
     component is empty."""
     bottom, top = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
-    if comp._proven(bottom) or comp._proven(top):
+    if comp._in_K(bottom) or comp._in_K(top):
         return True
     window = _hom_window(comp, row, col)
     return (not window or deg < window.stop) and not comp.graded_hom(row, col).coeff(deg)

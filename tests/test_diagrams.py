@@ -12,7 +12,6 @@ from tensoralg.diagrams import (
     Element,
     RedCrossingError,
     WordError,
-    basis_dim,
     basis_enumerate,
     canonical_word,
     connecting_perms,
@@ -805,7 +804,6 @@ def test_basis_enumerate_keeps_the_basis_order(case):
     want = _reference_enumerate(comp.alg, bottom, top, d)
     assert basis_enumerate(comp.alg, bottom, top, d) == want
     assert comp.tilde_basis(bottom, top, d) == want
-    assert basis_dim(comp.alg, bottom, top, d) == len(want)
     runs = comp.alg.runs(bottom, top, d)
     assert [(bottom, w, a) for w, vectors in runs for a in vectors] == want
     assert all(vectors for _, vectors in runs) and len({w for w, _ in runs}) == len(runs)

@@ -17,6 +17,7 @@ from tensoralg.workbench import main
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 CRYSTAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "crystal"
 HECKE_GOLDEN = Path(__file__).resolve().parent / "golden" / "hecke"
+TABLE_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BASE = ["--datum", "sl2", "--lambda", "1;1"]
 
@@ -234,6 +235,24 @@ def test_hecke_check_output_matches_its_golden_byte_for_byte(capsys, golden, dat
     code, out = run_main(["--datum", datum, "--lambda", lam, "--task", "hecke-check", "--max-strands", strands], capsys)
     assert code == 0
     assert out == (HECKE_GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        (
+            "dims/a1xa1_11_10_4.csv",
+            ["--datum", "a1xa1", "--lambda", "1,1;1,0", "--task", "dims", "--max-strands", "4", "--format", "csv"],
+        ),
+        ("standard/a2_10_01_3.json", ["--datum", "a2", "--lambda", "1,0;0,1", "--task", "standard", "--max-strands", "3"]),
+    ],
+)
+def test_table_output_matches_its_golden_byte_for_byte(capsys, golden, args):
+    """The dims and standard tasks' stdout (every graded Hom entry, and
+    every standard-module column) equals a recorded run, byte for byte."""
+    code, out = run_main(args, capsys)
+    assert code == 0
+    assert out == (TABLE_GOLDEN / golden).read_text()
 
 
 def test_config_errors(capsys):
