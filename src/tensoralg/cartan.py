@@ -258,6 +258,15 @@ class QMatrix:
                 if pij.get((-d.cartan[j][i], 0), 0) == 0:
                     raise CartanDataError(f"t_{i}{j} (coefficient of u^{-d.cartan[j][i]}) is zero")
 
+    def require_units_mod(self, p: int):
+        """Raise unless every t_ij is nonzero mod the prime p: over GF(p) the
+        basis theorem needs each t_ij to be a unit of GF(p), as over Q."""
+        c = self.datum.cartan
+        for (i, j), poly in self.entries.items():
+            t = poly[(-c[j][i], 0)]
+            if t % p == 0:
+                raise CartanDataError(f"t_{i}{j} = {t} (coefficient of u^{-c[j][i]} in Q[{i},{j}]) is zero in GF({p})")
+
     def entry(self, i: int, j: int) -> dict[tuple[int, int], int]:
         """Monomial map of Q_ij; empty for i == j."""
         if i == j:
@@ -285,17 +294,19 @@ class QMatrix:
 
 
 def default_q_matrix(datum: CartanDatum) -> QMatrix:
-    """The Khovanov-Lauda choice Q_ij = u^{-c_ji} + v^{-c_ij}."""
-    entries = {}
+    """The Khovanov-Lauda choice: Q_ij = u^{-c_ji} + v^{-c_ij} for joined
+    nodes (c_ij < 0) and Q_ij = 1 for orthogonal ones (c_ij = c_ji = 0).
+
+    The sum formula would give the constant 2 there, which is zero in
+    GF(2); then ψ² e(..ij..) = 0 and the algebra is not the KLR algebra.
+    """
     c = datum.cartan
-    for i in range(datum.rank):
-        for j in range(datum.rank):
-            if i == j:
-                continue
-            poly: dict[tuple[int, int], int] = {}
-            poly[(-c[j][i], 0)] = poly.get((-c[j][i], 0), 0) + 1
-            poly[(0, -c[i][j])] = poly.get((0, -c[i][j]), 0) + 1
-            entries[(i, j)] = poly
+    entries = {
+        (i, j): {(-c[j][i], 0): 1, (0, -c[i][j]): 1} if c[i][j] else {(0, 0): 1}
+        for i in range(datum.rank)
+        for j in range(datum.rank)
+        if i != j
+    }
     return QMatrix(datum, entries)
 
 

@@ -4,11 +4,22 @@ tables and verification certificates.
 Exit codes: 0 success, 1 a verification certificate failed, 2 bad
 configuration, 3 internal integrity error (engine/oracle mismatch — a
 bug, not bad input).
+
+Module theory (``modules``), the Hecke comparison (``hecke``) and the
+polynomial representation (``polyrep``) serve only ``crystal``,
+``hecke-check`` and ``multiply``, so they load on first use: importing this
+module registers each of them in ``sys.modules`` (and on the package) with
+``importlib.util.LazyLoader``, and a module's code is compiled and run the
+first time one of its attributes is read.  A ``dims``, ``standard`` or
+``verify-*`` run never compiles them.  They are registered at import, not
+imported inside the tasks, because the benchmark's tracer imports this
+module alone and then looks every traced layer up in ``sys.modules``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -19,11 +30,29 @@ from itertools import combinations_with_replacement
 from .cartan import PRESETS, CartanDatum, default_q_matrix, load_datum_file, type_a
 from .cyclotomic import DEFAULT_MAX_STRANDS, BlockComputer, IntegrityError, QuotientBlock
 from .diagrams import Element
-from .hecke import HeckeAlgebra, bk_check
-from .modules import crystal_f, simples
-from .polyrep import module_axiom_holds, random_poly
 from .qtensor import GradedHomTable
 from .scalars import parse_field
+
+
+def _lazy(name: str):
+    """The submodule ``name`` of this package, registered now and run on
+    first attribute access.  A module already in ``sys.modules`` is returned
+    as it is: a second copy would hold second copies of its classes."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+hecke = _lazy("hecke")
+modules = _lazy("modules")
+polyrep = _lazy("polyrep")
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -78,6 +107,8 @@ def load_configuration(args):
         if not lam.is_dominant():
             raise ValueError(f"red label {lam.coords} is not dominant")
     field = parse_field(args.field)
+    if field.characteristic:
+        q.require_units_mod(field.characteristic)
     for flag, value in (("--tail", args.tail), ("--max-strands", args.max_strands), ("--samples", args.samples)):
         if value < 0:
             raise ValueError(f"{flag} must be non-negative")
@@ -206,8 +237,8 @@ def task_multiply(args, comp: BlockComputer) -> int:
             a = Element(comp.alg, {k1: 1})
             b = Element(comp.alg, {k2: 1})
             top = comp.alg.top_idem(k2[0], k2[1])
-            f = random_poly(comp.alg, top, rng, max_degree=6)
-            if not module_axiom_holds(comp.alg, a, b, f):
+            f = polyrep.random_poly(comp.alg, top, rng, max_degree=6)
+            if not polyrep.module_axiom_holds(comp.alg, a, b, f):
                 failed += 1
             checked += 1
     emit(args, {"task": "multiply", "checked": checked, "failed": failed, "seed": args.seed})
@@ -227,14 +258,14 @@ def task_crystal(args, comp: BlockComputer) -> int:
         if blk.dim == 0:
             continue
         blocks[alpha.coords] = blk
-        simples_by_alpha[alpha.coords] = simples(blk)
+        simples_by_alpha[alpha.coords] = modules.simples(blk)
     for coords, blk in blocks.items():
         for i in range(comp.datum.rank):
             target = tuple(c + (1 if j == i else 0) for j, c in enumerate(coords))
             if target not in blocks:
                 continue
             sims = simples_by_alpha[coords]
-            for L, img in zip(sims, crystal_f(sims, i, simples_by_alpha[target])):
+            for L, img in zip(sims, modules.crystal_f(sims, i, simples_by_alpha[target])):
                 if img is not None:
                     edges.append(
                         {
@@ -267,7 +298,7 @@ def task_hecke_check(args, comp: BlockComputer) -> int:
         if d == 0:
             reports["d=0"] = {"ok": True, "dim": 1}
             continue
-        H = HeckeAlgebra(datum, lam, d)
+        H = hecke.HeckeAlgebra(datum, lam, d)
         dims = {}
         for alpha in block_contents(datum, d):
             if sum(alpha.coords) != d:
@@ -276,7 +307,7 @@ def task_hecke_check(args, comp: BlockComputer) -> int:
             for a in keys:
                 for b in keys:
                     dims[(a[0], b[0])] = comp.graded_hom(a, b).eval_at_1()
-        rep = bk_check(H, datum, lam, dims)
+        rep = hecke.bk_check(H, datum, lam, dims)
         rep["dim"] = H.dim()
         rep["dim_expected"] = H.level**d * math.factorial(d)
         rep["dim_ok"] = rep["dim"] == rep["dim_expected"]

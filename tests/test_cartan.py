@@ -93,7 +93,7 @@ def test_default_q_examples():
     assert q.entry(0, 0) == {}
     ax = a1_x_a1()
     qx = default_q_matrix(ax)
-    assert qx.entry(0, 1) == {(0, 0): 2}  # u^0 + v^0
+    assert qx.entry(0, 1) == {(0, 0): 1}  # orthogonal nodes: Q_ij = 1
 
 
 def test_q_matrix_invariants_scanned():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensoralg import hecke, linalg, workbench
+from tensoralg import hecke, linalg, modules, workbench
 from tensoralg.cartan import default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, QuotientBlock
 from tensoralg.linalg import IncrementalRREF, spectral_idempotents
@@ -36,7 +36,7 @@ def recorded(monkeypatch):
     seen = {"blocks": [], "simples": [], "idempotents": [], "rrefs": {}}
     build, simples, weight_idempotents, add = (
         QuotientBlock._build,
-        workbench.simples,
+        modules.simples,
         hecke.weight_idempotents,
         IncrementalRREF.add,
     )
@@ -60,7 +60,7 @@ def recorded(monkeypatch):
         return add(self, row)
 
     monkeypatch.setattr(QuotientBlock, "_build", spy_build)
-    monkeypatch.setattr(workbench, "simples", spy_simples)
+    monkeypatch.setattr(modules, "simples", spy_simples)
     monkeypatch.setattr(hecke, "weight_idempotents", spy_weight_idempotents)
     monkeypatch.setattr(linalg.IncrementalRREF, "add", spy_add)
     return seen

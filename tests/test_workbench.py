@@ -351,6 +351,49 @@ def test_dims_output_is_field_independent(capsys):
         assert out_p == out_q
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--datum", "a1xa1", "--lambda", "1,1;1,0", "--max-strands", "3"],
+        ["--datum", "a1xa1", "--lambda", "1,1", "--max-strands", "4"],
+        ["--datum", "a3", "--lambda", "1,0,0;0,0,1", "--max-strands", "3"],
+    ],
+)
+def test_dims_over_gf2_equals_dims_over_q_with_orthogonal_nodes(capsys, args):
+    """The default Q-matrix is the Khovanov-Lauda one over GF(2) too: for
+    orthogonal nodes Q_ij = 1, not u^0 + v^0 = 2 = 0, so the GF(2) table is
+    the rational one."""
+    code_q, out_q = run_main(args + ["--task", "dims", "--field", "q"], capsys)
+    code_2, out_2 = run_main(args + ["--task", "dims", "--field", "p:2"], capsys)
+    assert code_q == code_2 == 0
+    assert out_2 == out_q
+
+
+def test_a_leading_coefficient_zero_in_the_field_is_a_configuration_error(tmp_path, capsys):
+    """t_ij must be a unit of the field: t_01 = 2 loads over Q and is
+    refused over GF(2), naming i, j and p."""
+    from tensoralg.cartan import a1_x_a1
+
+    blob = a1_x_a1().to_json()
+    blob["Q"] = {"0,1": [[2, 0, 0]], "1,0": [[2, 0, 0]]}
+    path = tmp_path / "a1xa1_t2.json"
+    path.write_text(json.dumps(blob))
+    args = ["--datum", str(path), "--lambda", "1,1;1,0", "--task", "dims", "--max-strands", "3"]
+    assert main(args + ["--field", "p:2"]) == 2
+    assert "configuration error: t_01 = 2 (coefficient of u^0 in Q[0,1]) is zero in GF(2)" in capsys.readouterr().err
+    assert main(args + ["--field", "q"]) == 0
+
+
+def test_every_preset_loads_over_gf2():
+    from tensoralg.cartan import PRESETS
+    from tensoralg.workbench import build_parser, load_configuration
+
+    for name, make in PRESETS.items():
+        lam = ",".join("1" * make().rank)
+        args = build_parser().parse_args(["--datum", name, "--lambda", lam, "--task", "dims", "--field", "p:2"])
+        assert load_configuration(args)[3].characteristic == 2
+
+
 def child_env():
     """The environment of a child interpreter that imports the package this
     test imported, installed or not."""
@@ -374,6 +417,38 @@ def test_importing_the_cli_loads_every_traced_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert set(traced) <= set(json.loads(proc.stdout))
+
+
+def test_module_theory_hecke_and_polyrep_run_on_first_use():
+    """In a fresh interpreter, ``import tensoralg.workbench`` registers
+    ``hecke``, ``modules`` and ``polyrep`` in ``sys.modules`` and on the
+    package but runs none of them: a ``dims`` run leaves all three unrun,
+    and ``crystal``, ``hecke-check`` and ``multiply`` each run the one they
+    use.  A registered module that has not run is not yet of type
+    ``types.ModuleType``."""
+    code = """
+import contextlib, io, json, sys, types
+import tensoralg, tensoralg.workbench as wb
+LAZY = ("hecke", "modules", "polyrep")
+assert all(sys.modules["tensoralg." + n] is getattr(tensoralg, n) for n in LAZY)
+def ran():
+    return [n for n in LAZY if type(sys.modules["tensoralg." + n]) is types.ModuleType]
+seen = {"import": ran()}
+for lam, task in (("1;1", "dims"), ("1;1", "crystal"), ("2", "hecke-check"), ("1;1", "multiply")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert wb.main(["--datum", "sl2", "--lambda", lam, "--task", task, "--max-strands", "2"]) == 0
+    seen[task] = ran()
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [],
+        "dims": [],
+        "crystal": ["modules"],
+        "hecke-check": ["hecke", "modules"],
+        "multiply": ["hecke", "modules", "polyrep"],
+    }
 
 
 def test_importing_the_cli_loads_no_introspection_machinery():
