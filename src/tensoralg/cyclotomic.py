@@ -12,8 +12,24 @@ entries and standard-module columns alike) is two-sided on the window
 the lowest degree of the component and top the highest degree the
 prediction reaches: a dimension above or below the prediction there is a
 hard integrity error, never silently accepted, and so is a predicted
-coefficient below dmin, where the component is empty.  The degrees above
-the window are not computed, so they are not yet certified.
+coefficient below dmin, where the component is empty.
+
+The degrees above the window are not computed; a dot-at-the-top induction
+certifies them (``BlockComputer.certified_through``) when the window
+reaches E = max(W, t + g).  W is the top degree of the dotless diagrams
+e·ψ_w of the component, g the largest dot degree 2·d_i on a black strand
+of the top idempotent, and t the top degree of the entry (dmin − 1 for a
+zero entry).  In a degree d > W every basis diagram e·ψ_w·y^a carries a
+dot, a_k > 0, so it is (e·ψ_w·y^{a−ε_k})·y_k: a basis diagram of degree
+d − 2d_{i_k} ∈ [d − g, d) times y_k.  K is a right ideal, so once the
+quotient is zero on the g degrees (E − g, E], induction on d puts every
+basis diagram of every degree above E in K.  The window check makes the
+quotient zero on (t, top + ``tail``] (the component is empty below dmin),
+which contains (E − g, E] exactly when top + ``tail`` ≥ E, since
+E − g ≥ t.  A window that stops short of E leaves the degrees above it
+uncertified.  Like the check, the certificate reads the component between
+the ``_free_rep`` ends, whose quotient is isomorphic to the entry's in
+every degree (see below).
 
 A component whose bottom or top idempotent e(x) lies in K is K entirely,
 in every degree, so its quotient is zero.  ``BlockComputer._proven``
@@ -480,14 +496,22 @@ class BlockComputer:
 
     def certified_through(self, row: VKey, col: VKey, entry: LaurentPoly) -> float:
         """The degree through which ``entry = graded_hom(row, col)`` is a
-        checked dimension of the quotient: every degree (``math.inf``) when
-        the component is empty or the ``_free_rep`` of an end lies in K
-        (``_in_K``), and otherwise the last degree of ``checked_window``,
-        below which the component is empty.  The entry equals its
-        prediction, so the window is read off the entry itself."""
+        proven dimension of the quotient: every degree (``math.inf``) when
+        the component is empty, when the ``_free_rep`` of an end lies in K
+        (``_in_K``), or when ``checked_window`` reaches the E = max(W, t + g)
+        of the dot-at-the-top certificate (module docstring); otherwise the
+        last degree of the window, below which the component is empty.  The
+        entry equals its prediction, so the window is read off the entry
+        itself."""
         bottom, top = self._free_rep(idem_key(*row)), self._free_rep(idem_key(*col))
         window = None if self._in_K(bottom) or self._in_K(top) else self.checked_window(bottom, top, entry)
-        return math.inf if window is None else window.stop - 1
+        if window is None:
+            return math.inf
+        last = window.stop - 1
+        dotless = max(deg for _, deg in self.alg.component(bottom, top))
+        g = max((2 * self.datum.sym[i] for i in top[0]), default=0)
+        t = window.start - 1 if entry.is_zero() else entry.max_exp()
+        return math.inf if last >= max(dotless, t + g) else last
 
     def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> LaurentPoly:
         """The graded dimension ``dim_at(d)`` of a quotient of the
@@ -616,12 +640,13 @@ class QuotientBlock:
 
     ``_mult[(i, j)]`` holds b_i·b_j in that basis for every pair with
     b_i's top equal to b_j's bottom.  A pair whose target (a1, b2, d1 + d2)
-    is zero in the quotient by a check ``graded_hom`` already made (through
+    is zero in the quotient by what ``graded_hom`` proved (an end in K, the
+    window check, or the certificate above a window that reaches E; see
     ``BlockComputer.certified_through``) gets the empty product with no
     diagram product formed.  Every other product is reduced against the
-    kernel of its target, above the checked window too, where that
-    reduction is the only check; a coordinate that survives it outside the
-    basis is an ``IntegrityError``.  For each left basis element, e1·ψ_w
+    kernel of its target, also above a window that stops short of E, where
+    that reduction is the only check; a coordinate that survives it outside
+    the basis is an ``IntegrityError``.  For each left basis element, e1·ψ_w
     is formed once per word w and each right basis diagram ψ_w·y^a is read
     off it by adding dots at the top, as ``BlockComputer.saturate`` does."""
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -848,18 +849,22 @@ def test_component_geometry_is_enumerated_once_per_pair(monkeypatch):
     assert comp.alg.dot_vectors(w, 4) is comp.alg.dot_vectors(w, 4)
 
 
-# name: (datum, red labels, strand bound) of the module-theory blocks below
+# name: (datum, red labels, strand bound) of the module-theory blocks below;
+# B2 has entries that only their window checks (its long-root dots have
+# degree 4), the others have none at the default tail
 BLOCK_CASES = {
     "sl2 (w,w,w)": (sl2, ((1,), (1,), (1,)), 2),
     "sl2 (2w,w)": (sl2, ((2,), (1,)), 2),
     "A2 (w1,w2)": (lambda: type_a(2), ((1, 0), (0, 1)), 3),
+    "B2 (w1,w2)": (b2, ((1, 0), (0, 1)), 2),
 }
+UNCERTIFIED_BLOCKS = {"B2 (w1,w2)"}
 
 
-def _block_computer(case):
+def _block_computer(case, **options):
     datum_f, lams, strands = BLOCK_CASES[case]
     d = datum_f()
-    return d, BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams)), strands
+    return d, BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams), **options), strands
 
 
 def _pairwise_mult(block):
@@ -876,15 +881,12 @@ def _pairwise_mult(block):
 
 
 def _certified_zero(comp, row, col, deg):
-    """Whether the quotient (row T~ col)_deg is zero by a check that
-    ``graded_hom`` made: an end of the representatives in K, or a degree of
-    its window where the entry is 0, or a degree below it, where the
-    component is empty."""
-    bottom, top = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
-    if comp._in_K(bottom) or comp._in_K(top):
-        return True
-    window = _hom_window(comp, row, col)
-    return (not window or deg < window.stop) and not comp.graded_hom(row, col).coeff(deg)
+    """Whether the quotient (row T~ col)_deg is zero by what ``graded_hom``
+    proved (``certified_through``): an end of the representatives in K, a
+    degree through its window where the entry is 0, or any degree above a
+    window that reaches the certificate's E."""
+    entry = comp.graded_hom(row, col)
+    return deg <= comp.certified_through(row, col, entry) and not entry.coeff(deg)
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
@@ -892,7 +894,9 @@ def test_structure_constants_form_only_the_products_they_read(case, monkeypatch)
     """On every block of the case, ``QuotientBlock._mult`` equals the
     pairwise reference, and ``_build`` forms e1·ψ_w once for each left
     basis element e1 and word w that reaches a target not certified zero
-    (``_certified_zero``), and no other product; some targets are."""
+    (``_certified_zero``), and no other product; some targets are.  Only
+    the blocks with uncertified entries (``UNCERTIFIED_BLOCKS``) form a
+    product above a target's checked window."""
     d, comp, strands = _block_computer(case)
     formed: list = []
     multiply = Element.multiply
@@ -903,7 +907,7 @@ def test_structure_constants_form_only_the_products_they_read(case, monkeypatch)
         formed.append((left, right[1]))
         return multiply(self, other)
 
-    skipped = 0
+    skipped = above = 0
     for alpha in block_contents(d, strands):
         if not comp.idems(alpha):
             continue
@@ -923,15 +927,18 @@ def test_structure_constants_form_only_the_products_they_read(case, monkeypatch)
                         skipped += 1
                     else:
                         wanted.add((k1, k2[1]))
+                        above += d1 + d2 > _hom_window(comp, a1, b2)[-1]
         assert sorted(formed) == sorted(wanted), alpha
     assert skipped >= 1
+    assert (above > 0) == (case in UNCERTIFIED_BLOCKS)
 
 
 def test_a_product_above_the_window_is_reduced_against_its_kernel(monkeypatch):
-    """Above the checked window, a product is reduced against its assembled
+    """Above a checked window that stops short of the certificate's E (on
+    a ``tail=1`` computer), a product is reduced against its assembled
     kernel: with one such kernel emptied, ``_build`` raises the "escaped"
     ``IntegrityError`` instead of dropping the product."""
-    d, comp, _ = _block_computer("sl2 (w,w,w)")
+    d, comp, _ = _block_computer("sl2 (w,w,w)", tail=1)
     alpha = d.root((2,))
     above = []
     reduce = QuotientBlock._reduce
@@ -945,8 +952,158 @@ def test_a_product_above_the_window_is_reduced_against_its_kernel(monkeypatch):
     QuotientBlock(comp, alpha)
     assert above
     target = above[0]
-    _, comp, _ = _block_computer("sl2 (w,w,w)")
+    _, comp, _ = _block_computer("sl2 (w,w,w)", tail=1)
     kernel_space = comp.kernel_space
     monkeypatch.setattr(comp, "kernel_space", lambda *key: ([], {}) if key == target else kernel_space(*key))
     with pytest.raises(IntegrityError, match="escaped"):
         QuotientBlock(comp, alpha)
+
+
+def _certificate_bound(comp, row, col):
+    """(E, g) of the dot-at-the-top certificate for the entry (row, col) of
+    a nonempty component: E = max(W, t + g), with W the top degree of the
+    dotless diagrams between the ``_free_rep`` ends, g the largest dot
+    degree 2·d_i on a black strand of the top, and t the entry's top
+    degree, or dmin − 1 for a zero entry."""
+    bottom, top = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
+    dotless = [deg for _, deg in comp.alg.component(bottom, top)]
+    entry = comp.graded_hom(row, col)
+    g = max((2 * comp.datum.sym[i] for i in top[0]), default=0)
+    t = min(dotless) - 1 if entry.is_zero() else entry.max_exp()
+    return max(max(dotless), t + g), g
+
+
+def _window_entries(comp, alphas):
+    """(row, col, entry, window) for every entry of the contents ``alphas``
+    that a window check covers: no ``_free_rep`` end in K and a nonempty
+    component."""
+    for alpha in alphas:
+        for row, col in itertools.product(comp.idems(alpha), repeat=2):
+            bottom, top = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
+            entry = comp.graded_hom(row, col)
+            if not (comp._in_K(bottom) or comp._in_K(top)):
+                window = comp.checked_window(bottom, top, entry)
+                if window is not None:
+                    yield row, col, entry, window
+
+
+def _certificate_cases():
+    """(case, datum, red labels, contents) over the ``PAIRWISE_CASES`` and
+    ``BLOCK_CASES`` data."""
+    for case, (datum_f, lams, contents) in sorted(PAIRWISE_CASES.items()):
+        d = datum_f()
+        yield f"pairwise {case}", d, lams, [d.root(c) for c in contents]
+    for case, (datum_f, lams, strands) in sorted(BLOCK_CASES.items()):
+        d = datum_f()
+        yield f"block {case}", d, lams, list(block_contents(d, strands))
+
+
+def test_a_certified_entry_is_zero_above_its_window(monkeypatch):
+    """Soundness of the dot-at-the-top certificate: for every entry of the
+    ``_certificate_cases`` with no end in K that ``certified_through``
+    certifies in every degree, a computer that assembles every kernel by
+    products fills the component at the degrees E + 1 … E + g + 2
+    (``_certificate_bound``).  Every case has such entries, and only B2
+    has entries that are not certified."""
+    seen: Counter = Counter()
+    for case, d, lams, alphas in _certificate_cases():
+        weights = tuple(d.weight(l) for l in lams)
+        comp, ref = (BlockComputer(d, default_q_matrix(d), weights) for _ in range(2))
+        _certificate_off(monkeypatch, ref)
+        for row, col, entry, _ in _window_entries(comp, alphas):
+            if comp.certified_through(row, col, entry) < math.inf:
+                seen[case, "window only"] += 1
+                continue
+            E, g = _certificate_bound(comp, row, col)
+            for deg in range(E + 1, E + g + 3):
+                assert ref.quotient_dim(idem_key(*row), idem_key(*col), deg) == 0, (case, row, col, deg)
+            seen[case, "certified"] += 1
+    cases = [case for case, *_ in _certificate_cases()]
+    assert all(seen[case, "certified"] >= 1 for case in cases), seen
+    assert [case for case in cases if seen[case, "window only"]] == ["block B2 (w1,w2)"], seen
+
+
+def test_a_window_short_of_the_certificate_certifies_only_itself():
+    """On sl2 (ω, ω, ω) at two strands with ``tail=1``, an entry with no end
+    in K is certified in every degree exactly when its window reaches E,
+    and through the window's last degree otherwise; some entries stop
+    short, and each of those is certified in every degree at the default
+    tail."""
+    d, comp, strands = _block_computer("sl2 (w,w,w)", tail=1)
+    _, default, _ = _block_computer("sl2 (w,w,w)")
+    short = reached = 0
+    for row, col, entry, window in _window_entries(comp, block_contents(d, strands)):
+        E, _ = _certificate_bound(comp, row, col)
+        through = comp.certified_through(row, col, entry)
+        if window[-1] >= E:
+            assert through == math.inf, (row, col)
+            reached += 1
+        else:
+            assert through == window[-1], (row, col)
+            assert default.certified_through(row, col, default.graded_hom(row, col)) == math.inf, (row, col)
+            short += 1
+    assert short >= 1 and reached >= 1
+
+
+def test_the_certificate_needs_the_window_to_reach_every_dotless_diagram(monkeypatch):
+    """E includes W: no entry of the test data has W above t + g, so a
+    dotless diagram is put above the window of a certified entry by hand
+    (``alg.component`` patched once the entry is computed), and the entry
+    is then certified only through its window."""
+    d, comp, _ = _block_computer("sl2 (w,w,w)")
+    row, col, entry, window = next(_window_entries(comp, [d.root((2,))]))
+    assert comp.certified_through(row, col, entry) == math.inf
+    component = comp.alg.component
+    monkeypatch.setattr(comp.alg, "component", lambda b, t: component(b, t) + ((None, window[-1] + 1),))
+    assert comp.certified_through(row, col, entry) == window[-1]
+
+
+def test_the_certificate_rests_on_checked_degrees(monkeypatch):
+    """The degrees (E − g, E] that the certificate's induction starts from
+    are checked by the window: on a certified entry with a nonempty
+    component at such a degree, emptying that kernel makes ``graded_hom``
+    raise ``IntegrityError``."""
+    d, comp, strands = _block_computer("sl2 (w,w,w)")
+
+    def bases():
+        for row, col, entry, _ in _window_entries(comp, block_contents(d, strands)):
+            if comp.certified_through(row, col, entry) < math.inf:
+                continue
+            bottom, top = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
+            E, g = _certificate_bound(comp, row, col)
+            for deg in range(E - g + 1, E + 1):
+                if comp.tilde_basis(bottom, top, deg):
+                    yield row, col, (bottom, top, deg)
+
+    row, col, target = next(bases())
+    _, comp, _ = _block_computer("sl2 (w,w,w)")
+    kernel_space = comp.kernel_space
+    monkeypatch.setattr(comp, "kernel_space", lambda *key: ([], {}) if key == target else kernel_space(*key))
+    with pytest.raises(IntegrityError, match=rf"degree {target[2]}: dimension \d+ exceeds oracle 0"):
+        comp.graded_hom(row, col)
+
+
+# name: (datum, red labels, strand bound, entries, entries only their
+# window checks) of the tables below
+CERTIFIED_TABLES = {
+    "A2 (w1,w2)": (lambda: type_a(2), ((1, 0), (0, 1)), 4, 2133, 0),
+    "sl2 (2w,w)": (sl2, ((2,), (1,)), 4, 55, 0),
+    "B2 (w1,w2)": (b2, ((1, 0), (0, 1)), 3, 383, 50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFIED_TABLES))
+def test_where_the_certificate_holds(case):
+    """At the default tail every entry of A2 (ω1, ω2) and of sl2 (2ω, ω) up
+    to four strands is certified in every degree; B2 (ω1, ω2) at three
+    strands is not, since its long-root dots (g = 4) put E above the
+    window of some entries."""
+    datum_f, lams, strands, entries, window_only = CERTIFIED_TABLES[case]
+    d = datum_f()
+    comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams), max_strands=strands)
+    through = [
+        comp.certified_through(a, b, comp.graded_hom(a, b))
+        for alpha in block_contents(d, strands)
+        for a, b in itertools.product(comp.idems(alpha), repeat=2)
+    ]
+    assert (len(through), sum(t < math.inf for t in through)) == (entries, window_only)

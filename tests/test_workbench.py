@@ -209,6 +209,7 @@ def test_module_and_hecke_runs_match_the_benchmark_golden(capsys):
         ("a3_100_3", "a3", "1,0,0", "3"),
         ("a2_11_3", "a2", "1,1", "3"),
         ("sl2_21_3", "sl2", "2;1", "3"),
+        ("sl2_111_3", "sl2", "1;1;1", "3"),
     ],
 )
 def test_crystal_output_matches_its_golden_byte_for_byte(capsys, golden, datum, lambdas, strands):
@@ -219,6 +220,17 @@ def test_crystal_output_matches_its_golden_byte_for_byte(capsys, golden, datum, 
     )
     assert code == 0
     assert out == (CRYSTAL_GOLDEN / f"{golden}.json").read_text()
+
+
+def test_crystal_output_on_a_short_window_matches_its_golden(capsys):
+    """With ``--tail 1`` the windows of sl2 (ω, ω, ω) stop short of the
+    certificate's E, so the structure constants reduce products above them
+    against assembled kernels; the output is still the recorded run's."""
+    code, out = run_main(
+        ["--datum", "sl2", "--lambda", "1;1;1", "--task", "crystal", "--max-strands", "3", "--tail", "1"], capsys
+    )
+    assert code == 0
+    assert out == (CRYSTAL_GOLDEN / "sl2_111_3.json").read_text()
 
 
 @pytest.mark.parametrize(
