@@ -15,21 +15,24 @@ hard integrity error, never silently accepted, and so is a predicted
 coefficient below dmin, where the component is empty.
 
 The degrees above the window are not computed; a dot-at-the-top induction
-certifies them (``BlockComputer.certified_through``) when the window
-reaches E = max(W, t + g).  W is the top degree of the dotless diagrams
-e·ψ_w of the component, g the largest dot degree 2·d_i on a black strand
-of the top idempotent, and t the top degree of the entry (dmin − 1 for a
-zero entry).  In a degree d > W every basis diagram e·ψ_w·y^a carries a
-dot, a_k > 0, so it is (e·ψ_w·y^{a−ε_k})·y_k: a basis diagram of degree
-d − 2d_{i_k} ∈ [d − g, d) times y_k.  K is a right ideal, so once the
-quotient is zero on the g degrees (E − g, E], induction on d puts every
-basis diagram of every degree above E in K.  The window check makes the
-quotient zero on (t, top + ``tail``] (the component is empty below dmin),
-which contains (E − g, E] exactly when top + ``tail`` ≥ E, since
-E − g ≥ t.  A window that stops short of E leaves the degrees above it
-uncertified.  Like the check, the certificate reads the component between
-the ``_free_rep`` ends, whose quotient is isomorphic to the entry's in
-every degree (see below).
+certifies them when the window reaches E = max(W, t + g).  W is the top
+degree of the dotless diagrams e·ψ_w of the component, g the largest dot
+degree 2·d_i on a black strand of the top idempotent, and t the top degree
+of the entry (dmin − 1 for a zero entry); dmin and W are the component's
+``DiagramAlgebra.degree_range``, kept beside its geometry.  In a degree
+d > W every basis diagram e·ψ_w·y^a carries a dot, a_k > 0, so it is
+(e·ψ_w·y^{a−ε_k})·y_k: a basis diagram of degree d − 2d_{i_k} ∈ [d − g, d)
+times y_k.  K is a right ideal, so once the quotient is zero on the g
+degrees (E − g, E], induction on d puts every basis diagram of every
+degree above E in K.  The window check makes the quotient zero on
+(t, top + ``tail``] (the component is empty below dmin), which contains
+(E − g, E] exactly when top + ``tail`` ≥ E, since E − g ≥ t.  A window
+that stops short of E leaves the degrees above it uncertified.  The check
+works the certificate out as it checks an entry, on the same
+``_free_rep`` ends, whose quotient is isomorphic to the entry's in every
+degree (see below): ``graded_hom`` memoizes the entry with the degree
+through which it is proven, and ``BlockComputer.certified_through`` reads
+that record.
 
 A component whose bottom or top idempotent e(x) lies in K is K entirely,
 in every degree, so its quotient is zero.  ``BlockComputer._proven``
@@ -139,9 +142,11 @@ from .qtensor import GradedHomTable, TensorSpace, VKey, arrangements
 from .scalars import QQ
 
 
-# The strand bound of ``BlockComputer.idems``, shared with the CLI's
-# ``--max-strands`` default.
+# The strand bound of ``BlockComputer.idems`` and the degrees the checked
+# window runs past the prediction's top, shared with the CLI's
+# ``--max-strands`` and ``--tail`` defaults.
 DEFAULT_MAX_STRANDS = 4
+DEFAULT_TAIL = 3
 
 
 class IntegrityError(RuntimeError):
@@ -159,7 +164,7 @@ class BlockComputer:
         q: QMatrix,
         lambdas: Sequence[Weight],
         field=QQ,
-        tail: int = 3,
+        tail: int = DEFAULT_TAIL,
         max_strands: int = DEFAULT_MAX_STRANDS,
     ):
         if tail < 0:
@@ -204,7 +209,10 @@ class BlockComputer:
         return entry
 
     def min_degree(self, bottom: IdemKey, top: IdemKey):
-        return min((deg for _, deg in self.alg.component(bottom, top)), default=None)
+        """The lowest degree of the component, read off its kept
+        ``degree_range``; None for an empty component."""
+        degrees = self.alg.degree_range(bottom, top)
+        return None if degrees is None else degrees[0]
 
     def element_coords(self, el: Element, bottom: IdemKey, top: IdemKey, d: int) -> dict:
         """Sparse coordinates of a homogeneous element in the tilde basis,
@@ -472,6 +480,16 @@ class BlockComputer:
         the acceptance suite pins the equality entry(a,b) = <v_b, v_a> by
         testing both orders.
         """
+        return self._hom_record(row, col)[0]
+
+    def certified_through(self, row: VKey, col: VKey) -> float:
+        """The degree through which ``graded_hom(row, col)`` is a proven
+        dimension of the quotient, as ``_checked_dims`` found it while
+        checking the entry: ``math.inf`` or the last degree of its window."""
+        return self._hom_record(row, col)[1]
+
+    def _hom_record(self, row: VKey, col: VKey) -> tuple[LaurentPoly, float]:
+        """The memoized ``_checked_dims`` record of the entry (row, col)."""
         key = (row, col)
         hit = self._entry_cache.get(key)
         if hit is None:
@@ -494,35 +512,24 @@ class BlockComputer:
             return None
         return range(dmin, max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + self.tail + 1)
 
-    def certified_through(self, row: VKey, col: VKey, entry: LaurentPoly) -> float:
-        """The degree through which ``entry = graded_hom(row, col)`` is a
-        proven dimension of the quotient: every degree (``math.inf``) when
-        the component is empty, when the ``_free_rep`` of an end lies in K
-        (``_in_K``), or when ``checked_window`` reaches the E = max(W, t + g)
-        of the dot-at-the-top certificate (module docstring); otherwise the
-        last degree of the window, below which the component is empty.  The
-        entry equals its prediction, so the window is read off the entry
-        itself."""
-        bottom, top = self._free_rep(idem_key(*row)), self._free_rep(idem_key(*col))
-        window = None if self._in_K(bottom) or self._in_K(top) else self.checked_window(bottom, top, entry)
-        if window is None:
-            return math.inf
-        last = window.stop - 1
-        dotless = max(deg for _, deg in self.alg.component(bottom, top))
-        g = max((2 * self.datum.sym[i] for i in top[0]), default=0)
-        t = window.start - 1 if entry.is_zero() else entry.max_exp()
-        return math.inf if last >= max(dotless, t + g) else last
+    def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> tuple[LaurentPoly, float]:
+        """The graded dimension ``dim_at(d)`` of the quotient of the
+        component (bottom, top) by a right submodule M ⊇ K (K, or K + L),
+        checked two-sidedly against ``pred`` at every degree of
+        ``checked_window``, as ``(dims, through)`` with the degree through
+        which it is proven.  ``what`` names the component in the
+        ``IntegrityError`` a mismatch raises; a coefficient of ``pred``
+        below the window, where the component is empty, is one too.
 
-    def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> LaurentPoly:
-        """The graded dimension ``dim_at(d)`` of a quotient of the
-        component (bottom, top), checked two-sidedly against ``pred`` at
-        every degree of ``checked_window``; ``what`` names the component
-        in the ``IntegrityError`` a mismatch raises.  A coefficient of
-        ``pred`` below the window, where the component is empty, is a
-        mismatch too.  When ``_in_K`` holds for the bottom or the top
-        idempotent, the component lies in K, so its quotient by K, or by
-        K + L ⊇ K, is zero in every degree: ``pred`` must be zero, and no
-        basis, geometry or kernel is built."""
+        ``through`` is ``math.inf`` for an empty component, and when
+        ``_in_K`` holds for the bottom or the top idempotent: the component
+        then lies in K, ``pred`` must be zero, and no basis, geometry or
+        kernel is built.  Otherwise it is ``math.inf`` when the window
+        reaches the E = max(W, t + g) of the dot-at-the-top certificate
+        (module docstring, which needs M to be a right submodule only), and
+        the window's last degree when it does not; t is read off ``pred``,
+        which a checked ``dims`` equals."""
+        through = math.inf
         if self._in_K(bottom) or self._in_K(top):
             # the component lies in K, so its quotient is zero in every degree
             window = range(0)
@@ -531,7 +538,12 @@ class BlockComputer:
             if window is None:
                 if not pred.is_zero():
                     raise IntegrityError(f"{what}: empty component but oracle predicts {pred.text()}")
-                return ZERO
+                return ZERO, through
+            dmin, dotless = self.alg.degree_range(bottom, top)
+            g = max((2 * self.datum.sym[i] for i in top[0]), default=0)
+            t = dmin - 1 if pred.is_zero() else pred.max_exp()
+            if window[-1] < max(dotless, t + g):
+                through = window[-1]
         coeffs = {}
         for d in window:
             dim = dim_at(d)
@@ -546,7 +558,7 @@ class BlockComputer:
             # a coefficient of pred outside the window, where the quotient is zero
             d = (pred - dims).min_exp()
             raise IntegrityError(f"{what} degree {d}: dimension 0 below oracle {pred.coeff(d)}")
-        return dims
+        return dims, through
 
     def graded_hom_table(self, alpha: RootVector) -> GradedHomTable:
         table = GradedHomTable()
@@ -602,7 +614,7 @@ class BlockComputer:
                 pred,
                 lambda d: len(self.tilde_basis(bottom, top, d)) - len(self.standard_space(key, col, d)[1]),
             )
-        return hit
+        return hit[0]
 
     def standard_filtration_check(self, key: VKey) -> tuple[bool, dict]:
         """Both halves of the standard-filtration statement.
@@ -664,7 +676,7 @@ class QuotientBlock:
         for a in self.idems:
             for b in self.idems:
                 entry = comp.graded_hom(a, b)
-                targets[(a, b)] = (entry, comp.certified_through(a, b, entry))
+                targets[(a, b)] = (entry, comp.certified_through(a, b))
                 if entry.is_zero():
                     continue
                 for d in entry.support():

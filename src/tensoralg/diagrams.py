@@ -183,7 +183,7 @@ class DiagramAlgebra:
         self._tops: dict[tuple, IdemKey] = {}  # (idem, w) -> top idempotent
         self._idems: dict[IdemKey, IdemKey] = {}  # one shared object per top idempotent
         self._words: dict[tuple[int, ...], tuple[int, ...]] = {}  # w -> canonical word
-        self._components: dict[tuple, tuple] = {}  # (bottom, top) -> ((w, deg ψ_w), ...)
+        self._components: dict[tuple, tuple] = {}  # (bottom, top) -> (component, degree_range)
         self._dots: dict[tuple, tuple] = {}  # (dot weights, total) -> dot vectors
         self._cross_memo: dict[tuple, dict] = {}
         self._word_memo: dict[tuple, dict] = {}
@@ -289,12 +289,23 @@ class DiagramAlgebra:
     def component(self, bottom: IdemKey, top: IdemKey) -> tuple:
         """The geometry of the Hom component (bottom, top), memoized:
         ``((w, deg ψ_w), ...)`` over ``connecting_perms`` in their order."""
+        return self._component(bottom, top)[0]
+
+    def degree_range(self, bottom: IdemKey, top: IdemKey) -> tuple[int, int] | None:
+        """(dmin, W) of the Hom component (bottom, top), memoized beside its
+        geometry: the lowest and the top degree of its dotless diagrams
+        e·ψ_w.  Dots only raise the degree, so dmin is the lowest degree of
+        the component.  None for an empty component."""
+        return self._component(bottom, top)[1]
+
+    def _component(self, bottom: IdemKey, top: IdemKey) -> tuple:
         key = (bottom, top)
         hit = self._components.get(key)
         if hit is None:
             zero_dots = (0,) * len(bottom[0])
-            hit = tuple((w, self.diagram_degree(bottom, w, zero_dots)) for w in connecting_perms(self, bottom, top))
-            self._components[key] = hit
+            geometry = tuple((w, self.diagram_degree(bottom, w, zero_dots)) for w in connecting_perms(self, bottom, top))
+            degrees = [deg for _, deg in geometry]
+            hit = self._components[key] = (geometry, (min(degrees), max(degrees)) if degrees else None)
         return hit
 
     def dot_vectors(self, weights: tuple[int, ...], total: int) -> tuple:
@@ -625,33 +636,6 @@ class Element:
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous element with degrees {sorted(degs)}")
         return degs.pop()
-
-    # -- serialization ---------------------------------------------------------------------
-
-    def to_json(self) -> list:
-        out = []
-        for (idem, w, dots), c in sorted(self.terms.items()):
-            out.append(
-                {
-                    "I": list(idem[0]),
-                    "kappa": list(idem[1]),
-                    "w": list(w),
-                    "dots": list(dots),
-                    "coeff": str(c),
-                }
-            )
-        return out
-
-    @staticmethod
-    def from_json(algebra: DiagramAlgebra, data) -> "Element":
-        terms: dict[DiagKey, int] = {}
-        for t in data:
-            idem = idem_key(t["I"], t["kappa"])
-            w = tuple(int(x) for x in t["w"])
-            algebra.check_red_order(idem, w)
-            key = (idem, w, tuple(int(x) for x in t["dots"]))
-            add_multiple(terms, int(t["coeff"]), {key: 1})
-        return Element(algebra, terms)
 
 
 def _dot_slots(alg: DiagramAlgebra, idem: IdemKey, w, dots) -> list[int]:

@@ -183,10 +183,6 @@ class LaurentPoly:
         """JSON form ``[[exp, coeff], ...]``, exponent-ascending."""
         return [[e, self._c[e]] for e in sorted(self._c)]
 
-    @staticmethod
-    def from_json(data: Iterable[Iterable[int]]) -> "LaurentPoly":
-        return LaurentPoly((int(e), int(a)) for e, a in data)
-
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()

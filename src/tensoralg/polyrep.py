@@ -155,12 +155,14 @@ def one_poly(alg: DiagramAlgebra, idem: IdemKey) -> LabeledPoly:
     return LabeledPoly(idem, {(0,) * len(idem[0]): 1})
 
 
-def random_poly(alg: DiagramAlgebra, idem: IdemKey, rng, max_degree: int = 6, terms: int = 3) -> LabeledPoly:
+def random_poly(alg: DiagramAlgebra, idem: IdemKey, rng) -> LabeledPoly:
+    """A polynomial on ``idem`` of three random terms, each of at most six
+    dots."""
     n = len(idem[0])
     poly: Poly = {}
-    for _ in range(terms):
+    for _ in range(3):
         e = [0] * n
-        budget = rng.randrange(max_degree + 1)
+        budget = rng.randrange(7)
         for _ in range(budget):
             if n == 0:
                 break

@@ -4,8 +4,9 @@ The straightening engine computes over ℤ and never sees these; integer
 coordinates enter a field once, through ``from_int`` in
 ``BlockComputer.element_coords``.  Everything downstream (row reduction,
 quotient bases, structure constants) uses the small field protocol
-``zero``, ``one``, ``from_int`` and ``inv`` plus ``+``, ``-`` and ``*`` on
-the elements themselves; every division goes through ``inv``.
+``characteristic``, ``one``, ``from_int`` and ``inv`` plus ``+``, ``-``
+and ``*`` on the elements themselves; every division goes through
+``inv``.
 
 A rational is a plain ``int`` unless it has a real denominator, and then
 a ``fractions.Fraction``.  Python's numeric tower makes an ``int`` equal to
@@ -93,10 +94,6 @@ class RationalField:
     characteristic = 0
 
     @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
     def one():
         return 1
 
@@ -117,9 +114,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
-
-    def zero(self):
-        return GFElement(0, self.p)
 
     def one(self):
         return GFElement(1, self.p)

@@ -28,7 +28,7 @@ import sys
 from itertools import combinations_with_replacement
 
 from .cartan import PRESETS, CartanDatum, default_q_matrix, load_datum_file, type_a
-from .cyclotomic import DEFAULT_MAX_STRANDS, BlockComputer, IntegrityError, QuotientBlock
+from .cyclotomic import DEFAULT_MAX_STRANDS, DEFAULT_TAIL, BlockComputer, IntegrityError, QuotientBlock
 from .diagrams import Element
 from .qtensor import GradedHomTable
 from .scalars import parse_field
@@ -71,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True,
                    choices=["dims", "multiply", "standard", "verify-euler", "verify-filtration", "crystal", "hecke-check"])
     p.add_argument("--max-strands", type=int, default=DEFAULT_MAX_STRANDS)
-    p.add_argument("--max-degree", type=int, default=12)
-    p.add_argument("--tail", type=int, default=3)
+    p.add_argument("--tail", type=int, default=DEFAULT_TAIL)
     p.add_argument("--field", default="q", help="'q' for rationals or 'p:PRIME'")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
@@ -227,7 +226,7 @@ def task_multiply(args, comp: BlockComputer) -> int:
                 dmin = comp.min_degree(a, b)
                 if dmin is None:
                     continue
-                for d in range(dmin, min(dmin + 6, args.max_degree) + 1):
+                for d in range(dmin, min(dmin + 6, 12) + 1):
                     pool.extend(comp.tilde_basis(a, b, d))
         if not pool:
             continue
@@ -237,7 +236,7 @@ def task_multiply(args, comp: BlockComputer) -> int:
             a = Element(comp.alg, {k1: 1})
             b = Element(comp.alg, {k2: 1})
             top = comp.alg.top_idem(k2[0], k2[1])
-            f = polyrep.random_poly(comp.alg, top, rng, max_degree=6)
+            f = polyrep.random_poly(comp.alg, top, rng)
             if not polyrep.module_axiom_holds(comp.alg, a, b, f):
                 failed += 1
             checked += 1
@@ -277,10 +276,7 @@ def task_crystal(args, comp: BlockComputer) -> int:
     payload = {
         "task": "crystal",
         "simples": {
-            str(list(c)): [
-                {"tag": s.tag, "dim": s.dim, "char": (s.graded_char().to_json() if s.graded_char() else None)}
-                for s in ss
-            ]
+            str(list(c)): [{"tag": s.tag, "dim": s.dim, "char": s.graded_char().to_json()} for s in ss]
             for c, ss in simples_by_alpha.items()
         },
         "edges": edges,

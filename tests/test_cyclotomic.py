@@ -11,6 +11,7 @@ import pytest
 
 from tensoralg.cartan import a1_x_a1, b2, default_q_matrix, sl2, type_a
 from tensoralg.cyclotomic import (
+    DEFAULT_TAIL,
     BlockComputer,
     IntegrityError,
     QuotientBlock,
@@ -885,8 +886,7 @@ def _certified_zero(comp, row, col, deg):
     proved (``certified_through``): an end of the representatives in K, a
     degree through its window where the entry is 0, or any degree above a
     window that reaches the certificate's E."""
-    entry = comp.graded_hom(row, col)
-    return deg <= comp.certified_through(row, col, entry) and not entry.coeff(deg)
+    return deg <= comp.certified_through(row, col) and not comp.graded_hom(row, col).coeff(deg)
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
@@ -1011,7 +1011,7 @@ def test_a_certified_entry_is_zero_above_its_window(monkeypatch):
         comp, ref = (BlockComputer(d, default_q_matrix(d), weights) for _ in range(2))
         _certificate_off(monkeypatch, ref)
         for row, col, entry, _ in _window_entries(comp, alphas):
-            if comp.certified_through(row, col, entry) < math.inf:
+            if comp.certified_through(row, col) < math.inf:
                 seen[case, "window only"] += 1
                 continue
             E, g = _certificate_bound(comp, row, col)
@@ -1034,28 +1034,57 @@ def test_a_window_short_of_the_certificate_certifies_only_itself():
     short = reached = 0
     for row, col, entry, window in _window_entries(comp, block_contents(d, strands)):
         E, _ = _certificate_bound(comp, row, col)
-        through = comp.certified_through(row, col, entry)
+        through = comp.certified_through(row, col)
         if window[-1] >= E:
             assert through == math.inf, (row, col)
             reached += 1
         else:
             assert through == window[-1], (row, col)
-            assert default.certified_through(row, col, default.graded_hom(row, col)) == math.inf, (row, col)
+            assert default.certified_through(row, col) == math.inf, (row, col)
             short += 1
     assert short >= 1 and reached >= 1
 
 
+@pytest.mark.parametrize("tail", [DEFAULT_TAIL, 1], ids=["default tail", "tail=1"])
+def test_the_record_keeps_the_degree_its_check_certifies(tail):
+    """The degree ``graded_hom`` records beside each entry of the
+    ``_certificate_cases`` (``certified_through``) is the one the
+    independent derivation of ``_certificate_bound`` gives: every degree
+    for an end in K or an empty component, every degree when the window
+    reaches E, and the window's last degree otherwise.  Both kinds occur."""
+    seen: Counter = Counter()
+    for case, d, lams, alphas in _certificate_cases():
+        comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams), tail=tail)
+        windows = {(row, col): window for row, col, _, window in _window_entries(comp, alphas)}
+        for alpha in alphas:
+            for row, col in itertools.product(comp.idems(alpha), repeat=2):
+                window = windows.get((row, col))
+                short = window is not None and window[-1] < _certificate_bound(comp, row, col)[0]
+                assert comp.certified_through(row, col) == (window[-1] if short else math.inf), (case, row, col)
+                seen[short] += 1
+    assert seen[True] >= 1 and seen[False] >= 1, seen
+
+
 def test_the_certificate_needs_the_window_to_reach_every_dotless_diagram(monkeypatch):
-    """E includes W: no entry of the test data has W above t + g, so a
-    dotless diagram is put above the window of a certified entry by hand
-    (``alg.component`` patched once the entry is computed), and the entry
-    is then certified only through its window."""
+    """``min_degree``, ``checked_window`` and the record all read the
+    component's kept ``degree_range``, and E includes W.  No entry of the
+    test data has W above t + g, so on a fresh computer the range of a
+    certified entry's ``_free_rep`` ends is patched to start one degree
+    lower and to put a dotless diagram above the window: ``min_degree`` and
+    the window start one degree lower, and the entry, unchanged, is
+    certified only through its window."""
     d, comp, _ = _block_computer("sl2 (w,w,w)")
-    row, col, entry, window = next(_window_entries(comp, [d.root((2,))]))
-    assert comp.certified_through(row, col, entry) == math.inf
-    component = comp.alg.component
-    monkeypatch.setattr(comp.alg, "component", lambda b, t: component(b, t) + ((None, window[-1] + 1),))
-    assert comp.certified_through(row, col, entry) == window[-1]
+    row, col, entry, window = next(e for e in _window_entries(comp, [d.root((2,))]) if not e[2].is_zero())
+    assert comp.certified_through(row, col) == math.inf
+    ends = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
+    _, comp, _ = _block_computer("sl2 (w,w,w)")
+    degree_range = comp.alg.degree_range
+    moved = (window[0] - 1, window[-1] + 1)
+    monkeypatch.setattr(comp.alg, "degree_range", lambda *key: moved if key == ends else degree_range(*key))
+    assert comp.min_degree(*ends) == window[0] - 1
+    assert comp.checked_window(*ends, entry) == range(window[0] - 1, window.stop)
+    assert comp.graded_hom(row, col) == entry
+    assert comp.certified_through(row, col) == window[-1]
 
 
 def test_the_certificate_rests_on_checked_degrees(monkeypatch):
@@ -1067,7 +1096,7 @@ def test_the_certificate_rests_on_checked_degrees(monkeypatch):
 
     def bases():
         for row, col, entry, _ in _window_entries(comp, block_contents(d, strands)):
-            if comp.certified_through(row, col, entry) < math.inf:
+            if comp.certified_through(row, col) < math.inf:
                 continue
             bottom, top = comp._free_rep(idem_key(*row)), comp._free_rep(idem_key(*col))
             E, g = _certificate_bound(comp, row, col)
@@ -1102,7 +1131,7 @@ def test_where_the_certificate_holds(case):
     d = datum_f()
     comp = BlockComputer(d, default_q_matrix(d), tuple(d.weight(l) for l in lams), max_strands=strands)
     through = [
-        comp.certified_through(a, b, comp.graded_hom(a, b))
+        comp.certified_through(a, b)
         for alpha in block_contents(d, strands)
         for a, b in itertools.product(comp.idems(alpha), repeat=2)
     ]

@@ -819,7 +819,6 @@ def test_text_roundtrip():
         text = diagram_text(alg, key)
         back = diagram_from_text(alg, text)
         assert key in back.terms
-    assert Element.from_json(alg, el.to_json()) == el
 
 
 @pytest.mark.parametrize("label", ["0", "2"])

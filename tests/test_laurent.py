@@ -86,6 +86,5 @@ def test_text_rendering_and_json():
     p = LaurentPoly({-2: 1, 0: 3, 2: 1})
     assert p.text() == "q^-2 + 3 + q^2"
     assert p.to_json() == [[-2, 1], [0, 3], [2, 1]]
-    assert LaurentPoly.from_json(p.to_json()) == p
     assert ZERO.text() == "0"
     assert LaurentPoly({1: -2, 0: 1}).text() == "1 - 2*q"

@@ -30,7 +30,7 @@ def sparse(row):
 
 
 def dense(row, ncols, field=QQ):
-    out = [field.zero()] * ncols
+    out = [field.from_int(0)] * ncols
     for c, x in row.items():
         out[c] = x
     return out
@@ -93,7 +93,7 @@ def _reference_nullspace(rows, field):
     rref, pivots = _reference_rref(rows, field)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [field.zero()] * ncols
+        v = [field.from_int(0)] * ncols
         v[fc] = field.one()
         for row, pc in zip(rref, pivots):
             v[pc] = -row[fc]
@@ -135,11 +135,11 @@ def test_elimination_matches_reference_gauss_jordan(ints, field, rhs_ints):
         else:
             assert x is not None
             x = dense(x, len(rows), field)
-            want_x = [field.zero()] * len(rows)
+            want_x = [field.from_int(0)] * len(rows)
             for row, pc in zip(rref, pivots):
                 want_x[pc] = row[-1]
             assert x == want_x
-            assert [sum((xj * r[c] for xj, r in zip(x, rows)), field.zero()) for c in range(ncols)] == rhs
+            assert [sum((xj * r[c] for xj, r in zip(x, rows)), field.from_int(0)) for c in range(ncols)] == rhs
 
 
 def test_incremental_matches_batch():
@@ -205,10 +205,6 @@ class _Integers:
     """ℤ as plain ``int``, the engine's coefficients."""
 
     @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
     def from_int(n):
         return n
 
@@ -230,7 +226,7 @@ def test_add_multiple_matches_the_dense_sum(field, v_ints, row_ints, f_int):
     assert out is v
     assert row == row_before
     assert all(out.values())
-    want = [before.get(k, field.zero()) + f * row.get(k, field.zero()) for k in range(8)]
+    want = [before.get(k, field.from_int(0)) + f * row.get(k, field.from_int(0)) for k in range(8)]
     assert dense(out, 8, field) == want
     if not f:
         assert out == before
