@@ -1,6 +1,6 @@
-"""The crystal operator f̃_i, read off the socles of restrictions by the
-adjunction between induction and restriction, and the degenerate
-cyclotomic Hecke algebra as an independent type-A referee.
+"""The crystal operator f̃_i, read off the last letters of the simples'
+characters (ε_i and ẽ_i^max), and the degenerate cyclotomic Hecke algebra
+as an independent type-A referee.
 """
 
 from tensoralg.cartan import default_q_matrix, sl2

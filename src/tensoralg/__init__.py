@@ -10,9 +10,9 @@ The package computes, at desk scale and in exact arithmetic:
 * the quantum-group side (tensor products of highest-weight modules,
   coproduct actions, the move-across inner product) used as the
   independent prediction for every graded dimension;
-* module theory over computed blocks (radical, simples, restriction,
-  the crystal operator f̃_i) and the degenerate cyclotomic Hecke
-  comparison in type A.
+* module theory over computed blocks (radical, simples and their
+  characters, the crystal operator f̃_i read off the characters' last
+  letters) and the degenerate cyclotomic Hecke comparison in type A.
 """
 
 from .cartan import CartanDatum, QMatrix, Weight, RootVector, default_q_matrix

@@ -762,13 +762,12 @@ class QuotientBlock:
         return self.basis[i][2]
 
     def idem_vector(self, idem: IdemKey) -> dict[int, object]:
-        out = {}
-        for i, (a, b, d, key) in enumerate(self.basis):
-            if a == idem and b == idem and d == 0:
-                _, w, dots = key
-                if all(x == 0 for x in dots) and list(w) == sorted(w):
-                    out[i] = self.comp.field.one()
-        return out
+        """e(idem) in the quotient basis.  The identity diagram need not be
+        its own coset representative: modulo K it may be a combination of
+        other degree-0 diagrams, or zero when e(idem) ∈ K."""
+        if self.comp._in_K(idem):
+            return {}
+        return self._reduce(Element.idempotent(self.comp.alg, *idem), idem, idem, 0)
 
     def check_associative(self, triples) -> bool:
         for x, y, z in triples:

@@ -255,13 +255,6 @@ class DiagramAlgebra:
             self._tops[key] = top
         return top
 
-    def check_red_order(self, idem: IdemKey, w: Sequence[int]):
-        bot = self.merged(idem)
-        red_slots = [slot for slot, (kind, _) in enumerate(bot) if kind == "r"]
-        tops = [w[s] for s in red_slots]
-        if tops != sorted(tops):
-            raise RedCrossingError("permutation inverts a pair of red strands")
-
     # -- degrees -------------------------------------------------------------------
 
     def crossing_degree(self, la, lb) -> int:
@@ -548,7 +541,7 @@ class Element:
         w = tuple(w)
         if sorted(w) != list(range(len(algebra.merged(idem)))):
             raise WordError(f"{w} is not a permutation of the merged strands")
-        algebra.check_red_order(idem, w)
+        algebra.top_idem(idem, w)  # raises RedCrossingError if reds cross
         return Element(algebra, {(idem, w, tuple(dots)): 1})
 
     @staticmethod

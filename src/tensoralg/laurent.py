@@ -8,6 +8,7 @@ and normalized (no zero coefficients), so ``==`` is structural equality.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Mapping
 
 
@@ -189,8 +190,10 @@ ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)
 
 
+@cache
 def qint(n: int, d: int = 1) -> LaurentPoly:
-    """Balanced quantum integer [n] in q^d: (q^{dn}-q^{-dn})/(q^d-q^{-d}).
+    """Balanced quantum integer [n] in q^d: (q^{dn}-q^{-dn})/(q^d-q^{-d}),
+    memoized per (n, d): a ``LaurentPoly`` is never mutated once built.
 
     Requires n >= 0; use :func:`qint_signed` where the argument may be
     negative (commutator scalars).
@@ -202,6 +205,7 @@ def qint(n: int, d: int = 1) -> LaurentPoly:
     return LaurentPoly({d * (n - 1 - 2 * k): 1 for k in range(n)})
 
 
+@cache
 def qint_signed(n: int, d: int = 1) -> LaurentPoly:
     """[n] in q^d for any integer n; odd in n since [-n] = -[n]."""
     if n >= 0:

@@ -1,21 +1,36 @@
 """Finite-dimensional module theory over computed quotient blocks:
-radical, simple modules with graded characters, restriction along the
-add-a-strand map, and the crystal operator f̃_i.
+radical, simple modules with graded characters, and the crystal operator
+f̃_i read off the simples' characters.
 
 Every module is built by one of two constructions: ``regular_module``,
-and a submodule (``_submodule``: the simples f·S, the socle, and the
-restriction E_i N = N·ν_i(1)), whose action matrices are read off the
-reduced row space of its basis.  The one quotient is the semisimple
-algebra A/rad (``SemisimpleQuotient``).  Induction is never built: by
-the adjunction Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′) and Schur's lemma,
-S′ is in cosoc(F_i L) exactly when L is in soc(E_i S′), so the crystal's
-f̃_i is read off the socles of restrictions (``crystal_f``).
+and a submodule (``_submodule``: the simples f·S), whose action matrices
+are read off the reduced row space of its basis.  The one quotient is the
+semisimple algebra A/rad (``SemisimpleQuotient``).
 
-A socle is identified by the primitive idempotents f_S of A/rad that
-``simples`` split the simples off with.  On a module M that rad kills,
-m ↦ m·f_S is idempotent, it kills every other simple and S·f_S is
-one-dimensional, so its trace on M is the multiplicity of S in M
-(``identify_simple``).
+Crystal edges come from characters, with no module built for them.  The
+character of a module M is ch(M)[x] = dim M·e(x) over the idempotents x of
+its block (``character``).  E_i, restriction along the map that adds a
+black strand labelled i at the right end, right of every red, sends M to
+M·Σ_x′ e(x′·i), where x′·i appends that strand; so E_i^k M = 0 exactly when
+ch(M)[x] = 0 for every x whose last k strands carry label i and lie right
+of every red.  By the last-letter theory of Lauda–Vazirani (*Crystals from
+categorified quantum groups*) and Grojnowski, for a simple L:
+
+* ε_i(L), the largest k with E_i^k L ≠ 0, is the largest k for which such
+  an x has ch(L)[x] ≠ 0;
+* with ε = ε_i(L), Δ_{i^ε} L ≅ ẽ_i^max L ⊠ L(i^ε), where L(i^ε), the simple
+  module of the nilHecke algebra on ε strands, has dimension ε! and lives
+  on e(i^ε); so ch(ẽ_i^max L)[x′] = ch(L)[x′·i^ε] / ε! (``_strip``, which
+  checks that the division is exact);
+* ẽ_i lowers ε_i by one and does not move ẽ_i^max, and the i-string
+  through S′ has one node at each level; so ẽ_i S′ is the L with
+  ε_i(L) = ε_i(S′) − 1 and ẽ_i^max L ≅ ẽ_i^max S′, and f̃_i L = S′.
+
+Isomorphism of ẽ_i^max is read as equality of characters.  ``crystal_f``
+checks at run time that exactly one listed simple matches each S′ and that
+no two S′ reach one L, so a coincidence of characters is an
+``IntegrityError``, never a silent edge.  The dimensions are ungraded;
+graded, the division is by [ε]_i!, the graded dimension of L(i^ε).
 
 Vectors and matrix rows are sparse ``{index: value}`` dicts, the row
 type of ``linalg``: over Q a value is an ``int``, or a ``Fraction`` where
@@ -32,8 +47,9 @@ does the Frobenius Gram of ``cyclotomic.frobenius_certificate``.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .cyclotomic import IntegrityError, QuotientBlock
-from .diagrams import Element, idem_key
 from .laurent import LaurentPoly
 from .linalg import (
     add_multiple,
@@ -67,13 +83,10 @@ class FinDimModule:
     i-th block basis element, as a list of sparse rows: row r is the
     image of the r-th module basis vector.  ``act(i)`` builds that matrix
     once; it is cached here.  Degrees, when known, grade the module basis.
-    ``simples`` sets ``tag``, the index of a simple among its block's, and
-    ``idem``, the lift to the block of the primitive idempotent that split
-    it off.
+    ``simples`` sets ``tag``, the index of a simple among its block's.
     """
 
     tag: int | None = None
-    idem: Vec | None = None
 
     def __init__(self, block: QuotientBlock, dim: int, act, degrees=None):
         self.block = block
@@ -289,116 +302,84 @@ def simples(block: QuotientBlock) -> list[FinDimModule]:
         rows = [S.multiply(f, {i: 1}) for i in range(S.dim)]
         L = _submodule(block, rows, lambda v, i: S.multiply(v, images[i]), "simple module", S.is_homogeneous)
         L.tag = ci
-        L.idem = S.lift(f)
         out.append(L)
     return out
 
 
-# -- restriction ---------------------------------------------------------------------
+# -- characters and the crystal operator ---------------------------------------------
 
 
-def nu_map(i: int, block_src: QuotientBlock, block_dst: QuotientBlock):
-    """The add-a-strand algebra map on quotient blocks: append a black
-    strand labeled i at the far right and reduce in the target block."""
-    src, dst = block_src.comp.alg, block_dst.comp.alg
-
-    def nu(vi: int) -> Vec:
-        bottom, top, d, key = block_src.basis[vi]
-        idem, w, dots = key
-        I, kappa = idem
-        nI = I + (i,)
-        m = len(src.merged(idem))
-        nw = tuple(w) + (m,)
-        ndots = tuple(dots) + (0,)
-        nbottom = idem_key(nI, kappa)
-        el = Element(dst, {(nbottom, nw, ndots): 1})
-        ntop = dst.top_idem(nbottom, nw)
-        nd = dst.diagram_degree(nbottom, nw, ndots)
-        return block_dst._reduce(el, nbottom, ntop, nd)
-
-    return nu
+def character(L: FinDimModule) -> dict:
+    """ch(L)[x] = dim L·e(x) for each idempotent x of L's block where it is
+    not zero: the trace Σ_r (e_r·e(x))_r of the idempotent e(x), which over
+    Q is its rank."""
+    ch = {}
+    for x in L.block.idems:
+        ex = L.block.idem_vector(x)
+        n = sum(L.act_vec({r: 1}, ex).get(r, 0) for r in range(L.dim))
+        if n:
+            ch[x] = n
+    return ch
 
 
-def restrict(N: FinDimModule, i: int, block_src: QuotientBlock) -> FinDimModule:
-    """E_i N = N·ν_i(1), acted on through ν_i.
-
-    ν_i(1), the image of the source block's unit, is the sum of the
-    idempotents of N's block that end in a strand labelled i.  It is an
-    idempotent and ν_i(a) = ν_i(1)·ν_i(a)·ν_i(1), so N·ν_i(1) is a
-    submodule on which the source block's unit acts as the identity; the
-    part of N that ν_i(1) kills is not in E_i N.  The module is
-    ungraded: the categorical grading shift <μ,α_i> − d_i is a
-    bookkeeping shift on characters, recorded in docs rather than applied
-    here.
-    """
-    nu = nu_map(i, block_src, N.block)
-    images = [nu(j) for j in range(block_src.dim)]
-    unit: Vec = {}
-    for j, c in block_src.identity_vector().items():
-        add_multiple(unit, c, images[j])
-    rows = [N.act_vec({r: 1}, unit) for r in range(N.dim)]
-    return _submodule(block_src, rows, lambda v, j: N.act_vec(v, images[j]), "E_i N")
+def _last_letters(x, i: int) -> int:
+    """How many of x's last strands carry label i and lie right of every
+    red."""
+    I, kappa = x
+    free = len(I) - max(kappa, default=0)
+    k = 0
+    while k < free and I[-1 - k] == i:
+        k += 1
+    return k
 
 
-# -- socle and the crystal operator ------------------------------------------------------
+def _strip(ch: dict, i: int, k: int) -> dict:
+    """x′ ↦ ch[x′·i^k] / k!, where x′·i^k appends k strands labelled i at
+    the right end.  A division that is not exact is an ``IntegrityError``."""
+    out = {}
+    for x, n in ch.items():
+        if _last_letters(x, i) >= k:
+            I, kappa = x
+            m, rest = divmod(n, factorial(k))
+            if rest:
+                raise IntegrityError(f"dim L·e({x}) is not a multiple of {k}!")
+            out[I[: len(I) - k], kappa] = m
+    return out
 
 
-def socle(M: FinDimModule) -> FinDimModule:
-    """{m : m·rad(A) = 0} as a module."""
-    cons = []
-    for x in radical(M.block):
-        # act_vec is linear in the vector: m ↦ Σ_r m_r (e_r · x)
-        cons.extend(transpose([M.act_vec({r: 1}, x) for r in range(M.dim)]).values())
-    return _submodule(M.block, nullspace(cons, M.dim, QQ), lambda v, i: M.act_vec(v, {i: 1}), "socle")
-
-
-def identify_simple(M: FinDimModule, simples_list):
-    """The simple S of which M is a sum of copies, or None for M = 0.
-
-    M is a module that rad(A) kills (a socle), so the lift
-    f_S = ``S.idem`` acts on it as the primitive idempotent of A/rad that
-    split S off (f_S² − f_S lies in rad): m ↦ m·f_S is idempotent on M,
-    it kills every other simple, and S·f_S = f_S·(A/rad)·f_S is
-    one-dimensional.  Over Q the rank of an idempotent is its trace, so
-    m_S = Σ_r (e_r·f_S)_r is exactly the multiplicity of S.  Exactly one
-    m_S must be nonzero, with m_S·dim S = dim M; otherwise
-    ``IntegrityError``.
-    """
-    if M.dim == 0:
-        return None
-    found = []
-    for S in simples_list:
-        m = sum(M.act_vec({r: 1}, S.idem).get(r, 0) for r in range(M.dim))
-        if m:
-            found.append((S, m))
-    if len(found) == 1:
-        S, m = found[0]
-        if m * S.dim == M.dim:
-            return S
-    raise IntegrityError("module is not a sum of copies of one simple")
+def _top(M: FinDimModule, i: int) -> tuple[int, dict]:
+    """(ε_i(M), the character of ẽ_i^max M): ε_i(M) is the most last
+    letters i of an idempotent x with M·e(x) ≠ 0."""
+    ch = character(M)
+    eps = max((_last_letters(x, i) for x in ch), default=0)
+    return eps, _strip(ch, i, eps)
 
 
 def crystal_f(sims, i: int, dst_simples) -> list:
-    """f̃_i L = cosoc(F_i L) for each simple L of ``sims``, in order: the
-    S′ in ``dst_simples`` with L = soc(E_i S′), or None.
+    """f̃_i L for each simple L of ``sims``, in order: the S′ in
+    ``dst_simples`` with ẽ_i S′ = L, or None.
 
-    By adjunction, Hom_{A′}(F_i L, S′) ≅ Hom_A(L, E_i S′), with
-    E_i S′ = S′·ν_i(1) (``restrict``).  End(L) and End(S′) are the base
-    field (``_split_primitive`` stops at a one-dimensional corner), so the
-    multiplicity of S′ in cosoc(F_i L) is dim Hom_A(L, soc(E_i S′)), the
-    multiplicity of L in the socle, which ``identify_simple`` reads.
-    ``sims`` must list every simple of the source block, or a socle is an
-    ``IntegrityError``; "no S′" means F_i L = 0 only when ``dst_simples``
+    ẽ_i S′ is read off the characters (see the module docstring): with
+    ε = ε_i(S′) > 0, it is the L with ε_i(L) = ε − 1 and
+    strip_i^{ε−1}(ch L) = strip_i^ε(ch S′).  Not exactly one such L in
+    ``sims`` is an ``IntegrityError``, so ``sims`` must list every simple
+    of the source block; "no S′" means F_i L = 0 only when ``dst_simples``
     lists every simple of theirs.  Two S′ reaching one L is an
     ``IntegrityError``.
     """
     if not sims:
         return []
+    tops = [_top(L, i) for L in sims]
     image = {}
     for S in dst_simples:
-        L = identify_simple(socle(restrict(S, i, sims[0].block)), sims)
+        eps, top = _top(S, i)
+        if not eps:
+            continue
+        found = [L for L, t in zip(sims, tops) if t == (eps - 1, top)]
+        if len(found) != 1:
+            raise IntegrityError(f"{len(found)} listed simples have the last letters of ẽ_i S′")
+        (L,) = found
         if L in image:
             raise IntegrityError("cosoc(F_i L) is not a sum of copies of one simple")
-        if L is not None:
-            image[L] = S
+        image[L] = S
     return [image.get(L) for L in sims]

@@ -526,10 +526,12 @@ def test_runs_by_word_offer_the_pairwise_rows(case, monkeypatch):
 
 
 def test_connecting_permutations_keep_the_red_order():
-    """Every connecting permutation between two idempotents of the
-    ``PAIRWISE_CASES`` blocks, violating ones included, passes
-    ``check_red_order``: red j goes to the top slot of red j, and those
-    slots increase with j, so ``connecting_perms`` need not check."""
+    """Every connecting permutation w between two idempotents of the
+    ``PAIRWISE_CASES`` blocks, violating ones included, carries the bottom
+    to the top it was asked for (``top_idem``, which raises
+    ``RedCrossingError`` where reds cross): red j goes to the top slot of
+    red j, and those slots increase with j, so ``connecting_perms`` need
+    not check."""
     checked = 0
     for case in sorted(PAIRWISE_CASES):
         d, comp, contents = _case_computer(case)
@@ -538,7 +540,7 @@ def test_connecting_permutations_keep_the_red_order():
             keys = comp.idems(alpha) + comp.space.violating_keys(alpha)
             for bottom, top in itertools.product(keys, keys):
                 for w in diagrams.connecting_perms(comp.alg, bottom, top):
-                    comp.alg.check_red_order(bottom, w)
+                    assert comp.alg.top_idem(bottom, w) == top
                     checked += comp.space.ell > 1
     assert checked >= 1000
 
@@ -887,6 +889,27 @@ def _certified_zero(comp, row, col, deg):
     degree through its window where the entry is 0, or any degree above a
     window that reaches the certificate's E."""
     return deg <= comp.certified_through(row, col) and not comp.graded_hom(row, col).coeff(deg)
+
+
+def test_the_identity_vector_is_a_two_sided_unit():
+    """``identity_vector`` is a two-sided unit of every block of the
+    ``BLOCK_CASES`` and of the content-(2,2) block of A2 (ω1, ω2), where
+    three idempotents are not their own coset representatives: modulo K,
+    e(x) is minus the crossing ψ_w with w = (0, 1, 2, 5, 4, 3)."""
+    blocks = []
+    for case in sorted(BLOCK_CASES):
+        d, comp, strands = _block_computer(case)
+        blocks.extend(QuotientBlock(comp, alpha) for alpha in block_contents(d, strands) if comp.idems(alpha))
+    d, comp, _ = _block_computer("A2 (w1,w2)", max_strands=4)
+    blk = QuotientBlock(comp, d.root((2, 2)))
+    crossed = {x for x in blk.idems if [blk.basis[i][3][1] for i in blk.idem_vector(x)] == [(0, 1, 2, 5, 4, 3)]}
+    assert crossed == {((0, 1, 0, 1), (0, 0)), ((0, 1, 0, 1), (0, 1)), ((1, 0, 1, 0), (0, 0))}
+    assert all(list(blk.idem_vector(x).values()) == [-1] for x in crossed)
+    for blk in blocks + [blk]:
+        one = blk.identity_vector()
+        for i in range(blk.dim):
+            assert blk.multiply_vectors(one, {i: 1}) == {i: 1} == blk.multiply_vectors({i: 1}, one)
+    assert sum(blk.dim for blk in blocks) >= 100
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))

@@ -37,7 +37,6 @@ TEST_FACING = {
     # diagrams.py
     "Element.degree",
     "diagram_from_text",
-    "Element.idempotent",
     # hecke.py
     "HeckeAlgebra.gen_s",
     "HeckeAlgebra.regular_rank",

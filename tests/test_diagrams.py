@@ -194,6 +194,8 @@ def test_red_red_crossing_rejected():
     d, alg = sl2_algebra(1, 1)
     with pytest.raises(RedCrossingError):
         Element.from_word(alg, (), (0, 0), [("s", 0)])
+    with pytest.raises(RedCrossingError):
+        Element.basis_diagram(alg, (), (0, 0), (1, 0), ())
 
 
 def test_malformed_word_rejected():

@@ -80,10 +80,10 @@ def test_crystal_holds_exact_rationals(recorded, capsys):
     assert blocks and simples and recorded["rrefs"]
     mult = _values(m for b in blocks for m in b._mult.values())
     rad = [x for b in blocks for x in _values(radical(b))]
-    idems = _values(S.idem for S in simples)
+    acts = _values(row for S in simples for i in range(S.block.dim) for row in S.action(i))
     held = _held_values(recorded["rrefs"])
-    assert mult and rad and idems and held
-    for values in (mult, rad, idems, held):
+    assert mult and rad and acts and held
+    for values in (mult, rad, acts, held):
         assert all(is_exact(x) and x for x in values)
 
 

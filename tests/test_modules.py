@@ -5,20 +5,18 @@ import pytest
 from tensoralg import modules
 from tensoralg.cartan import PRESETS, default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, IntegrityError, QuotientBlock
-from tensoralg.linalg import add_multiple, nullspace, row_reduce, solve, transpose
+from tensoralg.diagrams import Element, idem_key
+from tensoralg.linalg import add_multiple, row_reduce, solve, transpose
 from tensoralg.modules import (
-    FinDimModule,
     SemisimpleQuotient,
     UnsupportedCharacteristicError,
     central_primitive_idempotents,
+    character,
     crystal_f,
-    identify_simple,
     radical,
     regular_module,
     regular_trace,
-    restrict,
     simples,
-    socle,
 )
 from tensoralg.scalars import QQ, PrimeField
 from tensoralg.workbench import block_contents
@@ -77,12 +75,15 @@ def test_zero_block(sl2_setup):
 
 
 # (datum, red labels, strands): the hand-worked crystals of the crystal task's
-# test in tests/test_workbench.py, and sl2 (ω, ω, ω) to two strands
+# test in tests/test_workbench.py, sl2 (ω, ω, ω) to two strands, and
+# A2 (ω1, ω2) to four, whose content-(2,2) block has idempotents that are
+# not their own coset representatives
 CRYSTAL_CASES = [
     ("sl2", ((2,), (1,)), 3),
     ("sl2", ((1,), (1,)), 2),
     ("sl2", ((1,), (1,), (1,)), 2),
     ("a2", ((1, 0), (0, 1)), 3),
+    ("a2", ((1, 0), (0, 1)), 4),
     ("b2", ((1, 0),), 4),
     ("b2", ((0, 1),), 3),
 ]
@@ -90,9 +91,11 @@ CRYSTAL_CASES = [
 
 # The number of crystal edges of each case, the sum of its hand-worked
 # string lengths: B(3) ⊕ B(1) has 3 + 1; B(2) ⊕ B(0) has 2; B(3) ⊕ 2·B(1)
-# cut at two strands has 2 + 1 + 1; the a2 case 3 per node; the b2 vector
+# cut at two strands has 2 + 1 + 1; the a2 case 3 per node at three
+# strands, and 4 per node at four, where the lowest weight of the adjoint
+# representation, content (2,2), adds one edge of each node; the b2 vector
 # representation 2 + 2 and the spin representation 1 + 2.
-EDGES = dict(zip(CRYSTAL_CASES, [4, 2, 4, 6, 4, 3]))
+EDGES = dict(zip(CRYSTAL_CASES, [4, 2, 4, 6, 8, 4, 3]))
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +145,43 @@ def test_prime_field_radical_unsupported():
         radical(blk)
 
 
+# -- the referee: restriction along the add-a-strand map ------------------------------
+
+
+def _nu_map(i, block_src, block_dst):
+    """The add-a-strand algebra map on quotient blocks: append a black
+    strand labelled i at the far right and reduce in the target block."""
+    src, dst = block_src.comp.alg, block_dst.comp.alg
+
+    def nu(vi):
+        _, _, _, ((I, kappa), w, dots) = block_src.basis[vi]
+        nbottom = idem_key(I + (i,), kappa)
+        nw = tuple(w) + (len(src.merged((I, kappa))),)
+        ndots = tuple(dots) + (0,)
+        el = Element(dst, {(nbottom, nw, ndots): 1})
+        return block_dst._reduce(el, nbottom, dst.top_idem(nbottom, nw), dst.diagram_degree(nbottom, nw, ndots))
+
+    return nu
+
+
+def _restrict(N, i, block_src):
+    """E_i N = N·ν_i(1), acted on through ν_i: the module that
+    ``crystal_f``'s edges are checked against.
+
+    ν_i(1), the image of the source block's unit, is the sum of the
+    idempotents of N's block that end in a strand labelled i.  It is an
+    idempotent and ν_i(a) = ν_i(1)·ν_i(a)·ν_i(1), so N·ν_i(1) is a
+    submodule on which the source block's unit acts as the identity.
+    """
+    nu = _nu_map(i, block_src, N.block)
+    images = [nu(j) for j in range(block_src.dim)]
+    unit = {}
+    for j, c in block_src.identity_vector().items():
+        add_multiple(unit, c, images[j])
+    rows = [N.act_vec({r: 1}, unit) for r in range(N.dim)]
+    return modules._submodule(block_src, rows, lambda v, j: N.act_vec(v, images[j]), "E_i N")
+
+
 def test_restrict_keeps_only_the_image_of_the_unit(sl2_setup):
     """E_0 L = L·ν_0(1) is 0 for the content-1 simple of sl2 (ω, ω) with
     tag 0, which no idempotent ending in a strand labelled 0 reaches;
@@ -150,9 +190,9 @@ def test_restrict_keeps_only_the_image_of_the_unit(sl2_setup):
     b0, b1 = (QuotientBlock(comp11, d.root((n,))) for n in (0, 1))
     L0, L1 = simples(b1)
     assert L0.tag == 0 and L0.dim == 1
-    assert restrict(L0, 0, b0).dim == 0
+    assert _restrict(L0, 0, b0).dim == 0
     assert crystal_f(simples(b0), 0, [L0]) == [None]
-    assert restrict(L1, 0, b0).dim == 1
+    assert _restrict(L1, 0, b0).dim == 1
 
 
 def test_the_source_unit_acts_as_the_identity_on_restrictions(sl2_setup):
@@ -164,36 +204,12 @@ def test_the_source_unit_acts_as_the_identity_on_restrictions(sl2_setup):
             if not dst.dim:
                 continue
             for N in [regular_module(dst)] + simples(dst):
-                EN = restrict(N, 0, src)
+                EN = _restrict(N, 0, src)
                 one = src.identity_vector()
                 for r in range(EN.dim):
                     assert EN.act_vec({r: ONE}, one) == {r: ONE}
                 checked += EN.dim
     assert checked
-
-
-def _direct_sum(M, N):
-    """M ⊕ N, with M's basis first."""
-
-    def act(i):
-        return M.action(i) + [{M.dim + c: x for c, x in row.items()} for row in N.action(i)]
-
-    return FinDimModule(M.block, M.dim + N.dim, act)
-
-
-def test_identify_simple_reads_the_primitive_idempotents(sl2_setup):
-    d, comp11, _ = sl2_setup
-    blk = QuotientBlock(comp11, d.root((1,)))
-    sims = simples(blk)
-    for S in sims:
-        assert identify_simple(S, sims) is S
-        assert identify_simple(_direct_sum(S, S), sims) is S
-    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
-        identify_simple(_direct_sum(sims[0], sims[1]), sims)
-    # a part that no listed simple accounts for
-    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
-        identify_simple(_direct_sum(sims[0], sims[1]), sims[:1])
-    assert identify_simple(FinDimModule(blk, 0, lambda i: []), sims) is None
 
 
 def test_crystal_string_b2(sl2_setup):
@@ -212,15 +228,19 @@ def test_crystal_string_b2(sl2_setup):
 
 
 def _case_id(case):
-    name, lambdas, _ = case
-    return name + "-" + ";".join(",".join(map(str, lam)) for lam in lambdas)
+    """datum-red labels, and @strands where an earlier case has the same
+    datum and red labels."""
+    name, lambdas, strands = case
+    base = name + "-" + ";".join(",".join(map(str, lam)) for lam in lambdas)
+    earlier = [c[:2] for c in CRYSTAL_CASES[: CRYSTAL_CASES.index(case)]]
+    return f"{base}@{strands}" if case[:2] in earlier else base
 
 
 def _hom_dim(M, L):
     """dim Hom_A(M, L) by solving the intertwiner equations
     φ(m·a) = φ(m)·a exactly, for the nm x nl unknowns φ_{r,c} at column
-    r·nl + c: the reference that ``crystal_f``'s socles are checked
-    against."""
+    r·nl + c: with ``_restrict``, the referee that ``crystal_f``'s edges
+    are checked against."""
     nm, nl = M.dim, L.dim
     if nm == 0 or nl == 0:
         return 0
@@ -237,34 +257,158 @@ def _hom_dim(M, L):
     return nm * nl - len(row_reduce(rows, QQ)[1])
 
 
+def test_the_characters_of_a_simple_add_up_to_its_dimension(crystal_cases):
+    """On every block of the cases, A2 (ω1, ω2) content (2,2) included,
+    the identity vector is a two-sided unit, so the traces ch(L)[x] of the
+    idempotents e(x) add up to dim L for every simple L."""
+    checked = 0
+    for comp, _, blocks in crystal_cases.values():
+        for blk, sims in blocks.values():
+            one = blk.identity_vector()
+            for i in range(blk.dim):
+                assert blk.multiply_vectors(one, {i: 1}) == {i: 1} == blk.multiply_vectors({i: 1}, one)
+            for L in sims:
+                ch = character(L)
+                assert all(n > 0 for n in ch.values())
+                assert sum(ch.values()) == L.dim
+                checked += 1
+    assert checked >= 40
+
+
+def _block_pairs(comp, blocks):
+    """(i, source block, its simples, target simples) for every pair of
+    blocks α, α + α_i of a case."""
+    for alpha, (src, sims) in blocks.items():
+        for i in range(comp.datum.rank):
+            target = comp.datum.root([c + (j == i) for j, c in enumerate(alpha.coords)])
+            if target in blocks:
+                yield i, src, sims, blocks[target][1]
+
+
+@pytest.fixture(scope="module")
+def referee(crystal_cases):
+    """Per case, h(L, S′) = dim Hom_A(L, E_i S′) keyed by (α, i, L.tag,
+    S′.tag) over every pair of blocks α, α + α_i."""
+    out = {}
+    for case, (comp, _, blocks) in crystal_cases.items():
+        out[case] = {
+            (src.alpha, i, L.tag, S.tag): _hom_dim(L, _restrict(S, i, src))
+            for i, src, sims, dst_sims in _block_pairs(comp, blocks)
+            for L in sims
+            for S in dst_sims
+        }
+    return out
+
+
+def _edges(comp, blocks):
+    """{(α, i, L.tag, f̃_i L's tag)} over every pair of blocks, by
+    ``crystal_f``."""
+    return {
+        (src.alpha, i, L.tag, img.tag)
+        for i, src, sims, dst_sims in _block_pairs(comp, blocks)
+        for L, img in zip(sims, crystal_f(sims, i, dst_sims))
+        if img is not None
+    }
+
+
 @pytest.mark.parametrize("case", CRYSTAL_CASES, ids=_case_id)
-def test_crystal_f_is_the_one_simple_with_a_hom_into_its_restriction(crystal_cases, case):
+def test_crystal_f_is_the_one_simple_with_a_hom_into_its_restriction(crystal_cases, referee, case):
     """h(L, S′) = dim Hom_A(L, E_i S′) is 0 or 1, each L and each S′ has at
     most one nonzero h, and f̃_i L is the S′ with h = 1 (None if there is
     none), on every pair of blocks α, α + α_i."""
     comp, _, blocks = crystal_cases[case]
+    h = referee[case]
     edges = 0
-    for alpha, (src, sims) in blocks.items():
-        for i in range(comp.datum.rank):
-            target = comp.datum.root([c + (j == i) for j, c in enumerate(alpha.coords)])
-            if target not in blocks:
-                continue
-            dst_sims = blocks[target][1]
-            h = {(L.tag, S.tag): _hom_dim(L, restrict(S, i, src)) for L in sims for S in dst_sims}
-            assert set(h.values()) <= {0, 1}
-            imgs = crystal_f(sims, i, dst_sims)
-            assert len(imgs) == len(sims)
-            for L, img in zip(sims, imgs):
-                assert sum(h[L.tag, S.tag] for S in dst_sims) <= 1
-                assert [S for S in dst_sims if h[L.tag, S.tag]] == ([] if img is None else [img])
-                edges += img is not None
-            for S in dst_sims:
-                assert sum(h[L.tag, S.tag] for L in sims) <= 1
+    for i, src, sims, dst_sims in _block_pairs(comp, blocks):
+        hi = {(L.tag, S.tag): h[src.alpha, i, L.tag, S.tag] for L in sims for S in dst_sims}
+        assert set(hi.values()) <= {0, 1}
+        imgs = crystal_f(sims, i, dst_sims)
+        assert len(imgs) == len(sims)
+        for L, img in zip(sims, imgs):
+            assert sum(hi[L.tag, S.tag] for S in dst_sims) <= 1
+            assert [S for S in dst_sims if hi[L.tag, S.tag]] == ([] if img is None else [img])
+            edges += img is not None
+        for S in dst_sims:
+            assert sum(hi[L.tag, S.tag] for L in sims) <= 1
     assert edges == EDGES[case]
 
 
+def _caught(crystal_cases, referee, cases):
+    """Whether ``crystal_f`` raises ``IntegrityError`` or draws other edges
+    than the referee on some case of ``cases``."""
+    for case in cases:
+        comp, _, blocks = crystal_cases[case]
+        want = {key for key, n in referee[case].items() if n}
+        try:
+            if _edges(comp, blocks) != want:
+                return True
+        except IntegrityError:
+            return True
+    return False
+
+
+def test_every_character_entry_off_by_one_is_caught(crystal_cases, referee, monkeypatch):
+    """For every simple M with an edge, raising ch(M)[x] by one at the x
+    with the most last letters of one label is caught, by an
+    ``IntegrityError`` or by the referee."""
+    assert not _caught(crystal_cases, referee, CRYSTAL_CASES)
+    character = modules.character
+    mutated = 0
+    for case in CRYSTAL_CASES:
+        comp, _, blocks = crystal_cases[case]
+        ends = set()  # (content, tag) of each end of an edge
+        for (alpha, i, src_tag, dst_tag), n in referee[case].items():
+            if n:
+                ends.add((alpha.coords, src_tag))
+                ends.add((tuple(c + (j == i) for j, c in enumerate(alpha.coords)), dst_tag))
+        for alpha, (_, sims) in blocks.items():
+            for M in sims:
+                if (alpha.coords, M.tag) not in ends:
+                    continue
+                ch = character(M)
+                x0 = max(ch, key=lambda x: max(modules._last_letters(x, i) for i in range(comp.datum.rank)))
+
+                def off_by_one(L, M=M, x0=x0):
+                    out = character(L)
+                    if L is M:
+                        out[x0] += 1
+                    return out
+
+                monkeypatch.setattr(modules, "character", off_by_one)
+                assert _caught(crystal_cases, referee, [case]), (case, alpha.coords, M.tag, x0)
+                monkeypatch.setattr(modules, "character", character)
+                mutated += 1
+    assert mutated == 40  # every end of an edge of the cases
+
+
+def test_last_letters_left_of_a_red_are_caught(crystal_cases, referee, monkeypatch):
+    """Counting ε_i over trailing strands labelled i that lie left of a
+    red is caught on the cases with more than one red."""
+
+    def through_reds(x, i):
+        I, _ = x
+        k = 0
+        while k < len(I) and I[-1 - k] == i:
+            k += 1
+        return k
+
+    monkeypatch.setattr(modules, "_last_letters", through_reds)
+    for case in CRYSTAL_CASES:
+        assert _caught(crystal_cases, referee, [case]) == (len(case[1]) > 1), case
+
+
+def test_an_undivided_stripped_character_is_caught(crystal_cases, referee, monkeypatch):
+    """Dropping the division by k! in ``_strip`` is caught on every case
+    with a string of three nodes or more, where ε_i reaches 2: all but the
+    b2 spin representation, whose strings have two."""
+    monkeypatch.setattr(modules, "factorial", lambda k: 1)
+    for case in CRYSTAL_CASES:
+        assert _caught(crystal_cases, referee, [case]) == (case != ("b2", ((0, 1),), 3)), case
+
+
 def test_crystal_f_rejects_a_simple_listed_twice(sl2_setup):
-    """A target listed twice has two nonzero Homs: ``IntegrityError``."""
+    """A target listed twice reaches its source simple twice:
+    ``IntegrityError``."""
     d, _, comp2 = sl2_setup
     b0, b1 = (QuotientBlock(comp2, d.root((n,))) for n in (0, 1))
     (L,) = simples(b0)
@@ -276,15 +420,15 @@ def test_crystal_f_rejects_a_simple_listed_twice(sl2_setup):
 
 
 def test_crystal_f_needs_every_simple_of_the_source_block(sl2_setup):
-    """soc(E_0 S′) for the content-2 simple S′ of sl2 (ω, ω) is the
-    content-1 simple with tag 1; with only the tag-0 simple listed, no
-    listed simple accounts for it: ``IntegrityError``."""
+    """ẽ_0 S′ for the content-2 simple S′ of sl2 (ω, ω) is the content-1
+    simple with tag 1; with only the tag-0 simple listed, no listed simple
+    has its last letters: ``IntegrityError``."""
     d, comp11, _ = sl2_setup
     b1, b2 = (QuotientBlock(comp11, d.root((n,))) for n in (1, 2))
     L0, L1 = simples(b1)
     (S,) = simples(b2)
     assert crystal_f([L0, L1], 0, [S]) == [None, S]
-    with pytest.raises(IntegrityError, match="not a sum of copies of one simple"):
+    with pytest.raises(IntegrityError, match="0 listed simples"):
         crystal_f([L0], 0, [S])
 
 
@@ -297,8 +441,8 @@ def _reference_action(basis, image, i):
 
 
 def test_submodule_actions_equal_solved_coordinates(sl2_setup):
-    """Every simple's action matrices and degrees, and the socle of the
-    regular module's, equal those solved for against the reduced basis."""
+    """Every simple's action matrices and degrees equal those solved for
+    against the reduced basis."""
     d, comp11, comp2 = sl2_setup
     checked = 0
     for comp in (comp11, comp2):
@@ -315,15 +459,6 @@ def test_submodule_actions_equal_solved_coordinates(sl2_setup):
                 for i in range(blk.dim):
                     assert L.action(i) == _reference_action(basis, image, i)
                     checked += any(L.action(i))
-            M = regular_module(blk)
-            cons = []
-            for x in radical(blk):
-                cons.extend(transpose([M.act_vec({r: ONE}, x) for r in range(M.dim)]).values())
-            basis = row_reduce(nullspace(cons, M.dim, QQ), QQ)[0]
-            soc = socle(M)
-            for i in range(blk.dim):
-                assert soc.action(i) == _reference_action(basis, lambda v, i: M.act_vec(v, {i: ONE}), i)
-                checked += any(soc.action(i))
     assert checked
 
 
@@ -340,15 +475,6 @@ def test_an_unstable_span_is_an_integrity_error(sl2_setup):
         modules._submodule(blk, [{k: ONE}], image, "span").action(i)
     whole = modules._submodule(blk, [{c: ONE} for c in range(blk.dim)], image, "span")
     assert all(whole.action(i) == M.action(i) for i in range(blk.dim))
-
-
-def test_socle_cosocle_of_projective(sl2_setup):
-    d, comp11, _ = sl2_setup
-    blk = QuotientBlock(comp11, d.root((1,)))
-    reg = regular_module(blk)
-    assert SemisimpleQuotient(blk).dim == 2  # two one-dimensional simples, one copy each in A/rad
-    soc = socle(reg)
-    assert 1 <= soc.dim <= blk.dim
 
 
 def _full_trace_form(blk):
@@ -395,7 +521,6 @@ def test_radical_is_computed_once_per_block(sl2_setup, monkeypatch):
     blk = QuotientBlock(comp11, d.root((1,)))
     rad = radical(blk)
     top = SemisimpleQuotient(blk)
-    socle(regular_module(blk))
     simples(blk)
     assert radical(blk) is rad
     assert calls == [blk]

@@ -180,7 +180,7 @@ def test_hecke_task(capsys):
 
 def test_module_and_hecke_runs_match_the_benchmark_golden(capsys):
     """The two CLI runs of the modules-hecke benchmark workload (block
-    structure constants, radicals, simples, restriction, the crystal and
+    structure constants, radicals, simples, characters, the crystal and
     the Hecke bridge) reproduce its golden items: the crystal's simples per
     content and its edges, and one Hecke report per d."""
     golden = json.loads((GOLDEN / "modules-hecke.json").read_text())["items"]
@@ -353,14 +353,20 @@ def test_datum_file_and_field_flag(tmp_path, capsys):
 
 
 def test_dims_output_is_field_independent(capsys):
+    """The dims, standard and verify-* outputs over a small and a large
+    prime are the rational ones, byte for byte."""
+    a2 = ["--datum", "a2", "--lambda", "1,0;0,1", "--max-strands", "3"]
     for args in (
-        ["--datum", "a2", "--lambda", "1,0;0,1", "--task", "dims", "--max-strands", "3"],
+        a2 + ["--task", "dims"],
         BASE + ["--task", "standard", "--max-strands", "3"],
+        a2 + ["--task", "verify-euler"],
+        a2 + ["--task", "verify-filtration"],
     ):
         code_q, out_q = run_main(args + ["--field", "q"], capsys)
-        code_p, out_p = run_main(args + ["--field", "p:2147483647"], capsys)
-        assert code_q == code_p == 0
-        assert out_p == out_q
+        for field in ("p:7", "p:2147483647"):
+            code_p, out_p = run_main(args + ["--field", field], capsys)
+            assert code_q == code_p == 0, field
+            assert out_p == out_q, field
 
 
 @pytest.mark.parametrize(
