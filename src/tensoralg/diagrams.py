@@ -162,9 +162,9 @@ class DiagramAlgebra:
     labels.  All rewriting state (memo tables) lives here.
 
     Dicts returned by the rewriting core (``eval_word``, ``acc_times_s``,
-    ``term_times_s``, ``crossing_on_basis``) may be memo entries, and one
-    dict may sit in two memos (a word's normal form can be the memoized
-    product of its one crossing): callers must not mutate them.
+    ``term_times_s``, ``crossing_on_basis``) may be entries of the crossing
+    memo (a word's normal form can be the memoized product of its one
+    crossing): callers must not mutate them.
     So are the tuples of the Hom-component geometry (``component``) and of
     the dot vectors (``dot_vectors``); every component with the same top
     labels shares the latter.
@@ -186,7 +186,6 @@ class DiagramAlgebra:
         self._components: dict[tuple, tuple] = {}  # (bottom, top) -> (component, degree_range)
         self._dots: dict[tuple, tuple] = {}  # (dot weights, total) -> dot vectors
         self._cross_memo: dict[tuple, dict] = {}
-        self._word_memo: dict[tuple, dict] = {}
 
     # -- boundary bookkeeping ---------------------------------------------------
 
@@ -328,11 +327,6 @@ class DiagramAlgebra:
         Returns ``{(w, dots): coeff}``; every produced key is a basis
         diagram over the same bottom idempotent.
         """
-        events = tuple(events)
-        key = (idem, events)
-        hit = self._word_memo.get(key)
-        if hit is not None:
-            return hit
         m = len(self.merged(idem))
         acc = {(tuple(range(m)), (0,) * len(idem[0])): 1}
         for ev, p in events:
@@ -342,7 +336,6 @@ class DiagramAlgebra:
                 acc = self.acc_times_s(idem, acc, p)
             else:
                 raise WordError(f"unknown event {ev!r}")
-        self._word_memo[key] = acc
         return acc
 
     def _acc_dot(self, idem: IdemKey, acc: dict, p: int) -> dict:

@@ -2,19 +2,21 @@
 radical, simple modules with graded characters, and the crystal operator
 f̃_i read off the simples' characters.
 
-Every module is built by one of two constructions: ``regular_module``,
-and a submodule (``_submodule``: the simples f·S), whose action matrices
-are read off the reduced row space of its basis.  The one quotient is the
-semisimple algebra A/rad (``SemisimpleQuotient``).
+A simple is kept as its data, with no action matrices (``Simple``): its
+tag, its dimension, the degrees of a homogeneous basis and its character
+ch(L)[x] = dim L·e(x) over the idempotents x of its block.  ``simples``
+splits the unit of the semisimple algebra A/rad (``SemisimpleQuotient``)
+into primitive idempotents f, and reads each L = f·(A/rad) off the
+reduced row space of f·(A/rad): ch(L)[x] is the trace of e(x) on that
+basis, taken once per simple.
 
-Crystal edges come from characters, with no module built for them.  The
-character of a module M is ch(M)[x] = dim M·e(x) over the idempotents x of
-its block (``character``).  E_i, restriction along the map that adds a
-black strand labelled i at the right end, right of every red, sends M to
-M·Σ_x′ e(x′·i), where x′·i appends that strand; so E_i^k M = 0 exactly when
-ch(M)[x] = 0 for every x whose last k strands carry label i and lie right
-of every red.  By the last-letter theory of Lauda–Vazirani (*Crystals from
-categorified quantum groups*) and Grojnowski, for a simple L:
+Crystal edges come from the characters, with no module built for them.
+E_i, restriction along the map that adds a black strand labelled i at the
+right end, right of every red, sends M to M·Σ_x′ e(x′·i), where x′·i
+appends that strand; so E_i^k M = 0 exactly when ch(M)[x] = 0 for every x
+whose last k strands carry label i and lie right of every red.  By the
+last-letter theory of Lauda–Vazirani (*Crystals from categorified quantum
+groups*) and Grojnowski, for a simple L:
 
 * ε_i(L), the largest k with E_i^k L ≠ 0, is the largest k for which such
   an x has ch(L)[x] ≠ 0;
@@ -59,7 +61,7 @@ from .linalg import (
     spectral_idempotents,
     transpose,
 )
-from .scalars import QQ
+from .scalars import QQ, exact
 
 
 class UnsupportedCharacteristicError(RuntimeError):
@@ -76,79 +78,20 @@ def _require_char0(block: QuotientBlock):
 Vec = dict[int, object]
 
 
-class FinDimModule:
-    """A right module over a quotient block, by action matrices.
+class Simple:
+    """A simple right module over a quotient block, by its data: ``tag``,
+    its index among the block's simples; ``dim``; ``degrees``, the degrees
+    of a homogeneous basis; and ``character``, x ↦ ch(L)[x] = dim L·e(x)
+    over the idempotents x of the block where it is not zero."""
 
-    ``action(i)`` returns the dim x dim matrix of the right action of the
-    i-th block basis element, as a list of sparse rows: row r is the
-    image of the r-th module basis vector.  ``act(i)`` builds that matrix
-    once; it is cached here.  Degrees, when known, grade the module basis.
-    ``simples`` sets ``tag``, the index of a simple among its block's.
-    """
-
-    tag: int | None = None
-
-    def __init__(self, block: QuotientBlock, dim: int, act, degrees=None):
-        self.block = block
-        self.dim = dim
-        self._act = act
-        self._mats: dict[int, list] = {}
+    def __init__(self, tag: int, degrees: list[int], character: dict):
+        self.tag = tag
+        self.dim = len(degrees)
         self.degrees = degrees
+        self.character = character
 
-    def action(self, i: int):
-        mat = self._mats.get(i)
-        if mat is None:
-            mat = self._mats[i] = self._act(i)
-        return mat
-
-    def act_vec(self, v: Vec, x: Vec) -> Vec:
-        """v·x for a module vector v and a block element x."""
-        out: Vec = {}
-        for bi, c in x.items():
-            mat = self.action(bi)
-            for r, vr in v.items():
-                add_multiple(out, vr * c, mat[r])
-        return out
-
-    def graded_char(self) -> LaurentPoly | None:
-        if self.degrees is None:
-            return None
+    def graded_char(self) -> LaurentPoly:
         return LaurentPoly((d, 1) for d in self.degrees)
-
-
-def _submodule(block: QuotientBlock, rows, image, what: str, degree=None) -> FinDimModule:
-    """The submodule spanned by ``rows``, on the basis of their reduced
-    row space, where the block basis element i sends a basis vector v to
-    ``image(v, i)``; ``degree(v)``, if given, grades the basis.
-
-    A reduced basis row b_j is 1 at its pivot p_j and every other row is 0
-    there, so u = Σ_j u[p_j] b_j whenever u lies in the span: the
-    coordinates are read off the pivots, and u is only reduced to check
-    that the remainder is 0.  If it is not, ``IntegrityError``.
-    """
-    basis, pivots = row_reduce(rows, QQ)
-    pivot_rows = dict(zip(pivots, basis))
-
-    def act(i: int):
-        mat = []
-        for v in basis:
-            u = image(v, i)
-            if reduce_against(u, pivot_rows):
-                raise IntegrityError(f"{what} is not stable")
-            mat.append({j: u[p] for j, p in enumerate(pivots) if p in u})
-        return mat
-
-    degrees = [degree(v) for v in basis] if degree else None
-    return FinDimModule(block, len(basis), act, degrees)
-
-
-def regular_module(block: QuotientBlock) -> FinDimModule:
-    n = block.dim
-
-    def act(i: int):
-        return [block._mult.get((r, i), {}) for r in range(n)]
-
-    return FinDimModule(block, n, act, degrees=block.degrees())
 
 
 def regular_trace(block: QuotientBlock) -> Vec:
@@ -287,39 +230,48 @@ def _corner_basis(S: SemisimpleQuotient, e: Vec) -> list[Vec]:
     return row_reduce(rows, QQ)[0]
 
 
-def simples(block: QuotientBlock) -> list[FinDimModule]:
-    """The simple right modules, with graded characters, via idempotent
-    splitting in the semisimple quotient."""
+def simples(block: QuotientBlock) -> list[Simple]:
+    """The simple right modules L = f·S, one per central primitive
+    idempotent of the semisimple quotient S, with f a primitive idempotent
+    under it (``_split_primitive``).
+
+    f has degree 0, so f·S is spanned by homogeneous rows and its reduced
+    basis b_j, with pivots p_j, is homogeneous: its degrees grade L.  A
+    reduced row is 1 at its pivot and every other row is 0 there, so
+    u = Σ_j u[p_j] b_j whenever u lies in L, and a block element a acts on
+    L with trace Σ_j (b_j·ā)_{p_j}.  ch(L)[x] is that trace for e(x), over
+    Q its rank, summed over the basis elements in the support of
+    ``idem_vector(x)``.  Each product b_j·ā is reduced against the basis
+    to check that it stays in L: if not, ``IntegrityError``.
+    """
     S = SemisimpleQuotient(block)
     if S.dim == 0:
         return []
-    images = [S.project({i: 1}) for i in range(block.dim)]
+    idems = {x: block.idem_vector(x) for x in block.idems}
+    images = {i: S.project({i: 1}) for ex in idems.values() for i in ex}
     out = []
-    for ci, c in enumerate(central_primitive_idempotents(S)):
-        f = _split_primitive(S, c)
-        # L = f S as a right block-module; f has degree 0, so f S is
-        # spanned by homogeneous rows and its reduced basis is homogeneous
-        rows = [S.multiply(f, {i: 1}) for i in range(S.dim)]
-        L = _submodule(block, rows, lambda v, i: S.multiply(v, images[i]), "simple module", S.is_homogeneous)
-        L.tag = ci
-        out.append(L)
+    for tag, central in enumerate(central_primitive_idempotents(S)):
+        f = _split_primitive(S, central)
+        basis, pivots = row_reduce([S.multiply(f, {i: 1}) for i in range(S.dim)], QQ)
+        pivot_rows = dict(zip(pivots, basis))
+        trace = {}
+        for i, image in images.items():
+            trace[i] = 0
+            for p, b in pivot_rows.items():
+                u = S.multiply(b, image)
+                if reduce_against(u, pivot_rows):
+                    raise IntegrityError("simple module is not stable")
+                trace[i] += u.get(p, 0)
+        character = {}
+        for x, ex in idems.items():
+            n = exact(sum(c * trace[i] for i, c in ex.items()))
+            if n:
+                character[x] = n
+        out.append(Simple(tag, [S.is_homogeneous(b) for b in basis], character))
     return out
 
 
-# -- characters and the crystal operator ---------------------------------------------
-
-
-def character(L: FinDimModule) -> dict:
-    """ch(L)[x] = dim L·e(x) for each idempotent x of L's block where it is
-    not zero: the trace Σ_r (e_r·e(x))_r of the idempotent e(x), which over
-    Q is its rank."""
-    ch = {}
-    for x in L.block.idems:
-        ex = L.block.idem_vector(x)
-        n = sum(L.act_vec({r: 1}, ex).get(r, 0) for r in range(L.dim))
-        if n:
-            ch[x] = n
-    return ch
+# -- the crystal operator ------------------------------------------------------------
 
 
 def _last_letters(x, i: int) -> int:
@@ -347,10 +299,10 @@ def _strip(ch: dict, i: int, k: int) -> dict:
     return out
 
 
-def _top(M: FinDimModule, i: int) -> tuple[int, dict]:
-    """(ε_i(M), the character of ẽ_i^max M): ε_i(M) is the most last
-    letters i of an idempotent x with M·e(x) ≠ 0."""
-    ch = character(M)
+def _top(L: Simple, i: int) -> tuple[int, dict]:
+    """(ε_i(L), the character of ẽ_i^max L): ε_i(L) is the most last
+    letters i of an idempotent x with L·e(x) ≠ 0."""
+    ch = L.character
     eps = max((_last_letters(x, i) for x in ch), default=0)
     return eps, _strip(ch, i, eps)
 

@@ -120,6 +120,11 @@ def load_configuration(args):
             raise ValueError("hecke-check needs a type A datum: the degenerate Hecke comparison holds only for A_n")
     if args.task == "crystal" and field.characteristic != 0:
         raise ValueError("crystal needs characteristic 0: the radical uses the Dickson criterion")
+    if args.out is not None:
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out!r} is a directory")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out {args.out!r} is in no existing directory")
     return datum, q, lambdas, field
 
 

@@ -43,8 +43,6 @@ TEST_FACING = {
     "x_spectra",
     # laurent.py
     "LaurentPoly.is_bar_invariant",
-    # modules.py
-    "regular_module",
     # polyrep.py
     "one_poly",
     # qtensor.py

@@ -80,11 +80,12 @@ def test_crystal_holds_exact_rationals(recorded, capsys):
     assert blocks and simples and recorded["rrefs"]
     mult = _values(m for b in blocks for m in b._mult.values())
     rad = [x for b in blocks for x in _values(radical(b))]
-    acts = _values(row for S in simples for i in range(S.block.dim) for row in S.action(i))
+    chars = [n for S in simples for n in S.character.values()]
     held = _held_values(recorded["rrefs"])
-    assert mult and rad and acts and held
-    for values in (mult, rad, acts, held):
+    assert mult and rad and chars and held
+    for values in (mult, rad, held):
         assert all(is_exact(x) and x for x in values)
+    assert all(type(n) is int and n > 0 for n in chars)
 
 
 def test_hecke_check_holds_exact_rationals(recorded, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,15 +7,13 @@ from tensoralg import modules
 from tensoralg.cartan import PRESETS, default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, IntegrityError, QuotientBlock
 from tensoralg.diagrams import Element, idem_key
-from tensoralg.linalg import add_multiple, row_reduce, solve, transpose
+from tensoralg.linalg import add_multiple, reduce_against, row_reduce, solve, transpose
 from tensoralg.modules import (
     SemisimpleQuotient,
     UnsupportedCharacteristicError,
     central_primitive_idempotents,
-    character,
     crystal_f,
     radical,
-    regular_module,
     regular_trace,
     simples,
 )
@@ -145,7 +144,92 @@ def test_prime_field_radical_unsupported():
         radical(blk)
 
 
-# -- the referee: restriction along the add-a-strand map ------------------------------
+# -- the referee: modules by action matrices, restricted along the add-a-strand map ----
+
+
+class _Module:
+    """A right module over a quotient block by its action matrices:
+    ``action[i]`` is the matrix of the i-th block basis element as a list
+    of sparse rows, row r the image of the r-th module basis vector."""
+
+    def __init__(self, block, dim, action, degrees=None):
+        self.block = block
+        self.dim = dim
+        self.action = action
+        self.degrees = degrees
+
+    def act_vec(self, v, x):
+        """v·x for a module vector v and a block element x."""
+        out = {}
+        for bi, c in x.items():
+            for r, vr in v.items():
+                add_multiple(out, vr * c, self.action[bi][r])
+        return out
+
+
+def _regular(block):
+    n = block.dim
+    return _Module(block, n, [[block._mult.get((r, i), {}) for r in range(n)] for i in range(n)])
+
+
+def _submodule(block, rows, image, what, degree=None):
+    """The submodule spanned by ``rows`` on the basis of their reduced row
+    space, where the block basis element i sends a basis vector v to
+    ``image(v, i)``; ``degree(v)``, if given, grades the basis.  A reduced
+    row b_j is 1 at its pivot p_j and every other row is 0 there, so the
+    coordinates of an image in the span are read off the pivots; an image
+    with a nonzero remainder is an ``IntegrityError``."""
+    basis, pivots = row_reduce(rows, QQ)
+    pivot_rows = dict(zip(pivots, basis))
+    action = []
+    for i in range(block.dim):
+        mat = []
+        for v in basis:
+            u = image(v, i)
+            if reduce_against(u, pivot_rows):
+                raise IntegrityError(f"{what} is not stable")
+            mat.append({j: u[p] for j, p in enumerate(pivots) if p in u})
+        action.append(mat)
+    return _Module(block, len(basis), action, [degree(v) for v in basis] if degree else None)
+
+
+def _rebuilt_simples(block):
+    """The simples of ``block`` as modules, in ``simples``' order: L = f·S
+    for the primitive idempotent f that ``_split_primitive`` finds under
+    each central primitive idempotent of S = A/rad."""
+    S = SemisimpleQuotient(block)
+    if S.dim == 0:
+        return []
+    images = [S.project({i: 1}) for i in range(block.dim)]
+    rebuilt = []
+    for c in central_primitive_idempotents(S):
+        f = modules._split_primitive(S, c)
+        rows = [S.multiply(f, {i: 1}) for i in range(S.dim)]
+        rebuilt.append(
+            _submodule(block, rows, lambda v, i: S.multiply(v, images[i]), "simple module", S.is_homogeneous)
+        )
+    return rebuilt
+
+
+def _trace_character(M):
+    """ch(M)[x], the trace Σ_r (e_r·e(x))_r of each idempotent e(x) on M,
+    where it is not zero."""
+    ch = {}
+    for x in M.block.idems:
+        ex = M.block.idem_vector(x)
+        n = sum(M.act_vec({r: 1}, ex).get(r, 0) for r in range(M.dim))
+        if n:
+            ch[x] = n
+    return ch
+
+
+@pytest.fixture(scope="module")
+def rebuilt(crystal_cases):
+    """Per case, {content: the simples of its block rebuilt as modules}."""
+    return {
+        case: {alpha: _rebuilt_simples(blk) for alpha, (blk, _) in blocks.items()}
+        for case, (_, _, blocks) in crystal_cases.items()
+    }
 
 
 def _nu_map(i, block_src, block_dst):
@@ -179,7 +263,7 @@ def _restrict(N, i, block_src):
     for j, c in block_src.identity_vector().items():
         add_multiple(unit, c, images[j])
     rows = [N.act_vec({r: 1}, unit) for r in range(N.dim)]
-    return modules._submodule(block_src, rows, lambda v, j: N.act_vec(v, images[j]), "E_i N")
+    return _submodule(block_src, rows, lambda v, j: N.act_vec(v, images[j]), "E_i N")
 
 
 def test_restrict_keeps_only_the_image_of_the_unit(sl2_setup):
@@ -189,10 +273,11 @@ def test_restrict_keeps_only_the_image_of_the_unit(sl2_setup):
     d, comp11, _ = sl2_setup
     b0, b1 = (QuotientBlock(comp11, d.root((n,))) for n in (0, 1))
     L0, L1 = simples(b1)
-    assert L0.tag == 0 and L0.dim == 1
-    assert _restrict(L0, 0, b0).dim == 0
+    M0, M1 = _rebuilt_simples(b1)
+    assert L0.tag == 0 and L0.dim == M0.dim == 1
+    assert _restrict(M0, 0, b0).dim == 0
     assert crystal_f(simples(b0), 0, [L0]) == [None]
-    assert _restrict(L1, 0, b0).dim == 1
+    assert _restrict(M1, 0, b0).dim == 1
 
 
 def test_the_source_unit_acts_as_the_identity_on_restrictions(sl2_setup):
@@ -203,7 +288,7 @@ def test_the_source_unit_acts_as_the_identity_on_restrictions(sl2_setup):
         for src, dst in zip(blocks, blocks[1:]):
             if not dst.dim:
                 continue
-            for N in [regular_module(dst)] + simples(dst):
+            for N in [_regular(dst)] + _rebuilt_simples(dst):
                 EN = _restrict(N, 0, src)
                 one = src.identity_vector()
                 for r in range(EN.dim):
@@ -246,8 +331,8 @@ def _hom_dim(M, L):
         return 0
     rows = []
     for i in range(M.block.dim):
-        ma = M.action(i)
-        la_cols = transpose(L.action(i))
+        ma = M.action[i]
+        la_cols = transpose(L.action[i])
         for r in range(nm):
             for c in range(nl):
                 row = {k * nl + c: x for k, x in ma[r].items()}
@@ -268,11 +353,31 @@ def test_the_characters_of_a_simple_add_up_to_its_dimension(crystal_cases):
             for i in range(blk.dim):
                 assert blk.multiply_vectors(one, {i: 1}) == {i: 1} == blk.multiply_vectors({i: 1}, one)
             for L in sims:
-                ch = character(L)
-                assert all(n > 0 for n in ch.values())
-                assert sum(ch.values()) == L.dim
+                assert all(n > 0 for n in L.character.values())
+                assert sum(L.character.values()) == L.dim
                 checked += 1
     assert checked >= 40
+
+
+def test_each_simple_carries_the_trace_character_of_its_rebuilt_module(crystal_cases, rebuilt):
+    """On every block of the cases, ``L.character`` is the trace of each
+    e(x) on the referee's rebuilt module, with ``int`` values, and
+    ``L.degrees`` are the degrees of its reduced basis."""
+    checked = 0
+    for case, (_, _, blocks) in crystal_cases.items():
+        for alpha, (_, sims) in blocks.items():
+            assert len(sims) == len(rebuilt[case][alpha])
+            for L, M in zip(sims, rebuilt[case][alpha]):
+                assert L.character == _trace_character(M)
+                assert all(type(n) is int for n in L.character.values())
+                assert L.degrees == M.degrees and L.dim == M.dim
+                checked += 1
+    assert checked >= 40
+
+
+def _plus(comp, alpha, i):
+    """The content α + α_i."""
+    return comp.datum.root([c + (j == i) for j, c in enumerate(alpha.coords)])
 
 
 def _block_pairs(comp, blocks):
@@ -280,22 +385,23 @@ def _block_pairs(comp, blocks):
     blocks α, α + α_i of a case."""
     for alpha, (src, sims) in blocks.items():
         for i in range(comp.datum.rank):
-            target = comp.datum.root([c + (j == i) for j, c in enumerate(alpha.coords)])
+            target = _plus(comp, alpha, i)
             if target in blocks:
                 yield i, src, sims, blocks[target][1]
 
 
 @pytest.fixture(scope="module")
-def referee(crystal_cases):
+def referee(crystal_cases, rebuilt):
     """Per case, h(L, S′) = dim Hom_A(L, E_i S′) keyed by (α, i, L.tag,
-    S′.tag) over every pair of blocks α, α + α_i."""
+    S′.tag) over every pair of blocks α, α + α_i, on the rebuilt modules."""
     out = {}
     for case, (comp, _, blocks) in crystal_cases.items():
+        mods = rebuilt[case]
         out[case] = {
-            (src.alpha, i, L.tag, S.tag): _hom_dim(L, _restrict(S, i, src))
-            for i, src, sims, dst_sims in _block_pairs(comp, blocks)
-            for L in sims
-            for S in dst_sims
+            (src.alpha, i, tag, dst_tag): _hom_dim(L, _restrict(S, i, src))
+            for i, src, _, _ in _block_pairs(comp, blocks)
+            for tag, L in enumerate(mods[src.alpha])
+            for dst_tag, S in enumerate(mods[_plus(comp, src.alpha, i)])
         }
     return out
 
@@ -352,7 +458,6 @@ def test_every_character_entry_off_by_one_is_caught(crystal_cases, referee, monk
     with the most last letters of one label is caught, by an
     ``IntegrityError`` or by the referee."""
     assert not _caught(crystal_cases, referee, CRYSTAL_CASES)
-    character = modules.character
     mutated = 0
     for case in CRYSTAL_CASES:
         comp, _, blocks = crystal_cases[case]
@@ -365,18 +470,11 @@ def test_every_character_entry_off_by_one_is_caught(crystal_cases, referee, monk
             for M in sims:
                 if (alpha.coords, M.tag) not in ends:
                     continue
-                ch = character(M)
+                ch = M.character
                 x0 = max(ch, key=lambda x: max(modules._last_letters(x, i) for i in range(comp.datum.rank)))
-
-                def off_by_one(L, M=M, x0=x0):
-                    out = character(L)
-                    if L is M:
-                        out[x0] += 1
-                    return out
-
-                monkeypatch.setattr(modules, "character", off_by_one)
-                assert _caught(crystal_cases, referee, [case]), (case, alpha.coords, M.tag, x0)
-                monkeypatch.setattr(modules, "character", character)
+                with monkeypatch.context() as m:
+                    m.setitem(ch, x0, ch[x0] + 1)
+                    assert _caught(crystal_cases, referee, [case]), (case, alpha.coords, M.tag, x0)
                 mutated += 1
     assert mutated == 40  # every end of an edge of the cases
 
@@ -441,8 +539,9 @@ def _reference_action(basis, image, i):
 
 
 def test_submodule_actions_equal_solved_coordinates(sl2_setup):
-    """Every simple's action matrices and degrees equal those solved for
-    against the reduced basis."""
+    """Every rebuilt simple's action matrices, read off the pivots, equal
+    those solved for against the reduced basis, and its degrees and the
+    simple's are those of the basis."""
     d, comp11, comp2 = sl2_setup
     checked = 0
     for comp in (comp11, comp2):
@@ -451,30 +550,66 @@ def test_submodule_actions_equal_solved_coordinates(sl2_setup):
             if not blk.dim:
                 continue
             S = SemisimpleQuotient(blk)
-            for L, c in zip(simples(blk), central_primitive_idempotents(S)):
+            for L, M, c in zip(simples(blk), _rebuilt_simples(blk), central_primitive_idempotents(S)):
                 f = modules._split_primitive(S, c)
                 basis = row_reduce([S.multiply(f, {i: ONE}) for i in range(S.dim)], QQ)[0]
-                assert L.degrees == [S.is_homogeneous(v) for v in basis]
+                assert L.degrees == M.degrees == [S.is_homogeneous(v) for v in basis]
                 image = lambda v, i: S.multiply(v, S.project({i: ONE}))
                 for i in range(blk.dim):
-                    assert L.action(i) == _reference_action(basis, image, i)
-                    checked += any(L.action(i))
+                    assert M.action[i] == _reference_action(basis, image, i)
+                    checked += any(M.action[i])
     assert checked
 
 
 def test_an_unstable_span_is_an_integrity_error(sl2_setup):
     """A basis vector of the regular module that the action moves out of
-    its span is not a submodule; the whole space is, with the regular
-    action."""
+    its span is not a submodule for the referee; the whole space is, with
+    the regular action."""
     d, comp11, _ = sl2_setup
     blk = QuotientBlock(comp11, d.root((1,)))
-    M = regular_module(blk)
+    M = _regular(blk)
     image = lambda v, i: M.act_vec(v, {i: ONE})
-    k, i = next((k, i) for k in range(blk.dim) for i in range(blk.dim) if set(M.action(i)[k]) - {k})
+    k = next(k for k in range(blk.dim) for i in range(blk.dim) if set(M.action[i][k]) - {k})
     with pytest.raises(IntegrityError, match="span is not stable"):
-        modules._submodule(blk, [{k: ONE}], image, "span").action(i)
-    whole = modules._submodule(blk, [{c: ONE} for c in range(blk.dim)], image, "span")
-    assert all(whole.action(i) == M.action(i) for i in range(blk.dim))
+        _submodule(blk, [{k: ONE}], image, "span")
+    whole = _submodule(blk, [{c: ONE} for c in range(blk.dim)], image, "span")
+    assert whole.action == M.action
+
+
+def test_a_simple_with_two_basis_rows_merged_is_caught(crystal_cases, monkeypatch):
+    """Replacing the last two reduced basis rows of every simple by their
+    sum is caught on each of the 15 blocks of the cases with a simple of
+    dimension 2 or more: on 9 the block moves the merged span out of
+    itself, "simple module is not stable", and on the other 6 the merged
+    row mixes degrees."""
+    split, reduce_rows = modules._split_primitive, modules.row_reduce
+    pending = []  # set once ``_split_primitive`` returns: the next reduction is of f·S
+
+    def marked_split(S, e):
+        f = split(S, e)
+        pending.append(f)
+        return f
+
+    def merged_rows(rows, field):
+        basis, pivots = reduce_rows(rows, field)
+        if pending and len(basis) > 1:
+            basis = basis[:-2] + [add_multiple(dict(basis[-2]), 1, basis[-1])]
+            pivots = pivots[:-1]
+        pending.clear()
+        return basis, pivots
+
+    raised = Counter()
+    for _, _, blocks in crystal_cases.values():
+        for blk, sims in blocks.values():
+            if not any(L.dim > 1 for L in sims):
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(modules, "_split_primitive", marked_split)
+                m.setattr(modules, "row_reduce", merged_rows)
+                with pytest.raises(IntegrityError) as exc:
+                    simples(blk)
+            raised[str(exc.value)] += 1
+    assert raised == {"simple module is not stable": 9, "element is not nonzero and homogeneous": 6}
 
 
 def _full_trace_form(blk):

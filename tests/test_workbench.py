@@ -12,6 +12,7 @@ from tensoralg.cartan import default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer
 from tensoralg.laurent import ONE
 from tensoralg.qtensor import TensorSpace
+from tensoralg import workbench
 from tensoralg.workbench import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -300,6 +301,19 @@ def test_a_negative_strand_bound_is_a_configuration_error(capsys, args):
 def test_a_negative_sample_count_is_a_configuration_error(capsys):
     assert main(BASE + ["--task", "multiply", "--max-strands", "2", "--samples", "-1"]) == 2
     assert "configuration error: --samples must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, reason", [("missing/dims.json", "is in no existing directory"), (".", "is a directory")]
+)
+def test_an_unwritable_out_is_a_configuration_error_before_any_block(tmp_path, monkeypatch, capsys, path, reason):
+    """``--out`` in a directory that does not exist, or naming a directory,
+    exits 2 before a block computer is built, not with a traceback once
+    the whole task has run."""
+    out = str(tmp_path / path)
+    monkeypatch.setattr(workbench, "BlockComputer", lambda *args, **kwargs: pytest.fail("a block was computed"))
+    assert main(BASE + ["--task", "dims", "--max-strands", "2", "--out", out]) == 2
+    assert capsys.readouterr().err == f"configuration error: --out {out!r} {reason}\n"
 
 
 def test_an_integrity_error_exits_3(monkeypatch, capsys):
