@@ -6,6 +6,7 @@ matrix algebra.
 from tensoralg.cartan import default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, QuotientBlock
 from tensoralg.modules import radical, simples
+from tensoralg.standard import standard_dims, standard_filtration_check
 
 d = sl2()
 comp = BlockComputer(d, default_q_matrix(d), (d.weight((1,)), d.weight((1,))))
@@ -22,9 +23,9 @@ keys = comp.idems(d.root((1,)))
 print("\nstandard-module columns:")
 for key in keys:
     for col in keys:
-        print(f"   S{key[1]} vs P{col[1]}: {comp.standard_dims(key, col).text()}")
+        print(f"   S{key[1]} vs P{col[1]}: {standard_dims(comp, key, col).text()}")
 
-ok, cert = comp.standard_filtration_check(((0,), (0, 0)))
+ok, cert = standard_filtration_check(comp, ((0,), (0, 0)))
 print("filtration certificate:", ok, "|", cert["sign_convention"])
 
 # The weight −2 block is End(K^3): semisimple with one 3-dim simple.

@@ -1,5 +1,6 @@
-"""Quotients by the violating ideal: graded Hom spaces, standard modules,
-structure constants and the single-red comparisons.
+"""Quotients by the violating ideal: graded Hom spaces and the structure
+constants of finite blocks; standard modules and the single-red
+comparisons, built on these kernels, are in ``standard``.
 
 Everything is per-degree exact linear algebra over the straightening
 engine.  The kernel of T~ -> T in a Hom component at one degree is the
@@ -7,11 +8,11 @@ part in the two-sided ideal K that the "violating" idempotents (those
 with a black strand left of every red) generate; graded dimensions of
 the quotient are assembled degree by degree against the quantum-side
 prediction.  The check (``BlockComputer._checked_dims``, for graded Hom
-entries and standard-module columns alike) is two-sided on the window
-``BlockComputer.checked_window``, [dmin, top + ``tail``], where dmin is
-the lowest degree of the component and top the highest degree the
-prediction reaches: a dimension above or below the prediction there is a
-hard integrity error, never silently accepted, and so is a predicted
+entries and ``standard.standard_dims`` columns alike) is two-sided on
+the window ``BlockComputer.checked_window``, [dmin, top + ``tail``], where
+dmin is the lowest degree of the component and top the highest degree
+the prediction reaches: a dimension above or below the prediction there
+is a hard integrity error, never silently accepted, and so is a predicted
 coefficient below dmin, where the component is empty.
 
 The degrees above the window are not computed; a dot-at-the-top induction
@@ -124,21 +125,13 @@ on.
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import Sequence
 
 from .cartan import CartanDatum, QMatrix, RootVector, Weight
-from .diagrams import (
-    DiagramAlgebra,
-    Element,
-    IdemKey,
-    basis_enumerate,
-    idem_key,
-    slot_perm,
-)
+from .diagrams import DiagramAlgebra, Element, IdemKey, basis_enumerate, idem_key
 from .laurent import ZERO, LaurentPoly
-from .linalg import IncrementalRREF, add_multiple, nullspace, rank, reduce_against
-from .qtensor import GradedHomTable, TensorSpace, VKey, arrangements
+from .linalg import IncrementalRREF, add_multiple, reduce_against
+from .qtensor import GradedHomTable, TensorSpace, VKey
 from .scalars import QQ
 
 
@@ -153,6 +146,11 @@ class IntegrityError(RuntimeError):
     """Computed dimensions contradict the quantum-group oracle; this
     signals a bug in the engine or an inconsistent configuration, never
     bad user input."""
+
+
+def _name(what: tuple) -> str:
+    """``"kind row->col"`` for the (kind, row, col) of a checked component."""
+    return "{} {}->{}".format(*what)
 
 
 class BlockComputer:
@@ -258,8 +256,8 @@ class BlockComputer:
         idempotents, one per ``_free_rep`` class (``_violating_mids``: the
         others add no row, see the module docstring), and assembly stops as
         soon as the rank saturates the whole tilde component.  The cache
-        keeps the whole ``IncrementalRREF``, which ``standard_space``
-        copies."""
+        keeps the whole ``IncrementalRREF``, which
+        ``standard.standard_space`` copies."""
         key = (bottom, top, d)
         inc = self._kernel_cache.get(key)
         if inc is None:
@@ -497,7 +495,7 @@ class BlockComputer:
             pred = self.space.form_vv(bottom, top)
             bottom, top = self._free_rep(bottom), self._free_rep(top)
             hit = self._entry_cache[key] = self._checked_dims(
-                f"component {row}->{col}", bottom, top, pred, lambda d: self.quotient_dim(bottom, top, d)
+                ("component", row, col), bottom, top, pred, lambda d: self.quotient_dim(bottom, top, d)
             )
         return hit
 
@@ -512,14 +510,15 @@ class BlockComputer:
             return None
         return range(dmin, max(pred.max_exp() if not pred.is_zero() else dmin, dmin) + self.tail + 1)
 
-    def _checked_dims(self, what: str, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> tuple[LaurentPoly, float]:
+    def _checked_dims(self, what: tuple, bottom: IdemKey, top: IdemKey, pred: LaurentPoly, dim_at) -> tuple[LaurentPoly, float]:
         """The graded dimension ``dim_at(d)`` of the quotient of the
         component (bottom, top) by a right submodule M ⊇ K (K, or K + L),
         checked two-sidedly against ``pred`` at every degree of
         ``checked_window``, as ``(dims, through)`` with the degree through
-        which it is proven.  ``what`` names the component in the
-        ``IntegrityError`` a mismatch raises; a coefficient of ``pred``
-        below the window, where the component is empty, is one too.
+        which it is proven.  ``what``, a (kind, row, col) triple, names the
+        component in the ``IntegrityError`` a mismatch raises, and is
+        formatted only then; a coefficient of ``pred`` below the window,
+        where the component is empty, is one too.
 
         ``through`` is ``math.inf`` for an empty component, and when
         ``_in_K`` holds for the bottom or the top idempotent: the component
@@ -537,7 +536,7 @@ class BlockComputer:
             window = self.checked_window(bottom, top, pred)
             if window is None:
                 if not pred.is_zero():
-                    raise IntegrityError(f"{what}: empty component but oracle predicts {pred.text()}")
+                    raise IntegrityError(f"{_name(what)}: empty component but oracle predicts {pred.text()}")
                 return ZERO, through
             dmin, dotless = self.alg.degree_range(bottom, top)
             g = max((2 * self.datum.sym[i] for i in top[0]), default=0)
@@ -550,14 +549,14 @@ class BlockComputer:
             want = pred.coeff(d)
             if dim != want:
                 side = "exceeds" if dim > want else "below"
-                raise IntegrityError(f"{what} degree {d}: dimension {dim} {side} oracle {want}")
+                raise IntegrityError(f"{_name(what)} degree {d}: dimension {dim} {side} oracle {want}")
             if dim:
                 coeffs[d] = dim
         dims = LaurentPoly(coeffs)
         if dims != pred:
             # a coefficient of pred outside the window, where the quotient is zero
             d = (pred - dims).min_exp()
-            raise IntegrityError(f"{what} degree {d}: dimension 0 below oracle {pred.coeff(d)}")
+            raise IntegrityError(f"{_name(what)} degree {d}: dimension 0 below oracle {pred.coeff(d)}")
         return dims, through
 
     def graded_hom_table(self, alpha: RootVector) -> GradedHomTable:
@@ -567,83 +566,6 @@ class BlockComputer:
             for b in keys:
                 table.set(a, b, self.graded_hom(a, b))
         return table
-
-    # -- standard modules -----------------------------------------------------------------
-
-    def x_phi_elements(self, key: VKey) -> list[tuple[Element, IdemKey, int]]:
-        """The left-moving coset elements x_φ (φ ≠ id) generating L^κ_I,
-        each with its top idempotent and degree."""
-        I, kappa = idem_key(*key)
-        bottom = (I, kappa)
-        zero_dots = (0,) * len(I)
-        out = []
-        # the first φ is the identity, which is not a generator
-        for assign, top, _deg in islice(self.space.phi_set(I, kappa), 1, None):
-            # black t goes to its place, by (block, t), among the top blacks
-            order = sorted(range(len(I)), key=lambda t: (assign[t], t))
-            black_to = [0] * len(I)
-            for pos, t in enumerate(order):
-                black_to[t] = pos
-            w = slot_perm(self.alg, bottom, top, black_to)
-            el = Element.basis_diagram(self.alg, I, kappa, w, zero_dots)
-            out.append((el, top, self.alg.diagram_degree(bottom, w, zero_dots)))
-        return out
-
-    def standard_space(self, key: VKey, col: VKey, d: int):
-        """Row space of (K + L^κ_I) in (e(I,κ) T~ e_col)_d, as (rows,
-        pivots): the x_φ products added to a copy of the kernel's state."""
-        bottom = idem_key(*key)
-        top = idem_key(*col)
-        self.kernel_space(bottom, top, d)
-        inc = self._kernel_cache[(bottom, top, d)].copy()
-        lefts = ((el, mid, d - degx) for el, mid, degx in self.x_phi_elements(key))
-        self.saturate(inc, bottom, top, d, lefts)
-        return inc.rows, inc.pivots
-
-    def standard_dims(self, key: VKey, col: VKey) -> LaurentPoly:
-        """dim_q Hom(P_col, S^κ_I), assembled against form(v_col, s^κ_I)."""
-        ck = ("sd", key, col)
-        hit = self._entry_cache.get(ck)
-        if hit is None:
-            bottom, top = idem_key(*key), idem_key(*col)
-            pred = self.space.form_vs(top, bottom)
-            hit = self._entry_cache[ck] = self._checked_dims(
-                f"standard module column {key}->{col}",
-                bottom,
-                top,
-                pred,
-                lambda d: len(self.tilde_basis(bottom, top, d)) - len(self.standard_space(key, col, d)[1]),
-            )
-        return hit[0]
-
-    def standard_filtration_check(self, key: VKey) -> tuple[bool, dict]:
-        """Both halves of the standard-filtration statement.
-
-        Quantum side: v^κ_I = Σ_φ q^{-deg x_φ} s^{κ_φ}_{I_φ} exactly.
-        Dimension side: dim_q Hom(P_J, P^κ_I) = Σ_φ q^{+deg x_φ}
-        dim_q Hom(P_J, S_φ) for every column J of the block.  The sign
-        flip between the two identities is forced empirically (grading
-        shifts act on K_0 through bar relative to the vector
-        normalization) and is the pinned global convention.
-        """
-        I, kappa = idem_key(*key)
-        ok_vec, layers = self.space.filtration_identity(I, kappa)
-        cols = self.idems(self.datum.content(I))
-        ok_dim = True
-        for col in cols:
-            lhs = self.graded_hom(key, col)
-            rhs = ZERO
-            for _assign, idem, deg in self.space.phi_set(I, kappa):
-                rhs = rhs + LaurentPoly.q_power(deg) * self.standard_dims(idem, col)
-            if lhs != rhs:
-                ok_dim = False
-        cert = {
-            "vector_identity": ok_vec,
-            "dimension_identity": ok_dim,
-            "sign_convention": "vectors q^{-deg x_phi}; dimensions q^{+deg x_phi}",
-            "layers": layers["layers"],
-        }
-        return ok_vec and ok_dim, cert
 
 
 class QuotientBlock:
@@ -776,175 +698,3 @@ class QuotientBlock:
             if lhs != rhs:
                 return False
         return True
-
-
-# -- single-red comparisons -----------------------------------------------------------------
-
-
-def cyclotomic_ideal_space(comp: BlockComputer, bottom: IdemKey, top: IdemKey, d: int):
-    """Row space of the classical cyclotomic ideal <y_1^{λ^{i_1}} e(I)> in
-    the single-red component (bottom T~ top)_d, for λ̲ = (λ), as
-    (rows, pivots): the products b · y_1^{λ^{i_1}} e(I) · b'."""
-    if comp.space.ell != 1:
-        raise ValueError("cyclotomic comparison needs a single red strand")
-    lam = comp.lambdas[0]
-
-    def generators():
-        for I2 in arrangements(bottom[0]):
-            mid = idem_key(I2, (0,))
-            a1 = lam.coords[I2[0]]
-            dots = (a1,) + (0,) * (len(I2) - 1)
-            gen = Element(comp.alg, {(mid, tuple(range(len(comp.alg.merged(mid)))), dots): 1})
-            yield mid, gen, 2 * comp.datum.sym[I2[0]] * a1
-
-    lefts = comp.lefts_through(bottom, top, d, generators())
-    inc = comp.saturate(IncrementalRREF(comp.field), bottom, top, d, lefts)
-    return inc.rows, inc.pivots
-
-
-def kernel_equals_cyclotomic(comp: BlockComputer, bottom: IdemKey, top: IdemKey, dmax: int) -> bool:
-    """K ∩ R = cyclotomic ideal, checked per degree up to dmax: equal
-    dimensions, and every cyclotomic row reduces to zero against K."""
-    dmin = comp.min_degree(bottom, top)
-    if dmin is None:
-        return True
-    for d in range(dmin, dmax + 1):
-        _, k_piv = comp.kernel_space(bottom, top, d)
-        c_rows, c_piv = cyclotomic_ideal_space(comp, bottom, top, d)
-        if len(k_piv) != len(c_piv):
-            return False
-        if any(reduce_against(r, k_piv) for r in c_rows):
-            return False
-    return True
-
-
-# -- double centralizer ------------------------------------------------------------------------
-
-
-def theta_kappa(comp: BlockComputer, key: VKey) -> Element:
-    """The crossingless element from e(I,0) to e(I,κ)."""
-    I, kappa = idem_key(*key)
-    bottom = idem_key(I, (0,) * comp.space.ell)
-    w = slot_perm(comp.alg, bottom, (I, kappa), range(len(I)))
-    return Element.basis_diagram(comp.alg, I, bottom[1], w, (0,) * len(I))
-
-
-def y_idempotent_dots(comp: BlockComputer, key: VKey) -> Element:
-    """y_{I,κ} = θ_κ · flip(θ_κ), normalized by the engine.
-
-    The result is asserted to be a single dot monomial on e(I,0); the
-    exponent on strand k is Σ_{j: κ(j) >= k} λ_j^{i_k}.
-    """
-    th = theta_kappa(comp, key)
-    y = th.multiply(th.flip())
-    if len(y.terms) != 1:
-        raise IntegrityError("y_{I,kappa} did not normalize to a monomial")
-    return y
-
-
-def double_centralizer_data(comp: BlockComputer, key: VKey, single: "BlockComputer") -> dict:
-    """Graded-dimension comparison Hom(P^0, P^κ_I) vs y_{I,κ}·T^λ.
-
-    ``single`` is the computer for the merged single-red algebra over
-    λ = Σ λ_j.  Returns a certificate with the per-column dimension match
-    (after the overall shift by deg y/2 = deg θ_κ, recorded explicitly).
-    """
-    I, kappa = idem_key(*key)
-    y = y_idempotent_dots(comp, key)
-    ydeg = next(iter(y.terms))
-    deg_y = comp.alg.diagram_degree(*ydeg)
-    deg_theta = deg_y // 2
-    # columns: single-red idempotents e(J)
-    cols = single.idems(comp.datum.content(I))
-    ok = True
-    detail = {}
-    zero_kappa = (0,) * comp.space.ell
-    dots_vec = ydeg[2]
-    for col in cols:
-        J = col[0]
-        # dim_q Hom(P^0_J, P^κ_I) in the full algebra
-        hom = comp.graded_hom((I, kappa), (J, zero_kappa))
-        # dim_q of y·(e_I T^λ e_J) per degree, in the single-red block
-        ybottom = idem_key(I, (0,))
-        entry = single.graded_hom((I, (0,)), (J, (0,)))
-        coeffs = {}
-        if not entry.is_zero():
-            for d in entry.support():
-                reps = single.coset_reps(ybottom, (J, (0,)), d)
-                _, piv2 = single.kernel_space(ybottom, (J, (0,)), d + deg_y)
-                img = IncrementalRREF(single.field)
-                for rkey in reps:
-                    el = _dot_multiply(single, dots_vec, rkey)
-                    if el.is_zero():
-                        continue
-                    vec = single.element_coords(el, ybottom, (J, (0,)), d + deg_y)
-                    img.add(reduce_against(vec, piv2))
-                if img.rank:
-                    coeffs[d + deg_y] = img.rank
-        image_dims = LaurentPoly(coeffs)
-        want = LaurentPoly.q_power(deg_theta) * hom
-        match = image_dims == want
-        ok = ok and match
-        detail[GradedHomTable.idem_label(col)] = {
-            "hom": hom.to_json(),
-            "image": image_dims.to_json(),
-            "match": match,
-        }
-    return {"ok": ok, "shift": deg_theta, "y_degree": deg_y, "columns": detail}
-
-
-def _dot_multiply(single: BlockComputer, dots_vec, rkey) -> Element:
-    """Left-multiply a single-red basis diagram by the dot monomial y^dots
-    on its bottom idempotent."""
-    idem, w, dots = rkey
-    m = len(single.alg.merged(idem))
-    ydiag = (idem, tuple(range(m)), tuple(dots_vec))
-    left = Element(single.alg, {ydiag: 1})
-    return left.multiply(Element(single.alg, {rkey: 1}))
-
-
-# -- Frobenius feasibility ---------------------------------------------------------------------
-
-
-def frobenius_certificate(block: QuotientBlock) -> dict:
-    """Search for a homogeneous symmetric trace with nondegenerate pairing.
-
-    The functional is supported on one degree D; symmetry t(ab) = t(ba)
-    cuts a linear subspace, and nondegeneracy of the Gram matrix
-    G[a][b] = t(a·b), which is ``QuotientBlock.pairing(t)``, is checked
-    by exact rank.  Returns the first (D, functional) that works,
-    scanning degrees from the top down.
-    """
-    field = block.comp.field
-    n = block.dim
-    # symmetry: t(b_i b_j − b_j b_i) = 0 for every pair with a stored
-    # product (a pair with neither stored gives 0, and (j, i) repeats (i, j))
-    comms = [add_multiple(dict(pij), -1, block._mult.get((j, i), {})) for (i, j), pij in block._mult.items()]
-    for D in sorted(set(block.degrees()), reverse=True):
-        support = [i for i in range(n) if block.basis_degree(i) == D]
-        position = {bi: col for col, bi in enumerate(support)}
-        cons = [{position[k]: v for k, v in c.items() if k in position} for c in comms]
-        tspace = nullspace([row for row in cons if row], len(support), field)
-        if not tspace:
-            continue
-        # Deterministic search through the T-space for a nondegenerate Gram.
-        candidates = list(tspace)
-        for a in range(len(tspace)):
-            for b in range(a + 1, len(tspace)):
-                candidates.append(add_multiple(dict(tspace[a]), field.one(), tspace[b]))
-        for mult in (1, 2, 3):
-            combo = {}
-            for k, v in enumerate(tspace):
-                add_multiple(combo, field.from_int((mult**k) % 1009), v)
-            candidates.append(combo)
-        for tvec in candidates:
-            t = {bi: tvec[col] for col, bi in enumerate(support) if col in tvec}
-            if not t:
-                continue
-            if rank(block.pairing(t), field) == n:
-                return {
-                    "ok": True,
-                    "degree": D,
-                    "functional": {str(k): str(v) for k, v in t.items()},
-                }
-    return {"ok": False}

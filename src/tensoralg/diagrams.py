@@ -699,20 +699,6 @@ def strand_slots(alg: DiagramAlgebra, idem: IdemKey) -> tuple[list[int], dict[in
     return blacks, reds
 
 
-def slot_perm(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey, black_to: Sequence[int]) -> tuple[int, ...]:
-    """The merged-strand permutation from ``bottom`` to ``top`` that keeps
-    every red strand and takes the t-th black strand of the bottom to the
-    ``black_to[t]``-th black strand of the top."""
-    bot_blacks, bot_reds = strand_slots(alg, bottom)
-    top_blacks, top_reds = strand_slots(alg, top)
-    w = [0] * len(alg.merged(bottom))
-    for j, s in bot_reds.items():
-        w[s] = top_reds[j]
-    for s, t in zip(bot_blacks, black_to):
-        w[s] = top_blacks[t]
-    return tuple(w)
-
-
 def connecting_perms(alg: DiagramAlgebra, bottom: IdemKey, top: IdemKey):
     """All merged-strand permutations from ``bottom`` to ``top`` preserving
     red order and black labels."""

@@ -35,7 +35,7 @@ the sum divides exactly and a ``Fraction`` otherwise; every other sum of
 terms is ``linalg.add_multiple``.
 
 Weight idempotents come from simultaneous generalized eigenprojections of
-the commuting x_k.  ``linalg.spectral_idempotents`` splits each x_k once:
+the commuting x_k.  ``spectral.spectral_idempotents`` splits each x_k once:
 it reads the minimal polynomial off the Krylov sequence 1, x_k, x_k², ...
 in H, splits it over the integers, and writes each eigenprojection as an
 integer combination of those powers divided by one integer, so no
@@ -53,8 +53,9 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .cartan import CartanDatum, Weight
-from .linalg import add_multiple, rank, spectral_idempotents
+from .linalg import add_multiple, rank
 from .scalars import QQ, exact
+from .spectral import spectral_idempotents
 
 Perm = tuple[int, ...]  # one-line: w[i] = image of i (0-based)
 HKey = tuple[tuple[int, ...], Perm]  # (exponents, permutation)
@@ -324,7 +325,7 @@ def _reduced_word(w: Perm) -> list[int]:
 
 
 def _x_splits(H: HeckeAlgebra) -> list[list[tuple[int, int, dict]]]:
-    """``linalg.spectral_idempotents`` of each x_k, sorted by root.
+    """``spectral.spectral_idempotents`` of each x_k, sorted by root.
 
     H is unital and acts faithfully on itself, so x_k and its left
     multiplication have the same minimal polynomial; it is read off the

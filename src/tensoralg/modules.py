@@ -44,7 +44,7 @@ trace of the regular representation, which fails in positive
 characteristic.  Since L_a L_b = L_{ab}, the trace form tr(L_a L_b) is
 the pairing τ(a·b) of the one functional τ (``regular_trace``), and
 ``QuotientBlock.pairing`` reads it off the structure constants, as it
-does the Frobenius Gram of ``cyclotomic.frobenius_certificate``.
+does the Frobenius Gram of ``standard.frobenius_certificate``.
 """
 
 from __future__ import annotations
@@ -53,15 +53,9 @@ from math import factorial
 
 from .cyclotomic import IntegrityError, QuotientBlock
 from .laurent import LaurentPoly
-from .linalg import (
-    add_multiple,
-    nullspace,
-    reduce_against,
-    row_reduce,
-    spectral_idempotents,
-    transpose,
-)
+from .linalg import add_multiple, nullspace, reduce_against, row_reduce, transpose
 from .scalars import QQ, exact
+from .spectral import spectral_idempotents
 
 
 class UnsupportedCharacteristicError(RuntimeError):
@@ -172,7 +166,7 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[Vec]:
 
     Starting from the unit, each element z of a basis of the center
     splits every idempotent e found so far into the spectral idempotents
-    of z·e on the corner eSe (``linalg.spectral_idempotents`` with start
+    of z·e on the corner eSe (``spectral.spectral_idempotents`` with start
     e).  Each is a polynomial in z·e, hence central, and the center is
     spanned by the z, so the idempotents left at the end are primitive.
     """
@@ -192,7 +186,7 @@ def central_primitive_idempotents(S: SemisimpleQuotient) -> list[Vec]:
 
 
 def _corner_split(S, e, x):
-    """``linalg.spectral_idempotents`` of x acting on the corner eSe
+    """``spectral.spectral_idempotents`` of x acting on the corner eSe
     (unit e)."""
     split = spectral_idempotents(e, lambda p: S.multiply(p, x))
     if split is None:

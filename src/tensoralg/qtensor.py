@@ -1,6 +1,7 @@
 """The decategorified side: integral tensor products of highest-weight
-modules, the coproduct actions of E_i and F_i, and the inner product that
-predicts every graded Hom dimension on the diagram side.
+modules and the inner product that predicts every graded Hom dimension on
+the diagram side.  The coproduct actions of E_i and F_i, the vectors they
+build and the standard filtration are in ``standard``.
 
 Vectors are formal: a pure tensor is a tuple of F-words, one per factor,
 where the word ``(i_1, ..., i_k)`` means F_{i_k}...F_{i_1} applied to that
@@ -19,13 +20,12 @@ family.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .cartan import CartanDatum, RootVector, Weight
 from .laurent import ONE, ZERO, LaurentPoly, qint_signed
-from .linalg import add_multiple, laurent_rank, solve
-from .scalars import QQ
+from .linalg import add_multiple
 
 PTensor = tuple[tuple[int, ...], ...]
 VKey = tuple[tuple[int, ...], tuple[int, ...]]  # (I, kappa)
@@ -118,7 +118,7 @@ class TensorSpace:
         # red labels by node: _red_labels[i][j] = λ_j^i
         self._red_labels = tuple(tuple(lam.coords[i] for lam in self.lambdas) for i in range(datum.rank))
         self._form_memo: dict[tuple, LaurentPoly] = {}
-        self._s_in_v_memo: dict[VKey, dict[VKey, LaurentPoly]] = {}
+        self._s_in_v_memo: dict[VKey, dict[VKey, LaurentPoly]] = {}  # standard.s_in_v
         self._weight_memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # black word I -> pairings of v^κ_I
         self._parent: TensorSpace | None = None
 
@@ -132,11 +132,6 @@ class TensorSpace:
 
     def highest(self) -> TensorVector:
         return TensorVector(self, {((),) * self.ell: ONE})
-
-    def _factor_pairing(self, i: int, j: int, word: tuple[int, ...]) -> int:
-        """α_i^∨ of the weight of factor j after the letters of ``word``."""
-        c = self.datum.cartan
-        return self._red_labels[i][j] - sum(c[s][i] for s in word)
 
     def _pairings_below(self, i: int, word, kappa, labels) -> Iterator[tuple[int, int]]:
         """``(p, μ_p^i)`` for each letter p of ``word`` equal to i, where
@@ -152,94 +147,6 @@ class TensorSpace:
             if s == i:
                 yield p, mu
             mu -= c[s][i]
-
-    # -- coproduct actions -------------------------------------------------------
-
-    def apply_f(self, i: int, vec: TensorVector) -> TensorVector:
-        """Δ^{(ℓ)}(F_i) = Σ_j 1 ⊗ .. ⊗ F_i ⊗ K~_{-i} ⊗ .. ⊗ K~_{-i}."""
-        di = self.datum.sym[i]
-        out: dict[PTensor, LaurentPoly] = {}
-        for t, c in vec.terms.items():
-            for j in range(self.ell):
-                shift = -di * sum(self._factor_pairing(i, k, t[k]) for k in range(j + 1, self.ell))
-                nt = t[:j] + (t[j] + (i,),) + t[j + 1 :]
-                add_multiple(out, c, {nt: LaurentPoly.q_power(shift)})
-        return TensorVector(self, out)
-
-    def apply_e(self, i: int, vec: TensorVector) -> TensorVector:
-        """Δ^{(ℓ)}(E_i) = Σ_j K~_i ⊗ .. ⊗ K~_i ⊗ E_i ⊗ 1 ⊗ .. ⊗ 1.
-
-        Within one factor, E_i is pushed past each F letter with the
-        commutator scalar [α_i^∨(μ)] in q^{d_i}, μ the weight below the
-        deleted letter; E_i kills the highest-weight vector.
-        """
-        di = self.datum.sym[i]
-        out: dict[PTensor, LaurentPoly] = {}
-        for t, c in vec.terms.items():
-            for j in range(self.ell):
-                shift = di * sum(self._factor_pairing(i, k, t[k]) for k in range(j))
-                pre = c * LaurentPoly.q_power(shift)
-                word = t[j]
-                for p, mu in self._pairings_below(i, word, (0,), (self._red_labels[i][j],)):
-                    scal = qint_signed(mu, di)
-                    if not scal.is_zero():
-                        nt = t[:j] + (word[:p] + word[p + 1 :],) + t[j + 1 :]
-                        add_multiple(out, pre, {nt: scal})
-        return TensorVector(self, out)
-
-    # -- the distinguished spanning vectors ----------------------------------------
-
-    def vkappa(self, I: Sequence[int], kappa: Sequence[int]) -> TensorVector:
-        """The vector categorifying the projective e(I,κ)T; inductive build.
-
-        kappa(1) >= 1 labels a violating idempotent, which is zero in the
-        quotient, so the zero vector is returned for it.
-        """
-        I = tuple(I)
-        n = len(I)
-        kappa = check_kappa(kappa, n)
-        if len(kappa) != self.ell:
-            raise MalformedKappaError("kappa length != number of red strands")
-        if self.ell == 0:
-            if n:
-                raise MalformedKappaError("letters but no tensor factor")
-            return TensorVector(self, {(): ONE})
-        if kappa[0] >= 1:
-            return TensorVector(self, {})
-        ops: list[tuple[str, int]] = []
-        j, k = self.ell, n
-        kap = list(kappa)
-        while j > 0:
-            if kap[j - 1] == k:
-                ops.append(("attach", j))
-                j -= 1
-            else:
-                ops.append(("F", I[k - 1]))
-                k -= 1
-        vec = TensorVector(TensorSpace(self.datum, ()), {(): ONE})
-        partial: list[Weight] = []
-        for op, arg in reversed(ops):
-            if op == "attach":
-                partial.append(self.lambdas[arg - 1])
-                space = TensorSpace(self.datum, partial) if len(partial) < self.ell else self
-                vec = TensorVector(space, {t + ((),): c for t, c in vec.terms.items()})
-            else:
-                vec = vec.space.apply_f(arg, vec)
-        return vec
-
-    def skappa(self, I: Sequence[int], kappa: Sequence[int]) -> TensorVector:
-        """The pure tensor with letter block j sitting entirely in factor j."""
-        I = tuple(I)
-        n = len(I)
-        kappa = check_kappa(kappa, n)
-        if len(kappa) != self.ell:
-            raise MalformedKappaError("kappa length != number of red strands")
-        if self.ell == 0:
-            return TensorVector(self, {(): ONE})
-        starts = (0,) + kappa[1:]
-        ends = kappa[1:] + (n,)
-        t = tuple(I[s:e] for s, e in zip(starts, ends))
-        return TensorVector(self, {t: ONE})
 
     # -- structural expansion of E on spanning vectors --------------------------------
 
@@ -331,89 +238,7 @@ class TensorSpace:
             total = total + coeff * val
         return total
 
-    # -- standardization combinatorics ---------------------------------------------------
-
-    def letter_blocks(self, kappa: tuple[int, ...], n: int) -> list[int]:
-        """block(t) = the factor whose group contains letter t (1-based)."""
-        return [sum(1 for k in kappa if k < t) for t in range(1, n + 1)]
-
-    def phi_set(self, I: Sequence[int], kappa: Sequence[int]):
-        """Left-moving block assignments φ with their top idempotent and degree.
-
-        Yields ``(assignment, (I_φ, κ_φ), deg x_φ)``; the identity assignment
-        comes first (``s_in_v`` and ``x_phi_elements`` skip it by place).
-        deg x_φ adds <α_i, λ_j> for each red line crossed and -<α_i, α_i'>
-        for each black/black inversion.
-        """
-        I = tuple(I)
-        n = len(I)
-        kappa = check_kappa(kappa, n)
-        d = self.datum
-        blocks = self.letter_blocks(kappa, n)
-        if any(b == 0 for b in blocks):
-            raise MalformedKappaError("phi_set needs kappa(1) = 0")
-
-        def rec(t, cur):
-            if t > n:
-                yield tuple(cur)
-                return
-            for c in range(blocks[t - 1], 0, -1):
-                cur.append(c)
-                yield from rec(t + 1, cur)
-                cur.pop()
-
-        for assign in rec(1, []):
-            order = sorted(range(n), key=lambda t: (assign[t], t))
-            I_phi = tuple(I[t] for t in order)
-            k_phi = tuple(sum(1 for t in range(n) if assign[t] < j) for j in range(1, self.ell + 1))
-            deg = 0
-            for t in range(n):
-                for j in range(assign[t] + 1, blocks[t] + 1):
-                    deg += d.root_pairing_coeff(I[t], self.lambdas[j - 1])
-            for s in range(n):
-                for t in range(s + 1, n):
-                    if assign[s] > assign[t]:
-                        deg -= d.sym[I[t]] * d.cartan[I[s]][I[t]]
-            yield assign, (I_phi, k_phi), deg
-
-    def filtration_identity(self, I: Sequence[int], kappa: Sequence[int]) -> tuple[bool, dict]:
-        """Check v^κ_I = Σ_φ q^{-deg x_φ} s^{κ_φ}_{I_φ} as exact vectors."""
-        lhs = self.vkappa(I, kappa)
-        rhs = TensorVector(self, {})
-        layers = []
-        for assign, (I_phi, k_phi), deg in self.phi_set(I, kappa):
-            rhs = rhs + self.skappa(I_phi, k_phi).scale(LaurentPoly.q_power(-deg))
-            layers.append({"assign": assign, "idem": [list(I_phi), list(k_phi)], "deg": deg})
-        return (lhs - rhs).is_zero(), {"layers": layers}
-
-    def s_in_v(self, I: Sequence[int], kappa: Sequence[int]) -> dict[VKey, LaurentPoly]:
-        """Expansion of s^κ_I in the v-basis by inverting the unitriangular
-        filtration identity."""
-        key = (tuple(I), check_kappa(kappa, len(I)))
-        memo = self._s_in_v_memo
-        if key in memo:
-            return memo[key]
-        out: dict[VKey, LaurentPoly] = {key: ONE}
-        # the first φ is the identity, the term s^κ_I itself
-        for _assign, idem, deg in islice(self.phi_set(*key), 1, None):
-            add_multiple(out, LaurentPoly.q_power(-deg, -1), self.s_in_v(*idem))
-        memo[key] = out
-        return out
-
-    def form_vs(self, a: VKey, s_key: VKey) -> LaurentPoly:
-        """The prediction for dim_q Hom(P_a, S^{κ'}_J).
-
-        The standard class expands in projective classes with the
-        *barred* coefficients of the vector identity (grading shifts act
-        on K_0 through q -> q^-1 relative to the vector normalization),
-        so s = Σ c·v pairs as Σ bar(c)·<v_a, v>.
-        """
-        total = ZERO
-        for key, c in self.s_in_v(*s_key).items():
-            total = total + c.bar() * self.form_vv(a, key)
-        return total
-
-    # -- spanning sets and weight multiplicities -----------------------------------------
+    # -- spanning sets ----------------------------------------------------------------
 
     def spanning_keys(self, alpha: RootVector) -> list[VKey]:
         """All (I, κ) with content α and κ(1) = 0 (nonzero idempotents)."""
@@ -438,33 +263,6 @@ class TensorSpace:
                 k for k in combinations_with_replacement(range(n + 1), self.ell) if (k[0] >= 1) == violating
             ]
         return [(I, k) for I in arrangements(letters) for k in kappas]
-
-    def weight_dim(self, mu: Weight) -> int:
-        """dim of the μ weight space of the tensor product, via Gram rank."""
-        total = self.datum.zero_weight()
-        for lam in self.lambdas:
-            total = total + lam
-        diff = total - mu
-        # Solve diff = Σ m_i α_i; reachable weights give nonnegative integers.
-        coords = _root_coords(self.datum, diff)
-        if coords is None or any(c < 0 for c in coords):
-            return 0
-        keys = self.spanning_keys(self.datum.root(coords))
-        if not keys:
-            return 1 if all(c == 0 for c in coords) else 0
-        gram = [[self.form_vv(a, b) for b in keys] for a in keys]
-        return laurent_rank(gram)
-
-
-def _root_coords(datum: CartanDatum, wt: Weight) -> tuple[int, ...] | None:
-    """Express wt as an integral combination of simple roots, if possible."""
-    n = datum.rank
-    rows = [{j: a for j, a in enumerate(datum.cartan[i]) if a} for i in range(n)]
-    rhs = {j: c for j, c in enumerate(wt.coords) if c}
-    x = solve(rows, rhs, QQ)
-    if x is None or any(v.denominator != 1 for v in x.values()):
-        return None
-    return tuple(int(x.get(i, 0)) for i in range(n))
 
 
 class GradedHomTable:

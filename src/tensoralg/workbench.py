@@ -5,15 +5,16 @@ Exit codes: 0 success, 1 a verification certificate failed, 2 bad
 configuration, 3 internal integrity error (engine/oracle mismatch — a
 bug, not bad input).
 
-Module theory (``modules``), the Hecke comparison (``hecke``) and the
-polynomial representation (``polyrep``) serve only ``crystal``,
-``hecke-check`` and ``multiply``, so they load on first use: importing this
-module registers each of them in ``sys.modules`` (and on the package) with
-``importlib.util.LazyLoader``, and a module's code is compiled and run the
-first time one of its attributes is read.  A ``dims``, ``standard`` or
-``verify-*`` run never compiles them.  They are registered at import, not
-imported inside the tasks, because the benchmark's tracer imports this
-module alone and then looks every traced layer up in ``sys.modules``.
+Five modules serve only some tasks and load on first use: ``standard``
+(for ``standard`` and ``verify-filtration``), ``modules`` (``crystal``),
+``hecke`` (``hecke-check``), ``spectral`` (both of those) and ``polyrep``
+(``multiply``).  Importing this module registers each in ``sys.modules``
+and on the package with ``importlib.util.LazyLoader``; its code is
+compiled and run when one of its attributes is first read, so ``dims`` and
+``verify-euler`` compile none of them.  All five are registered here, not
+imported by the tasks or only by each other, because the benchmark's
+tracer imports this module alone and rebinds traced functions
+(``linalg.solve``, ...) only in the modules it then finds in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def _lazy(name: str):
 hecke = _lazy("hecke")
 modules = _lazy("modules")
 polyrep = _lazy("polyrep")
+standard = _lazy("standard")
+_lazy("spectral")  # imported by hecke and modules; registered here for the tracer
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -197,7 +200,7 @@ def task_verify_filtration(args, comp: BlockComputer) -> int:
     certs = {}
     for alpha in block_contents(comp.datum, args.max_strands):
         for key in comp.idems(alpha):
-            good, cert = comp.standard_filtration_check(key)
+            good, cert = standard.standard_filtration_check(comp, key)
             ok = ok and good
             certs[GradedHomTable.idem_label(key)] = {"ok": good, "layers": len(cert["layers"])}
     emit(args, {"task": "verify-filtration", "ok": ok, "certificates": certs})
@@ -211,7 +214,7 @@ def task_standard(args, comp: BlockComputer) -> int:
         for key in keys:
             col = {}
             for j in keys:
-                col[GradedHomTable.idem_label(j)] = comp.standard_dims(key, j).to_json()
+                col[GradedHomTable.idem_label(j)] = standard.standard_dims(comp, key, j).to_json()
             result[GradedHomTable.idem_label(key)] = col
     emit(args, {"task": "standard", "columns": result})
     return EXIT_OK

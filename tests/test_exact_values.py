@@ -13,9 +13,10 @@ import pytest
 from tensoralg import hecke, linalg, modules, workbench
 from tensoralg.cartan import default_q_matrix, sl2
 from tensoralg.cyclotomic import BlockComputer, QuotientBlock
-from tensoralg.linalg import IncrementalRREF, spectral_idempotents
+from tensoralg.linalg import IncrementalRREF
 from tensoralg.modules import radical
 from tensoralg.scalars import QQ, GFElement, PrimeField, exact
+from tensoralg.spectral import spectral_idempotents
 
 
 def is_exact(v) -> bool:

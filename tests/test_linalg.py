@@ -5,19 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from tensoralg.laurent import LaurentPoly
-from tensoralg.linalg import (
-    IncrementalRREF,
-    add_multiple,
-    laurent_rank,
-    nullspace,
-    rank,
-    rational_roots,
-    reduce_against,
-    row_reduce,
-    solve,
-    spectral_idempotents,
-)
+from tensoralg.linalg import IncrementalRREF, add_multiple, nullspace, rank, reduce_against, row_reduce, solve
 from tensoralg.scalars import QQ, PrimeField
+from tensoralg.spectral import rational_roots, spectral_idempotents
+from tensoralg.standard import laurent_rank
 
 
 def F(x):

@@ -18,6 +18,7 @@ from tensoralg.modules import (
     simples,
 )
 from tensoralg.scalars import QQ, PrimeField
+from tensoralg.standard import weight_dim
 from tensoralg.workbench import block_contents
 
 ONE = Fraction(1)
@@ -125,12 +126,12 @@ def test_simple_count_matches_weight_dim(sl2_setup, crystal_cases):
         for n in range(nmax + 1):
             blk = QuotientBlock(comp, d.root((n,)))
             mu = d.weight((lamsum - 2 * n,))
-            want = comp.space.weight_dim(mu)
+            want = weight_dim(comp.space, mu)
             got = len(simples(blk)) if blk.dim else 0
             assert got == want, (n, got, want)
     for case, (comp, total, blocks) in crystal_cases.items():
         for alpha in block_contents(comp.datum, case[2]):
-            want = comp.space.weight_dim(total - alpha.to_weight())
+            want = weight_dim(comp.space, total - alpha.to_weight())
             got = len(blocks[alpha][1]) if alpha in blocks else 0
             assert got == want, (case, alpha.coords, got, want)
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import runpy
@@ -258,11 +259,21 @@ def test_hecke_check_output_matches_its_golden_byte_for_byte(capsys, golden, dat
             ["--datum", "a1xa1", "--lambda", "1,1;1,0", "--task", "dims", "--max-strands", "4", "--format", "csv"],
         ),
         ("standard/a2_10_01_3.json", ["--datum", "a2", "--lambda", "1,0;0,1", "--task", "standard", "--max-strands", "3"]),
+        (
+            "standard/a2_10_01_3_filtration.json",
+            ["--datum", "a2", "--lambda", "1,0;0,1", "--task", "verify-filtration", "--max-strands", "3"],
+        ),
+        ("standard/b2_10_01_3.json", ["--datum", "b2", "--lambda", "1,0;0,1", "--task", "standard", "--max-strands", "3"]),
+        (
+            "standard/b2_10_01_3_filtration.json",
+            ["--datum", "b2", "--lambda", "1,0;0,1", "--task", "verify-filtration", "--max-strands", "3"],
+        ),
     ],
 )
 def test_table_output_matches_its_golden_byte_for_byte(capsys, golden, args):
-    """The dims and standard tasks' stdout (every graded Hom entry, and
-    every standard-module column) equals a recorded run, byte for byte."""
+    """The dims, standard and verify-filtration tasks' stdout (every graded
+    Hom entry, every standard-module column and every filtration
+    certificate) equals a recorded run, byte for byte."""
     code, out = run_main(args, capsys)
     assert code == 0
     assert out == (TABLE_GOLDEN / golden).read_text()
@@ -452,35 +463,83 @@ def test_importing_the_cli_loads_every_traced_module():
 
 
 def test_module_theory_hecke_and_polyrep_run_on_first_use():
-    """In a fresh interpreter, ``import tensoralg.workbench`` registers
-    ``hecke``, ``modules`` and ``polyrep`` in ``sys.modules`` and on the
-    package but runs none of them: a ``dims`` run leaves all three unrun,
-    and ``crystal``, ``hecke-check`` and ``multiply`` each run the one they
-    use.  A registered module that has not run is not yet of type
-    ``types.ModuleType``."""
+    """In a fresh interpreter, ``import tensoralg.workbench`` registers the
+    five lazy modules in ``sys.modules`` and on the package but runs none of
+    them, and each task, in an interpreter of its own, runs the ones it uses
+    and no other: ``dims`` and ``verify-euler`` none, the standard tasks
+    ``standard`` alone, ``crystal`` module theory and the spectral splitter,
+    ``hecke-check`` the Hecke algebra and the splitter, ``multiply`` the
+    polynomial representation.  A registered module that has not run is
+    not yet of type ``types.ModuleType``."""
     code = """
 import contextlib, io, json, sys, types
 import tensoralg, tensoralg.workbench as wb
-LAZY = ("hecke", "modules", "polyrep")
+LAZY = ("hecke", "modules", "polyrep", "spectral", "standard")
 assert all(sys.modules["tensoralg." + n] is getattr(tensoralg, n) for n in LAZY)
 def ran():
     return [n for n in LAZY if type(sys.modules["tensoralg." + n]) is types.ModuleType]
-seen = {"import": ran()}
-for lam, task in (("1;1", "dims"), ("1;1", "crystal"), ("2", "hecke-check"), ("1;1", "multiply")):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert wb.main(["--datum", "sl2", "--lambda", lam, "--task", task, "--max-strands", "2"]) == 0
-    seen[task] = ran()
+seen = [ran()]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert wb.main(["--datum", "sl2", "--lambda", sys.argv[1], "--task", sys.argv[2], "--max-strands", "2"]) == 0
+seen.append(ran())
 print(json.dumps(seen))
 """
+    seen = {}
+    for lam, task in (
+        ("1;1", "dims"),
+        ("1;1", "verify-euler"),
+        ("1;1", "standard"),
+        ("1;1", "verify-filtration"),
+        ("1;1", "crystal"),
+        ("2", "hecke-check"),
+        ("1;1", "multiply"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, lam, task], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        at_import, seen[task] = json.loads(proc.stdout)
+        assert at_import == [], task
+    assert seen == {
+        "dims": [],
+        "verify-euler": [],
+        "standard": ["standard"],
+        "verify-filtration": ["standard"],
+        "crystal": ["modules", "spectral"],
+        "hecke-check": ["hecke", "spectral"],
+        "multiply": ["polyrep"],
+    }
+
+
+def test_every_module_binding_a_traced_function_is_loaded_by_the_cli():
+    """The tracer rebinds a traced function such as ``linalg.solve`` only in
+    the modules it finds in ``sys.modules`` after ``import
+    tensoralg.workbench``; a module that binds one by ``from .x import`` and
+    is imported only when another module runs would keep the untraced
+    function, and its calls would drop out of the layer counts.  So every
+    such module is loaded, or registered lazily, by that import.  The
+    functions are the entries of the tracer's ``SPANS`` that name no
+    class (a "Class.method" entry is wrapped on its class)."""
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
+    traced = {
+        (module.rpartition(".")[2], attr)
+        for points in tracing["SPANS"].values()
+        for module, attr in points
+        if "." not in attr
+    }
+    assert ("linalg", "solve") in traced and ("diagrams", "basis_enumerate") in traced
+    package = Path(tensoralg.__file__).resolve().parent
+    binders = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if any((node.module, alias.name) in traced for alias in node.names):
+                    binders.add(f"tensoralg.{path.stem}")
+    assert {"tensoralg.spectral", "tensoralg.standard", "tensoralg.cyclotomic"} <= binders
+    code = "import json, sys, tensoralg.workbench; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "import": [],
-        "dims": [],
-        "crystal": ["modules"],
-        "hecke-check": ["hecke", "modules"],
-        "multiply": ["hecke", "modules", "polyrep"],
-    }
+    assert binders - set(json.loads(proc.stdout)) == set()
 
 
 def test_importing_the_cli_loads_no_introspection_machinery():
